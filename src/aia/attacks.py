@@ -105,6 +105,21 @@ def _attr_labels(labels: dict[int, AttributeLabels], owners: Sequence[int],
     return [getattr(labels[o], attribute) for o in owners]
 
 
+def _rows_of(matrix: FeatureMatrix, players: Sequence[int]) -> list[int]:
+    """Ascending row positions of the given players."""
+    owner_rows = matrix.owner_rows
+    return sorted(i for p in players for i in owner_rows[p])
+
+
+def _average_draw(block: np.ndarray, n: int, rng: np.random.Generator
+                  ) -> np.ndarray:
+    """Mean of n rows of a probability block drawn without replacement;
+    the whole block's mean when n reaches its length."""
+    if n < len(block):
+        return block[rng.choice(len(block), size=n, replace=False)].mean(axis=0)
+    return block.mean(axis=0)
+
+
 def _stratified_player_split(players: Sequence[int], y_by_player: dict[int, str],
                              test_fraction: float, val_fraction: float,
                              rng: np.random.Generator):
@@ -181,33 +196,33 @@ def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
         folds = m.stratified_folds(y, k, _rng(seed, ai, 0), classes)
         report.metric_tables[attribute] = {}
 
+        def prepare_fold(fold: list[int]):
+            held_out = set(fold)
+            train_rows = [i for i in range(P.n_rows) if i not in held_out]
+            _check_disjoint([P.row_owner[i] for i in train_rows],
+                            [P.row_owner[i] for i in fold],
+                            f"simple:{attribute}")
+            y_train = [y[i] for i in train_rows]
+            selected = m.select_features(P, train_rows, y_train, max_features,
+                                         classes)
+            return train_rows, y_train, selected, m.prepare(
+                P, train_rows, y_train, classes, selected, resample)
+
+        prepared = _map_units(prepare_fold, [(fold,) for fold in folds], jobs)
+
         for gi, algorithm in enumerate(algorithms):
             def run_fold(fi: int, fold: list[int], algorithm=algorithm,
                          gi=gi, ai=ai) -> float:
-                test_rows = fold
-                train_rows = [i for i in range(P.n_rows) if i not in set(fold)]
-                _check_disjoint([P.row_owner[i] for i in train_rows],
-                                [P.row_owner[i] for i in test_rows],
-                                f"simple:{attribute}")
-                y_train = [y[i] for i in train_rows]
+                train_rows, y_train, selected, prepared_fold = prepared[fi]
                 unit_seed = _unit_seed(seed, ai, gi, fi)
-                if algorithm == "dummy_stratified":
-                    model = m.fit(algorithm, P, train_rows, y_train,
-                                  classes=classes, seed=unit_seed)
-                else:
-                    selected = m.select_features(P, train_rows, y_train,
-                                                 max_features, classes)
-                    best = m.grid_search(algorithm, grids.get(algorithm, {}),
-                                         P, train_rows, y_train,
-                                         inner_folds=inner_folds, seed=unit_seed,
-                                         classes=classes, selected=selected,
-                                         resample=resample)
-                    fitter = m.fit_resampled if resample else m.fit
-                    model = fitter(algorithm, P, train_rows, y_train,
-                                   hyperparams=best, seed=unit_seed,
-                                   classes=classes, selected=selected)
-                y_pred = m.predict(model, P, test_rows)
-                return metrics([y[i] for i in test_rows], y_pred,
+                best = m.grid_search(algorithm, grids.get(algorithm, {}),
+                                     P, train_rows, y_train,
+                                     inner_folds=inner_folds, seed=unit_seed,
+                                     classes=classes, selected=selected,
+                                     resample=resample)
+                model = m.fit_prepared(algorithm, prepared_fold, best, unit_seed)
+                y_pred = m.predict(model, P, fold)
+                return metrics([y[i] for i in fold], y_pred,
                                classes)["macro_f1"]
 
             scores = _map_units(run_fold, [(fi, fold) for fi, fold
@@ -294,39 +309,33 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
                 _rng(seed, ri, 1, ai))
             _check_disjoint(train_p, test_p, f"one_match:{attribute}")
             kept_splits[attribute] = (train_p, val_p, test_p)
-            train_rows = [i for i, o in enumerate(matrix.row_owner) if o in set(train_p)]
-            val_rows = [i for i, o in enumerate(matrix.row_owner) if o in set(val_p)]
-            test_rows = [i for i, o in enumerate(matrix.row_owner) if o in set(test_p)]
+            train_rows = _rows_of(matrix, train_p)
+            val_rows = _rows_of(matrix, val_p)
+            test_rows = _rows_of(matrix, test_p)
             y_rows = _attr_labels(labels, matrix.row_owner, attribute)
             y_train = [y_rows[i] for i in train_rows]
             y_val = [y_rows[i] for i in val_rows]
             y_test = [y_rows[i] for i in test_rows]
+            selected = m.select_features(matrix, train_rows, y_train,
+                                         max_features, classes)
+            prepared = m.prepare(matrix, train_rows, y_train, classes,
+                                 selected, resample)
+
+            def val_score(models: list[m.TrainedModel]) -> tuple[float, None]:
+                val_pred = m.predict(models[0], matrix, val_rows)
+                return metrics(y_val, val_pred, classes)["macro_f1"], None
+
             run_scores[attribute] = {}
             for gi, algorithm in enumerate(algorithms):
                 unit_seed = _unit_seed(run_seed, ai, gi)
-                if algorithm == "dummy_stratified":
-                    model = m.fit(algorithm, matrix, train_rows, y_train,
-                                  classes=classes, seed=unit_seed)
+                candidates = m._expand_grid(grids.get(algorithm, {}))
+                if len(candidates) == 1 or not val_rows:
+                    model = m.fit_prepared(algorithm, prepared, candidates[0],
+                                           unit_seed)
                 else:
-                    selected = m.select_features(matrix, train_rows, y_train,
-                                                 max_features, classes)
-                    candidates = m._expand_grid(grids.get(algorithm, {}))
-                    fitter = m.fit_resampled if resample else m.fit
-                    best_model = None
-                    best_score = -np.inf
-                    for candidate in candidates:
-                        trial = fitter(algorithm, matrix, train_rows, y_train,
-                                       hyperparams=candidate, seed=unit_seed,
-                                       classes=classes, selected=selected)
-                        if len(candidates) == 1 or not val_rows:
-                            best_model = trial
-                            break
-                        val_pred = m.predict(trial, matrix, val_rows)
-                        score = metrics(y_val, val_pred, classes)["macro_f1"]
-                        if score > best_score + 1e-12:
-                            best_score = score
-                            best_model = trial
-                    model = best_model
+                    _, (model,), _ = m.select_best(
+                        [(algorithm, c, unit_seed) for c in candidates],
+                        [prepared], val_score)
                 y_pred = m.predict(model, matrix, test_rows)
                 run_scores[attribute][algorithm] = metrics(
                     y_test, y_pred, classes)["macro_f1"]
@@ -372,14 +381,9 @@ def sophisticated_predict(model: m.TrainedModel, matrix: FeatureMatrix,
     When n is smaller than the available match count, n rows are sampled
     without replacement; n beyond the available count uses everything.
     """
-    row_idx = list(row_idx)
-    if n is not None and n < len(row_idx):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        chosen = rng.choice(len(row_idx), size=n, replace=False)
-        row_idx = [row_idx[i] for i in sorted(chosen)]
-    probs = m.predict_proba(model, matrix, row_idx)
-    avg = average_probabilities(probs)
+    block = m.predict_proba(model, matrix, list(row_idx))
+    avg = _average_draw(block, len(block) if n is None else n,
+                        rng if rng is not None else np.random.default_rng(0))
     return model.class_list[int(np.argmax(avg))], avg
 
 
@@ -389,10 +393,8 @@ def _player_prob_blocks(run: OneMatchRun, attribute: str
     matrix = run.matrix
     model = run.models[attribute]
     test_set = set(run.test_players(attribute))
-    rows_by_player: dict[int, list[int]] = {}
-    for i, owner in enumerate(matrix.row_owner):
-        if owner in test_set:
-            rows_by_player.setdefault(owner, []).append(i)
+    rows_by_player = {p: rows for p, rows in matrix.owner_rows.items()
+                      if p in test_set}
     all_rows = [i for rows in rows_by_player.values() for i in rows]
     probs = m.predict_proba(model, matrix, all_rows)
     blocks: dict[int, np.ndarray] = {}
@@ -438,13 +440,7 @@ def sophisticated_aia(runs: Sequence[OneMatchRun],
                     rng = _rng(seed, ri, _ATTR_INDEX[attribute], n, d)
                     correct = 0
                     for player, block in blocks.items():
-                        take = min(n, len(block))
-                        if take < len(block):
-                            rows = rng.choice(len(block), size=take,
-                                              replace=False)
-                            avg = block[rows].mean(axis=0)
-                        else:
-                            avg = block.mean(axis=0)
+                        avg = _average_draw(block, n, rng)
                         if classes[int(np.argmax(avg))] == truth[player]:
                             correct += 1
                     out[n].append(correct / len(blocks))
@@ -495,12 +491,7 @@ def indiscriminate_aia(runs: Sequence[OneMatchRun],
                 top1 = 0
                 top2 = 0
                 for player, block in blocks.items():
-                    take = min(n, len(block))
-                    if take < len(block):
-                        rows = rng.choice(len(block), size=take, replace=False)
-                        avg = block[rows].mean(axis=0)
-                    else:
-                        avg = block.mean(axis=0)
+                    avg = _average_draw(block, n, rng)
                     order = np.argsort(-avg, kind="stable")
                     true_idx = classes.index(truth[player])
                     if order[0] == true_idx:
@@ -608,64 +599,57 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         _check_disjoint(train_p, test_p, f"targeted:{target.name}")
         _check_disjoint(val_p, test_p, f"targeted:{target.name}")
 
-        def rows_of(player_set):
-            chosen = set(player_set)
-            return [i for i, o in enumerate(matrix.row_owner) if o in chosen]
+        train_rows = _rows_of(matrix, train_p)
+        y_train = [y_by_player[matrix.row_owner[i]] for i in train_rows]
+        selected = m.select_features(matrix, train_rows, y_train,
+                                     max_features, classes)
+        prepared = m.prepare(matrix, train_rows, y_train, classes, selected,
+                             resample=True)
+        y_val = [y_by_player[p] for p in val_p]
 
-        train_rows = rows_of(train_p)
-        y_train = ["positive" if target.matches(labels[o]) else "negative"
-                   for o in (matrix.row_owner[i] for i in train_rows)]
-
-        # Candidate models: every algorithm x grid point, scored on the
-        # validation players by full-history averaged probabilities.
-        val_blocks: dict[int, list[int]] = {p: [] for p in val_p}
-        for i, owner in enumerate(matrix.row_owner):
-            if owner in val_blocks:
-                val_blocks[owner].append(i)
-        best = None  # (precision, recall, -gi, -ci) -> model, threshold
-        for gi, algorithm in enumerate(algorithms):
-            selected = m.select_features(matrix, train_rows, y_train,
-                                         max_features, classes)
-            for ci, candidate in enumerate(m._expand_grid(grids.get(algorithm, {}))):
-                unit_seed = _unit_seed(seed, rep, gi, ci)
-                model = m.fit_resampled(algorithm, matrix, train_rows, y_train,
-                                        hyperparams=candidate, seed=unit_seed,
-                                        classes=classes, selected=selected)
-                pos_proba = {}
-                for player, rows in val_blocks.items():
-                    block = m.predict_proba(model, matrix, rows)
-                    pos_proba[player] = float(block.mean(axis=0)[1])
-                y_true = [y_by_player[p] for p in val_p]
-                scored: list[tuple[float, float, float]] = []
-                for threshold in thresholds:
-                    y_pred = ["positive" if pos_proba[p] >= threshold
-                              else "negative" for p in val_p]
-                    if not any(v == "positive" for v in y_pred):
-                        continue
-                    precision, recall = binary_precision_recall(
-                        y_true, y_pred, "positive")
-                    scored.append((precision, recall, float(threshold)))
-                if not scored:
+        def val_score(models: list[m.TrainedModel]):
+            """Best (precision, recall) of full-history averages, and its
+            threshold; None when no threshold predicts a positive."""
+            pos_proba = {}
+            for player in val_p:
+                block = m.predict_proba(models[0], matrix,
+                                        matrix.owner_rows[player])
+                pos_proba[player] = float(block.mean(axis=0)[1])
+            scored: list[tuple[float, float, float]] = []
+            for threshold in thresholds:
+                y_pred = ["positive" if pos_proba[p] >= threshold
+                          else "negative" for p in val_p]
+                if not any(v == "positive" for v in y_pred):
                     continue
-                top = max(s[:2] for s in scored)
-                # Small validation sets tie many thresholds at the same
-                # (precision, recall); the median of the tied band keeps the
-                # widest margin on both sides.
-                band = sorted(t for p, r, t in scored if (p, r) == top)
-                threshold = band[len(band) // 2]
-                key = (top[0], top[1], -gi, -ci)
-                if best is None or key > best[0]:
-                    best = (key, model, threshold, algorithm, candidate)
+                precision, recall = binary_precision_recall(
+                    y_val, y_pred, "positive")
+                scored.append((precision, recall, float(threshold)))
+            if not scored:
+                return None
+            top = max(s[:2] for s in scored)
+            # Small validation sets tie many thresholds at the same
+            # (precision, recall); the median of the tied band keeps the
+            # widest margin on both sides.
+            band = sorted(t for p, r, t in scored if (p, r) == top)
+            return top, band[len(band) // 2]
+
+        # Candidate models: every algorithm x grid point, in order, so ties
+        # go to the earlier algorithm and grid point.
+        candidates = [
+            (algorithm, candidate, _unit_seed(seed, rep, gi, ci))
+            for gi, algorithm in enumerate(algorithms)
+            for ci, candidate in enumerate(m._expand_grid(grids.get(algorithm, {})))]
+        best = m.select_best(candidates, [prepared], val_score)
         if best is None:
             raise NoPositives(
                 f"target {target.name}: no candidate predicted a positive "
                 "on validation")
-        _, model, threshold, algorithm, candidate = best
+        index, (model,), threshold = best
+        algorithm, candidate, _ = candidates[index]
 
-        test_blocks: dict[int, np.ndarray] = {}
-        for player in test_p:
-            rows = [i for i, o in enumerate(matrix.row_owner) if o == player]
-            test_blocks[player] = m.predict_proba(model, matrix, rows)
+        test_blocks = {player: m.predict_proba(model, matrix,
+                                               matrix.owner_rows[player])
+                       for player in test_p}
         truth = {p: y_by_player[p] for p in test_p}
         precisions: dict[int, list[float]] = {n: [] for n in n_sweep}
         recalls: dict[int, list[float]] = {n: [] for n in n_sweep}
@@ -674,13 +658,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                 rng = _rng(seed, rep, n, d, 3)
                 y_pred = []
                 for player in test_p:
-                    block = test_blocks[player]
-                    take = min(n, len(block))
-                    if take < len(block):
-                        rows = rng.choice(len(block), size=take, replace=False)
-                        avg_pos = float(block[rows].mean(axis=0)[1])
-                    else:
-                        avg_pos = float(block.mean(axis=0)[1])
+                    avg_pos = float(_average_draw(test_blocks[player], n, rng)[1])
                     y_pred.append("positive" if avg_pos >= threshold
                                   else "negative")
                 y_true = [truth[p] for p in test_p]

@@ -14,7 +14,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -409,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--algorithms", help="comma list; default all five")
     p.add_argument("--expert", action="store_true",
                    help="one-match: use the distilled variants")

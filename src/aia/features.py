@@ -455,8 +455,7 @@ def build_distilled(m: FeatureMatrix, augmentation: AugmentationTable,
     for v in range(n_variants):
         rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
         picked: list[int] = []
-        for owner in m.owners():
-            idx = m.rows_of_owner(owner)
+        for idx in m.owner_rows.values():
             if len(idx) > max_per_player:
                 chosen = rng.choice(len(idx), size=max_per_player, replace=False)
                 idx = [idx[i] for i in sorted(chosen)]

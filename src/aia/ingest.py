@@ -8,6 +8,7 @@ committed fixtures; the synthetic generator emits the same layout.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -130,6 +131,17 @@ class FilterReport:
 # ---------------------------------------------------------------------------
 
 
+def _typed(value, kind: type, path: str):
+    if not isinstance(value, kind):
+        raise SchemaError(f"expected {kind.__name__}, got {type(value).__name__}",
+                          path=path)
+    return value
+
+
+def _array(doc: dict, key: str) -> list:
+    return _typed(doc.get(key) or [], list, f"$.{key}")
+
+
 def _require(doc: dict, key: str, kind, path: str):
     if key not in doc or doc[key] is None:
         raise SchemaError(f"missing required field {key!r}", path=f"{path}.{key}")
@@ -158,6 +170,7 @@ def _optional_num(doc: dict, key: str):
 
 def _parse_chat_entry(entry: dict, index: int) -> ChatMessage:
     path = f"$.chat[{index}]"
+    _typed(entry, dict, path)
     raw_type = entry.get("type", "chat")
     kind = _CHAT_TYPE_MAP.get(raw_type)
     if kind is None:
@@ -179,7 +192,7 @@ def _parse_chat_entry(entry: dict, index: int) -> ChatMessage:
 
 def _parse_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
     path = f"$.players[{index}]"
-    slot = _require(entry, "player_slot", int, path)
+    slot = _require(_typed(entry, dict, path), "player_slot", int, path)
     counts = {}
     for key in ("kills", "deaths", "assists", "denies", "last_hits"):
         value = int(entry.get(key, 0) or 0)
@@ -195,7 +208,8 @@ def _parse_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
         slot=slot,
         hero_id=int(entry.get("hero_id", 0) or 0),
         is_radiant=bool(is_radiant),
-        word_counts=dict(entry.get("word_counts") or {}),
+        word_counts=dict(_typed(entry.get("word_counts") or {}, dict,
+                                f"{path}.word_counts")),
         **counts,
     )
 
@@ -216,20 +230,25 @@ def parse_match(payload: bytes | str) -> MatchRecord:
 
     All schema fields map losslessly; unknown fields are kept in `extras`
     (and counted) so later feature work can still reach them. The first
-    invariant violation raises SchemaError with its JSON path.
+    invariant violation raises SchemaError with its JSON path; a value of
+    the wrong type raises SchemaError too, so the parser is total.
     """
     try:
         doc = json.loads(payload)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not a JSON document: {exc}", path="$") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level value must be an object", path="$")
+    try:
+        return _match_from_doc(_typed(doc, dict, "$"))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed value: {exc}", path="$") from exc
 
+
+def _match_from_doc(doc: dict) -> MatchRecord:
     duration = _require(doc, "duration", int, "$")
     if duration < 0:
         raise SchemaError("duration must be >= 0", path="$.duration")
 
-    players_raw = doc.get("players") or []
+    players_raw = _array(doc, "players")
     if not 1 <= len(players_raw) <= 10:
         raise SchemaError(f"expected 1..10 players, got {len(players_raw)}",
                           path="$.players")
@@ -242,10 +261,11 @@ def parse_match(payload: bytes | str) -> MatchRecord:
         if int(doc.get(key, 0) or 0) < 0:
             raise SchemaError(f"{key} must be >= 0", path=f"$.{key}")
 
-    chat = [_parse_chat_entry(c, i) for i, c in enumerate(doc.get("chat") or [])]
+    chat = [_parse_chat_entry(c, i) for i, c in enumerate(_array(doc, "chat"))]
 
     cosmetics = []
-    for i, item in enumerate(doc.get("cosmetics") or []):
+    for i, item in enumerate(_array(doc, "cosmetics")):
+        _typed(item, dict, f"$.cosmetics[{i}]")
         price = float(item.get("price", 0.0) or 0.0)
         if price < 0:
             raise SchemaError("price must be >= 0", path=f"$.cosmetics[{i}].price")
@@ -282,13 +302,14 @@ def parse_match(payload: bytes | str) -> MatchRecord:
         chat=chat,
         cosmetics=cosmetics,
         players=players,
-        objectives=list(doc.get("objectives") or []),
-        teamfights=list(doc.get("teamfights") or []),
-        picks_bans=list(doc.get("picks_bans") or []),
-        draft_timings=list(doc.get("draft_timings") or []),
-        gold_adv=[float(v) for v in doc.get("radiant_gold_adv") or []],
-        xp_adv=[float(v) for v in doc.get("radiant_xp_adv") or []],
-        word_counts=dict(doc.get("all_word_counts") or {}),
+        objectives=list(_array(doc, "objectives")),
+        teamfights=list(_array(doc, "teamfights")),
+        picks_bans=list(_array(doc, "picks_bans")),
+        draft_timings=list(_array(doc, "draft_timings")),
+        gold_adv=[float(v) for v in _array(doc, "radiant_gold_adv")],
+        xp_adv=[float(v) for v in _array(doc, "radiant_xp_adv")],
+        word_counts=dict(_typed(doc.get("all_word_counts") or {}, dict,
+                                "$.all_word_counts")),
         extras=extras,
     )
 
@@ -462,6 +483,27 @@ def _requests_transport(url: str, params: dict) -> TransportResponse:
     return TransportResponse(resp.status_code, dict(resp.headers), resp.content)
 
 
+def _retry_after_s(value: str | None) -> float | None:
+    """Seconds a Retry-After header asks for, as delay seconds or an
+    HTTP-date (a past date gives 0); None when absent or unparseable."""
+    if value is None:
+        return None
+    try:
+        seconds = float(value)
+    except ValueError:
+        import datetime
+        import email.utils
+
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:  # HTTP-dates are GMT
+            when = when.replace(tzinfo=datetime.timezone.utc)
+        seconds = (when - datetime.datetime.now(datetime.timezone.utc)).total_seconds()
+    return max(0.0, seconds) if math.isfinite(seconds) else None
+
+
 class TelemetryClient:
     """Rate-limited HTTP client over the player/matches APIs with a disk cache.
 
@@ -496,10 +538,9 @@ class TelemetryClient:
             if resp.status == 404:
                 raise NotFound(f"{path}: no public data")
             if resp.status == 429 or resp.status >= 500:
-                retry_after = resp.headers.get("Retry-After")
+                retry_after = _retry_after_s(resp.headers.get("Retry-After"))
                 if retry_after is not None:
-                    last_retry_after = float(retry_after)
-                    wait = last_retry_after
+                    last_retry_after = wait = retry_after
                 else:
                     wait = self.backoff_base_s * (2 ** attempt)
                 if attempt < self.max_retries:

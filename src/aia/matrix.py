@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -76,26 +77,17 @@ class FeatureMatrix:
         idx = self.column_index(name)
         return [row[idx] for row in self.rows]
 
+    @cached_property
+    def owner_rows(self) -> dict[int, list[int]]:
+        """Ascending row positions per owner, owners in first-appearance order."""
+        index: dict[int, list[int]] = {}
+        for i, owner in enumerate(self.row_owner):
+            index.setdefault(owner, []).append(i)
+        return index
+
     def owners(self) -> list[int]:
         """Distinct owners in first-appearance order."""
-        seen: dict[int, None] = {}
-        for owner in self.row_owner:
-            seen.setdefault(owner)
-        return list(seen)
-
-    def rows_of_owner(self, owner: int) -> list[int]:
-        return [i for i, o in enumerate(self.row_owner) if o == owner]
-
-    def subset(self, indices: Sequence[int], variant: str | None = None) -> "FeatureMatrix":
-        return FeatureMatrix(
-            variant=variant or self.variant,
-            columns=list(self.columns),
-            rows=[self.rows[i] for i in indices],
-            row_owner=[self.row_owner[i] for i in indices],
-            row_match=[self.row_match[i] for i in indices] if self.row_match else None,
-            variant_seed=self.variant_seed,
-            config_hash=self.config_hash,
-        )
+        return list(self.owner_rows)
 
     def project(self, names: Sequence[str]) -> "FeatureMatrix":
         idx = [self.column_index(n) for n in names]

@@ -4,7 +4,10 @@ Five algorithms (logistic regression, decision tree, random forest, a
 one-hidden-layer MLP, and a stratified dummy baseline), all trained through
 one preprocessing recipe: one-hot encoding of categoricals, min-max scaling
 of numerics, and an optional univariate feature-selection step, always
-fitted on training rows only. Everything is deterministic given
+fitted on training rows only. Training is two steps: `prepare` (recipe,
+encoding, ENN cleaning; no seed, no algorithm, so one prepared fold serves
+every candidate) and `fit_prepared` (SMOTE, then the estimator, both
+seeded); `fit` runs both. Everything is deterministic given
 (data, hyperparams, seed).
 """
 
@@ -19,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import stats
+from . import resampling, stats
 from .errors import DegenerateInput, SchemaMismatch
 from .matrix import FeatureMatrix
 from .metrics import metrics
@@ -45,6 +48,10 @@ DEFAULT_HYPERPARAMS: dict[str, dict] = {
     "dummy_stratified": {},
 }
 
+# Neighbourhood sizes of ENN (Wilson 1972) and SMOTE (Chawla et al. 2002).
+ENN_K = 3
+SMOTE_K = 5
+
 
 # ---------------------------------------------------------------------------
 # Preprocessing recipe
@@ -57,15 +64,6 @@ class Recipe:
     numeric_ranges: dict[str, tuple[float, float]]
     categories: dict[str, list[str]]
     dropped_constant: list[str]
-
-    def encoded_names(self) -> list[str]:
-        names: list[str] = []
-        for col in self.selected:
-            if col in self.categories:
-                names.extend(f"{col}={c}" for c in self.categories[col])
-            else:
-                names.append(col)
-        return names
 
 
 def fit_recipe(matrix: FeatureMatrix, row_idx: Sequence[int],
@@ -357,62 +355,54 @@ class TrainedModel:
     flags: list[str] = field(default_factory=list)
 
 
-def fit(algorithm: str, matrix: FeatureMatrix, row_idx: Sequence[int],
-        y: Sequence[str], hyperparams: dict | None = None, seed: int = 0,
-        classes: Sequence[str] | None = None,
-        selected: Sequence[str] | None = None) -> TrainedModel:
-    """Train one classifier on the given rows.
+@dataclass
+class PreparedFold:
+    """Training rows encoded through a recipe fitted on them; `edited` holds
+    the rows ENN kept when the fold resamples, else None."""
 
-    The preprocessing recipe (encoding, scaling, selected features) is
-    fitted on these rows only; resampling, when wanted, happens upstream on
-    the encoded arrays via `fit_resampled`.
-    """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    hp = dict(DEFAULT_HYPERPARAMS[algorithm])
-    hp.update(hyperparams or {})
-    class_list = list(classes) if classes is not None else sorted(set(y), key=str)
-    recipe = fit_recipe(matrix, row_idx, selected)
-    X = transform(matrix, row_idx, recipe)
-    y_codes = np.array([class_list.index(v) for v in y])
-    return _fit_encoded(algorithm, X, y_codes, class_list, recipe, hp, seed,
-                        matrix.column_hash())
+    recipe: Recipe
+    class_list: list[str]
+    schema_hash: str
+    X: np.ndarray
+    y: np.ndarray
+    edited: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
-def fit_resampled(algorithm: str, matrix: FeatureMatrix, row_idx: Sequence[int],
-                  y: Sequence[str], hyperparams: dict | None = None, seed: int = 0,
-                  classes: Sequence[str] | None = None,
-                  selected: Sequence[str] | None = None,
-                  enn_k: int = 3, smote_k: int = 5) -> TrainedModel:
-    """fit() with ENN cleaning then SMOTE balancing on the encoded rows."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    hp = dict(DEFAULT_HYPERPARAMS[algorithm])
-    hp.update(hyperparams or {})
+def prepare(matrix: FeatureMatrix, row_idx: Sequence[int], y: Sequence[str],
+            classes: Sequence[str] | None = None,
+            selected: Sequence[str] | None = None,
+            resample: bool = False) -> PreparedFold:
+    """The data step of training: recipe, encoding and, with `resample`, ENN."""
     class_list = list(classes) if classes is not None else sorted(set(y), key=str)
     recipe = fit_recipe(matrix, row_idx, selected)
     X = transform(matrix, row_idx, recipe)
     y_arr = np.array(y, dtype=object)
-    if algorithm != "dummy_stratified":
-        from .resampling import enn_undersample, smote_oversample
-
-        X_clean, y_clean = enn_undersample(X, y_arr, k=enn_k, classes=class_list)
-        if len(set(y_clean)) >= 2:
-            X, y_arr = X_clean, y_clean
-        else:
-            warnings.warn("ENN would leave fewer than two classes; "
-                          "skipping the cleaning step", RuntimeWarning,
-                          stacklevel=2)
-        X, y_arr = smote_oversample(X, y_arr, k=smote_k, seed=seed,
-                                    classes=class_list)
-    y_codes = np.array([class_list.index(v) for v in y_arr])
-    return _fit_encoded(algorithm, X, y_codes, class_list, recipe, hp, seed,
-                        matrix.column_hash())
+    edited = resampling.enn_undersample(X, y_arr, k=ENN_K, classes=class_list) \
+        if resample else None
+    if edited is not None and len(set(edited[1])) < 2:
+        warnings.warn("ENN would leave fewer than two classes; skipping the "
+                      "cleaning step", RuntimeWarning, stacklevel=2)
+        edited = (X, y_arr)
+    return PreparedFold(recipe=recipe, class_list=class_list,
+                        schema_hash=matrix.column_hash(), X=X, y=y_arr,
+                        edited=edited)
 
 
-def _fit_encoded(algorithm: str, X: np.ndarray, y_codes: np.ndarray,
-                 class_list: list[str], recipe: Recipe, hp: dict, seed: int,
-                 schema_hash: str) -> TrainedModel:
+def fit_prepared(algorithm: str, fold: PreparedFold,
+                 hyperparams: dict | None = None, seed: int = 0) -> TrainedModel:
+    """The estimator step of training: SMOTE on the ENN-kept rows of a
+    resampling fold, then the estimator, both seeded with `seed`. The dummy
+    baseline always trains on the fold's rows as they came."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    hp = dict(DEFAULT_HYPERPARAMS[algorithm])
+    hp.update(hyperparams or {})
+    class_list = fold.class_list
+    X, y = fold.X, fold.y
+    if fold.edited is not None and algorithm != "dummy_stratified":
+        X, y = resampling.smote_oversample(*fold.edited, k=SMOTE_K, seed=seed,
+                                           classes=class_list)
+    y_codes = np.array([class_list.index(v) for v in y])
     K = len(class_list)
     flags: list[str] = []
     if algorithm == "dummy_stratified":
@@ -424,7 +414,7 @@ def _fit_encoded(algorithm: str, X: np.ndarray, y_codes: np.ndarray,
         if not converged:
             flags.append("not_converged")
             warnings.warn("logistic regression hit the iteration cap",
-                          RuntimeWarning, stacklevel=3)
+                          RuntimeWarning, stacklevel=2)
     elif algorithm == "decision_tree":
         params = {"tree": _grow_tree(X, y_codes, K, hp["max_depth"],
                                      int(hp["min_leaf"]))}
@@ -434,9 +424,22 @@ def _fit_encoded(algorithm: str, X: np.ndarray, y_codes: np.ndarray,
     else:  # mlp
         params = _fit_mlp(X, y_codes, K, int(hp["hidden"]), float(hp["lr"]),
                           int(hp.get("epochs", 200)), seed)
-    return TrainedModel(algorithm=algorithm, class_list=class_list, recipe=recipe,
-                        params=params, hyperparams=hp, seed=seed,
-                        schema_hash=schema_hash, flags=flags)
+    return TrainedModel(algorithm=algorithm, class_list=class_list,
+                        recipe=fold.recipe, params=params, hyperparams=hp,
+                        seed=seed, schema_hash=fold.schema_hash, flags=flags)
+
+
+def fit(algorithm: str, matrix: FeatureMatrix, row_idx: Sequence[int],
+        y: Sequence[str], hyperparams: dict | None = None, seed: int = 0,
+        classes: Sequence[str] | None = None,
+        selected: Sequence[str] | None = None,
+        resample: bool = False) -> TrainedModel:
+    """Train one classifier on the given rows: `prepare`, then `fit_prepared`.
+    With `resample`, ENN and then SMOTE run on the encoded rows (never for
+    the dummy baseline)."""
+    fold = prepare(matrix, row_idx, y, classes, selected,
+                   resample and algorithm != "dummy_stratified")
+    return fit_prepared(algorithm, fold, hyperparams, seed)
 
 
 def predict_proba(model: TrainedModel, matrix: FeatureMatrix,
@@ -585,6 +588,35 @@ def stratified_folds(y: Sequence[str], n_folds: int, rng: np.random.Generator,
     return [sorted(f) for f in folds]
 
 
+def _beats(new, old) -> bool:
+    """Score `new` beats `old` by more than 1e-12 at the first component
+    (of a number or tuple) where they differ."""
+    for a, b in zip(np.atleast_1d(new), np.atleast_1d(old)):
+        if abs(a - b) > 1e-12:
+            return bool(a > b)
+    return False
+
+
+def select_best(candidates: Sequence[tuple[str, dict, int]],
+                folds: Sequence[PreparedFold],
+                score: Callable[[list[TrainedModel]], Optional[tuple]]
+                ) -> Optional[tuple[int, list[TrainedModel], object]]:
+    """Fit each `(algorithm, hyperparams, seed)` candidate on every prepared
+    fold; keep the earliest best. `score(models)` gives `(key, detail)`, or
+    None to pass the candidate over; a later key must beat the best (`_beats`).
+    Returns `(index, models, detail)` of the best, or None."""
+    best = None
+    for index, (algorithm, hyperparams, seed) in enumerate(candidates):
+        models = [fit_prepared(algorithm, fold, hyperparams, seed) for fold in folds]
+        scored = score(models)
+        if scored is None:
+            continue
+        key, detail = scored
+        if best is None or _beats(key, best[0]):
+            best = (key, index, models, detail)
+    return None if best is None else best[1:]
+
+
 def grid_search(algorithm: str, grid: dict[str, list] | list[dict],
                 matrix: FeatureMatrix, row_idx: Sequence[int], y: Sequence[str],
                 inner_folds: int = 3,
@@ -595,6 +627,7 @@ def grid_search(algorithm: str, grid: dict[str, list] | list[dict],
                 resample: bool = True) -> dict:
     """Exhaustive grid evaluation by stratified inner CV.
 
+    Each inner training fold is prepared once and serves every grid point.
     Ties break toward the earlier grid point. The metric is a key produced
     by `metrics` or a callable (y_true, y_pred) -> float.
     """
@@ -608,32 +641,27 @@ def grid_search(algorithm: str, grid: dict[str, list] | list[dict],
     rng = np.random.default_rng(np.random.SeedSequence([seed, 15485863]))
     n_folds = min(inner_folds, max(2, min(
         sum(1 for v in y if v == c) for c in class_list if c in set(y))))
-    folds = stratified_folds(y, n_folds, rng, class_list)
-    best_score = -np.inf
-    best = candidates[0]
-    for candidate in candidates:
-        scores = []
-        for k, fold in enumerate(folds):
-            if not fold:
-                continue
-            val_pos = set(fold)
-            train_pos = [i for i in range(len(row_idx)) if i not in val_pos]
-            if not train_pos or len({y[i] for i in train_pos}) < 2:
-                continue
-            train_rows = [row_idx[i] for i in train_pos]
-            val_rows = [row_idx[i] for i in fold]
-            fitter = fit_resampled if resample else fit
-            model = fitter(algorithm, matrix, train_rows,
-                           [y[i] for i in train_pos], hyperparams=candidate,
-                           seed=seed, classes=class_list, selected=selected)
-            y_pred = predict(model, matrix, val_rows)
-            y_val = [y[i] for i in fold]
-            if callable(metric):
-                scores.append(metric(y_val, y_pred))
-            else:
-                scores.append(metrics(y_val, y_pred, class_list)[metric])
-        mean_score = float(np.mean(scores)) if scores else -np.inf
-        if mean_score > best_score + 1e-12:
-            best_score = mean_score
-            best = candidate
-    return best
+    prepared: list[PreparedFold] = []
+    held_out: list[list[int]] = []
+    for fold in stratified_folds(y, n_folds, rng, class_list):
+        val_pos = set(fold)
+        train_pos = [i for i in range(len(row_idx)) if i not in val_pos]
+        if not fold or not train_pos or len({y[i] for i in train_pos}) < 2:
+            continue
+        prepared.append(prepare(matrix, [row_idx[i] for i in train_pos],
+                                [y[i] for i in train_pos], class_list,
+                                selected, resample))
+        held_out.append(fold)
+    if not prepared:
+        return candidates[0]
+    score_fn = metric if callable(metric) else \
+        (lambda y_true, y_pred: metrics(y_true, y_pred, class_list)[metric])
+
+    def score(fold_models: list[TrainedModel]) -> tuple[float, None]:
+        return float(np.mean([
+            score_fn([y[i] for i in fold],
+                     predict(model, matrix, [row_idx[i] for i in fold]))
+            for model, fold in zip(fold_models, held_out)])), None
+
+    best = select_best([(algorithm, c, seed) for c in candidates], prepared, score)
+    return candidates[best[0]]

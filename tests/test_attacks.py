@@ -182,6 +182,23 @@ def test_probability_averaging_reference_example():
     assert int(np.argmax(avg)) == 0
 
 
+def test_average_draw_uses_whole_block_when_n_reaches_its_length():
+    block = np.array([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.8, 0.2]])
+    for n in (4, 30):
+        rng = np.random.default_rng(0)
+        assert np.array_equal(attacks._average_draw(block, n, rng), block.mean(axis=0))
+        # No draw is spent, so the caller's random stream is untouched.
+        assert rng.random() == np.random.default_rng(0).random()
+
+
+def test_average_draw_samples_n_distinct_rows_with_one_choice_call():
+    block = np.arange(20.0).reshape(10, 2)
+    rng = np.random.default_rng(3)
+    rows = np.random.default_rng(3).choice(10, size=4, replace=False)
+    assert np.array_equal(attacks._average_draw(block, 4, rng),
+                          block[rows].mean(axis=0))
+
+
 def _toy_model_and_matrix():
     rng = np.random.default_rng(0)
     rows = [[float(v)] for v in rng.normal(size=20)]

@@ -1,4 +1,5 @@
 import json
+import shutil
 import warnings
 
 import pytest
@@ -89,6 +90,24 @@ def test_featurize_outputs(pipeline_dirs):
     assert (features / "Mbar_00.csv").exists()
     assert (features / "Mbar_01.csv").exists()
     assert (features / "filter_report.json").exists()
+
+
+def test_featurize_on_malformed_cached_match_exits_1(pipeline_dirs, tmp_path,
+                                                    capsys):
+    _, cache, labels_csv, _ = pipeline_dirs
+    broken = tmp_path / "cache"
+    shutil.copytree(cache, broken)
+    player = json.loads(next((broken / "players").glob("*.json")).read_text())
+    match_path = broken / "matches" / f"{player['matches'][0]['match_id']}.json"
+    doc = json.loads(match_path.read_text())
+    doc["chat"] = [{"slot": None, "time": 1.0, "type": "chat", "key": "gg"}]
+    match_path.write_text(json.dumps(doc))
+    code = main(["featurize", "--variant", "P", "--cache", str(broken),
+                 "--labels", str(labels_csv), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_correlate_emits_reports(pipeline_dirs):

@@ -2,7 +2,10 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import build_match_doc
 from aia.attributes import AttributeLabels
 from aia.errors import NotFound, RateLimited, SchemaError, SlotNotFound
 from aia.ingest import (
@@ -70,6 +73,63 @@ def test_negative_duration_flagged_with_path():
     with pytest.raises(SchemaError) as err:
         parse_match(json.dumps(doc).encode())
     assert "$.duration" in str(err.value)
+
+
+def _with_first_player(**fields):
+    doc = build_match_doc()
+    doc["players"][0].update(fields)
+    return doc
+
+
+MALFORMED_MATCHES = {
+    "null chat slot": build_match_doc(chat=[{"slot": None, "time": 5.0,
+                                             "type": "chat", "key": "gg"}]),
+    "chat entry not an object": build_match_doc(chat=["gg"]),
+    "nan duration": build_match_doc(duration=float("nan")),
+    "infinite duration": build_match_doc(duration=float("inf")),
+    "non-numeric kills": _with_first_player(kills="many"),
+    "list of words for all_word_counts": build_match_doc(all_word_counts=["gg!"]),
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_MATCHES.values(),
+                         ids=MALFORMED_MATCHES.keys())
+def test_malformed_match_is_schema_error(doc):
+    with pytest.raises(SchemaError):
+        parse_match(json.dumps(doc).encode())
+
+
+def test_too_deeply_nested_document_is_schema_error():
+    with pytest.raises(SchemaError):
+        parse_match(b"[" * 100_000)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=8)
+_FULL_DOC = build_match_doc(
+    chat=[{"slot": 1, "time": 5.0, "type": "chat", "key": "gg"}],
+    cosmetics=[{"item_id": 1, "owner_slot": 2, "price": 3.0}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(_FULL_DOC)), value=_JSON_VALUES,
+       in_first_entry=st.booleans())
+def test_parse_match_is_total(key, value, in_first_entry):
+    # Any JSON value in place of a field, or of the first field of a list
+    # entry, parses or raises SchemaError; nothing else escapes.
+    doc = json.loads(json.dumps(_FULL_DOC))
+    entries = doc[key]
+    if in_first_entry and isinstance(entries, list) and entries:
+        entries[0][sorted(entries[0])[0]] = value
+    else:
+        doc[key] = value
+    try:
+        parse_match(json.dumps(doc).encode())
+    except SchemaError:
+        pass
 
 
 def test_unknown_fields_preserved_and_counted():
@@ -252,6 +312,25 @@ def test_rate_limited_retries_honor_retry_after(tmp_path):
     record = client.fetch_match(5)
     assert record.match_id == 5
     assert 3.0 in sleeps
+
+
+@pytest.mark.parametrize("header, expected_wait", [
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # an HTTP-date in the past
+    ("soon", 7.0),  # unparseable: the first exponential backoff step
+    ("inf", 7.0),  # not finite: the same fallback
+])
+def test_retry_after_http_date_and_garbage(tmp_path, header, expected_wait):
+    sleeps = []
+    doc = minimal_match(match_id=5)
+    transport = FakeTransport({"/matches/5": [
+        TransportResponse(429, {"Retry-After": header}, b""),
+        ok(doc),
+        ok(doc),
+    ]})
+    client = TelemetryClient(tmp_path, transport=transport, rate_per_s=1e6,
+                             backoff_base_s=7.0, sleep=sleeps.append)
+    assert client.fetch_match(5).match_id == 5
+    assert expected_wait in sleeps
 
 
 def test_rate_limited_exhaustion_raises(tmp_path):

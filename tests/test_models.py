@@ -250,6 +250,25 @@ def test_grid_search_recovers_generating_depth():
     assert hits >= 8
 
 
+def test_grid_search_cleans_each_inner_fold_once(monkeypatch):
+    # ENN depends only on a fold's training rows, so a 4-point grid over 3
+    # inner folds cleans 3 folds, not 12 (fold, candidate) pairs.
+    from aia import resampling
+
+    calls = []
+    enn = resampling.enn_undersample
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return enn(*args, **kwargs)
+
+    monkeypatch.setattr(resampling, "enn_undersample", counted)
+    m, y = separable(n=60)
+    models.grid_search("decision_tree", {"max_depth": [1, 3], "min_leaf": [1, 5]},
+                       m, range(60), y, inner_folds=3, seed=0, resample=True)
+    assert len(calls) == 3
+
+
 def test_grid_metric_changes_selection_on_imbalanced_fixture():
     rng = np.random.default_rng(42)
     xa = np.concatenate([rng.uniform(0.0, 0.55, 70), rng.uniform(0.5, 0.75, 12)])
