@@ -275,7 +275,6 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
     """
     if isinstance(variants, FeatureMatrix):
         variants = [variants]
-    runs_spec: list[tuple[int, FeatureMatrix]] = []
     if len(variants) == 1 and (n_repeats or 1) > 1:
         runs_spec = [(r, variants[0]) for r in range(n_repeats)]
     else:
@@ -290,9 +289,6 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
         "algorithms": list(algorithms), "n_runs": len(runs_spec),
         "variant_seeds": [v.variant_seed for _, v in runs_spec],
     })
-    scores: dict[str, dict[str, list[float]]] = {
-        a: {alg: [] for alg in algorithms} for a in attrs}
-    artifacts: list[OneMatchRun] = []
 
     def run_one(ri: int, matrix: FeatureMatrix) -> tuple[dict, Optional[OneMatchRun]]:
         run_scores: dict[str, dict[str, float]] = {}
@@ -307,7 +303,6 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
             train_p, val_p, test_p = _stratified_player_split(
                 players, y_by_player, test_fraction, val_fraction,
                 _rng(seed, ri, 1, ai))
-            _check_disjoint(train_p, test_p, f"one_match:{attribute}")
             kept_splits[attribute] = (train_p, val_p, test_p)
             train_rows = _rows_of(matrix, train_p)
             val_rows = _rows_of(matrix, val_p)
@@ -349,16 +344,11 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
         return run_scores, artifact
 
     results = _map_units(run_one, runs_spec, jobs)
-    for run_scores, artifact in results:
-        for attribute, by_alg in run_scores.items():
-            for algorithm, score in by_alg.items():
-                scores[attribute][algorithm].append(score)
-        if artifact is not None:
-            artifacts.append(artifact)
     for attribute in attrs:
         report.metric_tables[attribute] = {
-            alg: _mean_std(vals) for alg, vals in scores[attribute].items()}
-    return report, artifacts
+            alg: _mean_std([run_scores[attribute][alg] for run_scores, _ in results])
+            for alg in algorithms}
+    return report, [artifact for _, artifact in results if artifact is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +380,13 @@ def sophisticated_predict(model: m.TrainedModel, matrix: FeatureMatrix,
 def _player_prob_blocks(run: OneMatchRun, attribute: str
                         ) -> dict[int, np.ndarray]:
     """predict_proba for each test player's rows, computed once per run."""
-    matrix = run.matrix
-    model = run.models[attribute]
     test_set = set(run.test_players(attribute))
-    rows_by_player = {p: rows for p, rows in matrix.owner_rows.items()
+    rows_by_player = {p: rows for p, rows in run.matrix.owner_rows.items()
                       if p in test_set}
     all_rows = [i for rows in rows_by_player.values() for i in rows]
-    probs = m.predict_proba(model, matrix, all_rows)
-    blocks: dict[int, np.ndarray] = {}
-    cursor = 0
-    for player, rows in rows_by_player.items():
-        blocks[player] = probs[cursor:cursor + len(rows)]
-        cursor += len(rows)
-    return blocks
+    probs = m.predict_proba(run.models[attribute], run.matrix, all_rows)
+    cuts = np.cumsum([len(rows) for rows in rows_by_player.values()])[:-1]
+    return dict(zip(rows_by_player, np.split(probs, cuts)))
 
 
 def sophisticated_aia(runs: Sequence[OneMatchRun],
@@ -425,7 +409,6 @@ def sophisticated_aia(runs: Sequence[OneMatchRun],
 
     for attribute in attrs:
         classes = list(ATTRIBUTE_SCHEMA[attribute])
-        per_n: dict[int, list[float]] = {n: [] for n in n_sweep}
 
         def run_unit(ri: int, run: OneMatchRun, attribute=attribute,
                      classes=classes) -> dict[int, list[float]]:
@@ -447,11 +430,9 @@ def sophisticated_aia(runs: Sequence[OneMatchRun],
             return out
 
         results = _map_units(run_unit, list(enumerate(runs)), jobs)
-        for result in results:
-            for n in n_sweep:
-                per_n[n].extend(result[n])
         report.curves[attribute] = [
-            {"n": n, **_mean_std(per_n[n])} for n in n_sweep]
+            {"n": n, **_mean_std([v for result in results for v in result[n]])}
+            for n in n_sweep]
     return report
 
 
@@ -492,13 +473,10 @@ def indiscriminate_aia(runs: Sequence[OneMatchRun],
                 top2 = 0
                 for player, block in blocks.items():
                     avg = _average_draw(block, n, rng)
-                    order = np.argsort(-avg, kind="stable")
+                    top = list(np.argsort(-avg, kind="stable")[:2])
                     true_idx = classes.index(truth[player])
-                    if order[0] == true_idx:
-                        top1 += 1
-                        top2 += 1
-                    elif order[1] == true_idx:
-                        top2 += 1
+                    top1 += int(top[0] == true_idx)
+                    top2 += int(true_idx in top)
                 top1_scores.append(top1 / len(blocks))
                 top2_scores.append(top2 / len(blocks))
         t1 = _mean_std(top1_scores)
@@ -577,9 +555,6 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         "n_sweep": list(n_sweep), "algorithms": list(algorithms),
         "grids": grids, "thresholds": [float(t) for t in thresholds],
     })
-    precision_per_n: dict[int, list[float]] = {n: [] for n in n_sweep}
-    recall_per_n: dict[int, list[float]] = {n: [] for n in n_sweep}
-    chosen_log: list[dict] = []
 
     def run_repeat(rep: int) -> tuple[dict, dict, dict]:
         matrix = variants[rep % len(variants)]
@@ -596,8 +571,6 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
             if not any(y_by_player[p] == "positive" for p in part):
                 raise NoPositives(
                     f"target {target.name}: no positives in the {name} split")
-        _check_disjoint(train_p, test_p, f"targeted:{target.name}")
-        _check_disjoint(val_p, test_p, f"targeted:{target.name}")
 
         train_rows = _rows_of(matrix, train_p)
         y_train = [y_by_player[matrix.row_owner[i]] for i in train_rows]
@@ -650,7 +623,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         test_blocks = {player: m.predict_proba(model, matrix,
                                                matrix.owner_rows[player])
                        for player in test_p}
-        truth = {p: y_by_player[p] for p in test_p}
+        y_true = [y_by_player[p] for p in test_p]
         precisions: dict[int, list[float]] = {n: [] for n in n_sweep}
         recalls: dict[int, list[float]] = {n: [] for n in n_sweep}
         for n in n_sweep:
@@ -661,7 +634,6 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                     avg_pos = float(_average_draw(test_blocks[player], n, rng)[1])
                     y_pred.append("positive" if avg_pos >= threshold
                                   else "negative")
-                y_true = [truth[p] for p in test_p]
                 precision, recall = binary_precision_recall(y_true, y_pred,
                                                             "positive")
                 precisions[n].append(precision)
@@ -671,14 +643,9 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         return precisions, recalls, chosen
 
     results = _map_units(run_repeat, [(rep,) for rep in range(repeats)], jobs)
-    for precisions, recalls, chosen in results:
-        chosen_log.append(chosen)
-        for n in n_sweep:
-            precision_per_n[n].extend(precisions[n])
-            recall_per_n[n].extend(recalls[n])
-    report.curves["precision"] = [{"n": n, **_mean_std(precision_per_n[n])}
-                                  for n in n_sweep]
-    report.curves["recall"] = [{"n": n, **_mean_std(recall_per_n[n])}
-                               for n in n_sweep]
-    report.config["selected"] = chosen_log
+    for i, series in enumerate(("precision", "recall")):
+        report.curves[series] = [
+            {"n": n, **_mean_std([v for result in results for v in result[i][n]])}
+            for n in n_sweep]
+    report.config["selected"] = [chosen for _, _, chosen in results]
     return report

@@ -50,9 +50,6 @@ class AttributeLabels:
             if value not in classes:
                 raise SchemaError(f"{name}={value!r} not in {classes}", path=f"$.{name}")
 
-    def as_dict(self) -> dict[str, str]:
-        return {name: getattr(self, name) for name in ATTRIBUTE_SCHEMA}
-
 
 @dataclass(frozen=True)
 class RawSurveyRow:

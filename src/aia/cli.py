@@ -257,18 +257,12 @@ def _cmd_attack(args) -> int:
         report = attacks.simple_aia(matrix, labels, algorithms=algorithms,
                                     seed=args.seed, jobs=args.jobs)
     elif args.protocol == "one-match":
-        if args.expert:
-            variants = _load_mbar_variants(features_dir)
-            report, _ = attacks.one_match_aia(variants, labels,
-                                              algorithms=algorithms,
-                                              seed=args.seed, jobs=args.jobs)
-        else:
-            matrix = load_matrix(features_dir / "M.csv")
-            report, _ = attacks.one_match_aia(matrix, labels,
-                                              algorithms=algorithms,
-                                              seed=args.seed,
-                                              n_repeats=args.repeats,
-                                              jobs=args.jobs)
+        # One run per Mbar variant, or `--repeats` reseeded splits of M.
+        data = _load_mbar_variants(features_dir) if args.expert else \
+            load_matrix(features_dir / "M.csv")
+        report, _ = attacks.one_match_aia(
+            data, labels, algorithms=algorithms, seed=args.seed,
+            n_repeats=None if args.expert else args.repeats, jobs=args.jobs)
     elif args.protocol in ("sophisticated", "indiscriminate"):
         variants = _load_mbar_variants(features_dir)
         _, runs = attacks.one_match_aia(variants, labels,

@@ -162,18 +162,6 @@ class ChatFeatures:
         return out
 
 
-def _kill_times_for_slot(match: MatchRecord, slot: int) -> list[float]:
-    times = []
-    for obj in match.objectives:
-        kind = str(obj.get("type", ""))
-        if "kill" not in kind.lower():
-            continue
-        who = obj.get("slot", obj.get("player_slot"))
-        if who is not None and int(who) == slot:
-            times.append(float(obj.get("time", 0.0)))
-    return times
-
-
 def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexicon],
                           early_window_s: float = 90.0,
                           after_kill_window_s: float = 10.0,
@@ -189,7 +177,7 @@ def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexi
     wheel_catalog = wheel_catalog or {}
     typed = [m for m in match.chat
              if m.sender_slot == slot and m.kind == "typed_text"]
-    kills = sorted(_kill_times_for_slot(match, slot))
+    kills = sorted(t for who, t in match.kill_events() if who == slot)
 
     category_counts = {cat: 0 for cat in LEXICON_CATEGORIES}
     lexicon_sets = {lx.category: set(lx.words) for lx in lexicons}

@@ -101,6 +101,15 @@ class MatchRecord:
     def unknown_field_count(self) -> int:
         return len(self.extras)
 
+    def kill_events(self) -> list[tuple[int, float]]:
+        """(slot, time) of every kill objective that names a slot."""
+        events = []
+        for obj in self.objectives:
+            who = obj.get("slot", obj.get("player_slot"))
+            if "kill" in str(obj.get("type", "")).lower() and who is not None:
+                events.append((int(who), float(obj.get("time", 0.0))))
+        return events
+
     def slot_record(self, slot: int) -> MatchPlayerSlot:
         for p in self.players:
             if p.slot == slot:
@@ -142,36 +151,31 @@ def _array(doc: dict, key: str) -> list:
     return _typed(doc.get(key) or [], list, f"$.{key}")
 
 
-def _require(doc: dict, key: str, kind, path: str):
+def _number(value, path: str):
+    """A finite JSON number; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise SchemaError(f"expected a finite number, got {value!r}", path=path)
+    return value
+
+
+def _require(doc: dict, key: str, kind: type, path: str):
+    """A required boolean (kind bool) or integer (kind int) field."""
     if key not in doc or doc[key] is None:
         raise SchemaError(f"missing required field {key!r}", path=f"{path}.{key}")
-    value = doc[key]
     if kind is bool:
-        if not isinstance(value, bool):
-            raise SchemaError(f"expected boolean, got {type(value).__name__}",
-                              path=f"{path}.{key}")
-        return value
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"expected number, got {type(value).__name__}",
-                              path=f"{path}.{key}")
-        return int(value)
-    return value
+        return _typed(doc[key], bool, f"{path}.{key}")
+    return int(_number(doc[key], f"{path}.{key}"))
 
 
 def _optional_num(doc: dict, key: str):
     value = doc.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError("expected number or null", path=f"$.{key}")
-    return float(value)
+    return None if value is None else float(_number(value, f"$.{key}"))
 
 
 def _parse_chat_entry(entry: dict, index: int) -> ChatMessage:
     path = f"$.chat[{index}]"
-    _typed(entry, dict, path)
-    raw_type = entry.get("type", "chat")
+    raw_type = _typed(entry, dict, path).get("type", "chat")
     kind = _CHAT_TYPE_MAP.get(raw_type)
     if kind is None:
         raise SchemaError(f"unknown chat type {raw_type!r}", path=path)
@@ -230,17 +234,26 @@ def parse_match(payload: bytes | str) -> MatchRecord:
 
     All schema fields map losslessly; unknown fields are kept in `extras`
     (and counted) so later feature work can still reach them. The first
-    invariant violation raises SchemaError with its JSON path; a value of
-    the wrong type raises SchemaError too, so the parser is total.
+    invariant violation raises SchemaError with its JSON path. Objects and
+    arrays are type-checked where they are read; a scalar that does not
+    convert raises SchemaError too. A document either raises SchemaError
+    or gives a record that feature extraction accepts.
     """
     try:
         doc = json.loads(payload)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not a JSON document: {exc}", path="$") from exc
     try:
-        return _match_from_doc(_typed(doc, dict, "$"))
-    except (TypeError, ValueError, OverflowError) as exc:
+        record = _match_from_doc(_typed(doc, dict, "$"))
+        # Feature extraction converts these values again; converting them
+        # here keeps every record that parses featurizable.
+        record.kill_events()
+        time.gmtime(record.start_time)
+        for counts in [record.word_counts] + [p.word_counts for p in record.players]:
+            float(sum(counts.values()))
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise SchemaError(f"malformed value: {exc}", path="$") from exc
+    return record
 
 
 def _match_from_doc(doc: dict) -> MatchRecord:
@@ -265,7 +278,7 @@ def _match_from_doc(doc: dict) -> MatchRecord:
 
     cosmetics = []
     for i, item in enumerate(_array(doc, "cosmetics")):
-        _typed(item, dict, f"$.cosmetics[{i}]")
+        item = _typed(item, dict, f"$.cosmetics[{i}]")
         price = float(item.get("price", 0.0) or 0.0)
         if price < 0:
             raise SchemaError("price must be >= 0", path=f"$.cosmetics[{i}].price")
@@ -302,7 +315,8 @@ def _match_from_doc(doc: dict) -> MatchRecord:
         chat=chat,
         cosmetics=cosmetics,
         players=players,
-        objectives=list(_array(doc, "objectives")),
+        objectives=[_typed(o, dict, f"$.objectives[{i}]")
+                    for i, o in enumerate(_array(doc, "objectives"))],
         teamfights=list(_array(doc, "teamfights")),
         picks_bans=list(_array(doc, "picks_bans")),
         draft_timings=list(_array(doc, "draft_timings")),
@@ -498,9 +512,9 @@ def _retry_after_s(value: str | None) -> float | None:
             when = email.utils.parsedate_to_datetime(value)
         except (TypeError, ValueError):
             return None
-        if when.tzinfo is None:  # HTTP-dates are GMT
-            when = when.replace(tzinfo=datetime.timezone.utc)
-        seconds = (when - datetime.datetime.now(datetime.timezone.utc)).total_seconds()
+        # HTTP-dates are GMT; "-0000" parses to a naive datetime.
+        seconds = when.replace(tzinfo=when.tzinfo or datetime.timezone.utc
+                               ).timestamp() - time.time()
     return max(0.0, seconds) if math.isfinite(seconds) else None
 
 

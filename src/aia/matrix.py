@@ -56,10 +56,7 @@ class FeatureMatrix:
         if self.row_match is not None and len(self.row_match) != len(self.rows):
             raise SchemaError("row_match length does not match rows")
         if self.variant == "M_bar":
-            per_owner: dict[int, int] = {}
-            for owner in self.row_owner:
-                per_owner[owner] = per_owner.get(owner, 0) + 1
-            worst = max(per_owner.values(), default=0)
+            worst = max(map(len, self.owner_rows.values()), default=0)
             if worst > DISTILL_CAP:
                 raise SchemaError(f"M_bar has {worst} rows for one owner (cap {DISTILL_CAP})")
 

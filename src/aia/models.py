@@ -7,8 +7,8 @@ of numerics, and an optional univariate feature-selection step, always
 fitted on training rows only. Training is two steps: `prepare` (recipe,
 encoding, ENN cleaning; no seed, no algorithm, so one prepared fold serves
 every candidate) and `fit_prepared` (SMOTE, then the estimator, both
-seeded); `fit` runs both. Everything is deterministic given
-(data, hyperparams, seed).
+seeded); `fit` runs both without resampling. Everything is deterministic
+given (data, hyperparams, seed).
 """
 
 from __future__ import annotations
@@ -432,14 +432,11 @@ def fit_prepared(algorithm: str, fold: PreparedFold,
 def fit(algorithm: str, matrix: FeatureMatrix, row_idx: Sequence[int],
         y: Sequence[str], hyperparams: dict | None = None, seed: int = 0,
         classes: Sequence[str] | None = None,
-        selected: Sequence[str] | None = None,
-        resample: bool = False) -> TrainedModel:
-    """Train one classifier on the given rows: `prepare`, then `fit_prepared`.
-    With `resample`, ENN and then SMOTE run on the encoded rows (never for
-    the dummy baseline)."""
-    fold = prepare(matrix, row_idx, y, classes, selected,
-                   resample and algorithm != "dummy_stratified")
-    return fit_prepared(algorithm, fold, hyperparams, seed)
+        selected: Sequence[str] | None = None) -> TrainedModel:
+    """Train one classifier on the given rows, without resampling:
+    `prepare`, then `fit_prepared`."""
+    return fit_prepared(algorithm, prepare(matrix, row_idx, y, classes, selected),
+                        hyperparams, seed)
 
 
 def predict_proba(model: TrainedModel, matrix: FeatureMatrix,

@@ -313,11 +313,17 @@ def _draw_labels(priors: dict[str, tuple[float, ...]],
     return AttributeLabels(**values), codes
 
 
+def _pick(rng: np.random.Generator, seq: Sequence):
+    """`rng.choice(seq)`: the same draw from the same stream, without turning
+    `seq` into an array on every call."""
+    return seq[int(rng.integers(0, len(seq)))]
+
+
 def _message_text(category: Optional[str], lexicon_words: dict[str, tuple[str, ...]],
                   rng: np.random.Generator) -> str:
     vocab = lexicon_words[category] if category else NEUTRAL_VOCAB
     n_tokens = int(rng.integers(1, 4))
-    return " ".join(str(rng.choice(vocab)) for _ in range(n_tokens))
+    return " ".join(str(_pick(rng, vocab)) for _ in range(n_tokens))
 
 
 def generate_population(config: SynthConfig) -> SynthPopulation:
@@ -503,7 +509,7 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
         eff = cat_effects["hero_gender"]
         if rng.random() < eff.strength:
             pool = female_pool if player_labels.gender == "female" else male_pool
-    hero_id = int(rng.choice(pool))
+    hero_id = int(_pick(rng, pool))
 
     # Own chat: fixed message budget, planted content mix.
     n_msgs = int(rng.poisson(config.messages_per_match))
@@ -528,12 +534,12 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
         for _ in range(int(rng.poisson(rate))):
             chat.append({"slot": slot, "time": float(rng.integers(0, int(duration))),
                          "type": "chatwheel", "channel": channel,
-                         "key": str(rng.choice(ids))})
+                         "key": str(_pick(rng, ids))})
     hero_rate = 0.4 * math.exp(zs.get("hero_msg_count", 0.0))
     for _ in range(int(rng.poisson(hero_rate))):
         chat.append({"slot": slot, "time": float(rng.integers(0, int(duration))),
                      "type": "chatwheel_hero", "channel": "team",
-                     "key": str(rng.choice(hero_wheels))})
+                     "key": str(_pick(rng, hero_wheels))})
     for kind in ("sound", "spray"):
         for _ in range(int(rng.poisson(0.2))):
             chat.append({"slot": slot, "time": float(rng.integers(0, int(duration))),
@@ -553,7 +559,7 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
             continue
         players_doc.append({
             "player_slot": other_slot, "account_id": None,
-            "hero_id": int(rng.choice(hero_ids)),
+            "hero_id": int(_pick(rng, hero_ids)),
             "kills": int(rng.integers(0, 15)), "deaths": int(rng.integers(0, 15)),
             "assists": int(rng.integers(0, 20)), "denies": int(rng.integers(0, 10)),
             "last_hits": int(rng.integers(0, 300)), "isRadiant": s < 5,
@@ -579,11 +585,11 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
         "match_id": match_id,
         "duration": int(duration),
         "start_time": int(start_time),
-        "game_mode": int(rng.choice([1, 2, 22])),
+        "game_mode": int(_pick(rng, [1, 2, 22])),
         "lobby_type": int(rng.choice([0, 7], p=[0.4, 0.6])),
-        "region": int(rng.choice([1, 3, 8])),
-        "patch": int(rng.choice([42, 43])),
-        "skill": int(rng.choice([1, 2, 3])),
+        "region": int(_pick(rng, [1, 3, 8])),
+        "patch": int(_pick(rng, [42, 43])),
+        "skill": int(_pick(rng, [1, 2, 3])),
         "radiant_win": bool(rng.random() < 0.5),
         "radiant_score": radiant_score,
         "dire_score": dire_score,

@@ -92,15 +92,20 @@ def test_featurize_outputs(pipeline_dirs):
     assert (features / "filter_report.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("chat", [{"slot": None, "time": 1.0, "type": "chat", "key": "gg"}]),
+    ("objectives", [5]),
+    ("all_word_counts", {"gg": "x"}),
+])
 def test_featurize_on_malformed_cached_match_exits_1(pipeline_dirs, tmp_path,
-                                                    capsys):
+                                                    capsys, field, value):
     _, cache, labels_csv, _ = pipeline_dirs
     broken = tmp_path / "cache"
     shutil.copytree(cache, broken)
     player = json.loads(next((broken / "players").glob("*.json")).read_text())
     match_path = broken / "matches" / f"{player['matches'][0]['match_id']}.json"
     doc = json.loads(match_path.read_text())
-    doc["chat"] = [{"slot": None, "time": 1.0, "type": "chat", "key": "gg"}]
+    doc[field] = value
     match_path.write_text(json.dumps(doc))
     code = main(["featurize", "--variant", "P", "--cache", str(broken),
                  "--labels", str(labels_csv), "--out", str(tmp_path / "out")])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import build_match_doc
 from aia.attributes import AttributeLabels
 from aia.errors import NotFound, RateLimited, SchemaError, SlotNotFound
+from aia.features import build_match_features
 from aia.ingest import (
     PlayerRecord,
     TelemetryClient,
@@ -89,6 +90,14 @@ MALFORMED_MATCHES = {
     "infinite duration": build_match_doc(duration=float("inf")),
     "non-numeric kills": _with_first_player(kills="many"),
     "list of words for all_word_counts": build_match_doc(all_word_counts=["gg!"]),
+    "objective not an object": build_match_doc(objectives=[5]),
+    "non-numeric kill slot": build_match_doc(
+        objectives=[{"type": "CHAT_MESSAGE_KILL", "slot": "x", "time": 1.0}]),
+    "null kill time": build_match_doc(
+        objectives=[{"type": "CHAT_MESSAGE_KILL", "slot": 1, "time": None}]),
+    "non-numeric word count": build_match_doc(all_word_counts={"gg": "x"}),
+    "non-numeric player word count": _with_first_player(word_counts={"gg": []}),
+    "start time beyond the calendar": build_match_doc(start_time=10 ** 20),
 }
 
 
@@ -111,25 +120,34 @@ _JSON_VALUES = st.recursive(
     max_leaves=8)
 _FULL_DOC = build_match_doc(
     chat=[{"slot": 1, "time": 5.0, "type": "chat", "key": "gg"}],
-    cosmetics=[{"item_id": 1, "owner_slot": 2, "price": 3.0}])
+    cosmetics=[{"item_id": 1, "owner_slot": 2, "price": 3.0}],
+    objectives=[{"type": "CHAT_MESSAGE_KILL", "slot": 1, "time": 3.0}],
+    all_word_counts={"gg": 2})
 
 
 @settings(max_examples=300, deadline=None)
 @given(key=st.sampled_from(sorted(_FULL_DOC)), value=_JSON_VALUES,
-       in_first_entry=st.booleans())
-def test_parse_match_is_total(key, value, in_first_entry):
-    # Any JSON value in place of a field, or of the first field of a list
-    # entry, parses or raises SchemaError; nothing else escapes.
+       depth=st.integers(0, 2), data=st.data())
+def test_parse_match_is_total(feature_ctx, key, value, depth, data):
+    # Any JSON value in place of a field, or of a field up to two levels
+    # inside it (the first entry of a list, any key of an object), either
+    # raises SchemaError or parses into a record whose every slot goes
+    # through feature extraction; nothing else escapes.
     doc = json.loads(json.dumps(_FULL_DOC))
-    entries = doc[key]
-    if in_first_entry and isinstance(entries, list) and entries:
-        entries[0][sorted(entries[0])[0]] = value
-    else:
-        doc[key] = value
+    parent, field = doc, key
+    for _ in range(depth):
+        inner = parent[field]
+        if isinstance(inner, list) and inner:
+            parent, field = inner, 0
+        elif isinstance(inner, dict) and inner:
+            parent, field = inner, data.draw(st.sampled_from(sorted(inner)))
+    parent[field] = value
     try:
-        parse_match(json.dumps(doc).encode())
+        record = parse_match(json.dumps(doc).encode())
     except SchemaError:
-        pass
+        return
+    for player in record.players:
+        build_match_features(record, player.slot, feature_ctx)
 
 
 def test_unknown_fields_preserved_and_counted():

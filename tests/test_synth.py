@@ -11,6 +11,7 @@ from aia.synth import (
     TABLE1_PRIORS,
     NumericEffect,
     SynthConfig,
+    _pick,
     calibrate_sigma,
     generate_population,
     grade_correlation,
@@ -34,6 +35,17 @@ def test_same_config_same_corpus():
     assert [p.match_ids for p in a.players] == [p.match_ids for p in b.players]
     for mid in a.matches:
         assert serialize_match(a.matches[mid]) == serialize_match(b.matches[mid])
+
+
+@pytest.mark.parametrize("seq", [("solo",), ("ok", "go"), tuple(range(113))])
+def test_pick_draws_what_rng_choice_draws(seq):
+    # Same elements and the same generator state afterwards, so swapping
+    # one for the other leaves every later draw of a corpus unchanged.
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [_pick(a, seq) for _ in range(50)] == \
+            [b.choice(seq) for _ in range(50)]
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_different_seed_different_corpus():
