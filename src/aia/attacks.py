@@ -2,18 +2,17 @@
 
 Five protocols share one discipline: players never straddle the
 train/test boundary (checked at runtime on every split), all randomness
-descends from (master seed, unit index) so parallel and serial schedules
-produce identical reports, and a stratified dummy baseline rides along
-wherever models are compared.
+descends from (master seed, unit index) so a report does not depend on
+the order its units run in, and a stratified dummy baseline rides along
+wherever models are compared. Every protocol runs its units serially.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,14 +69,6 @@ def _mean_std(values: Sequence[float]) -> dict:
     arr = np.asarray(list(values), dtype=float)
     return {"mean": float(arr.mean()), "std": float(arr.std()),
             "n_runs": int(arr.size)}
-
-
-def _map_units(fn: Callable, args_list: list[tuple], jobs: int = 1) -> list:
-    """Apply fn over units; results come back in unit order regardless of jobs."""
-    if jobs <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda args: fn(*args), args_list))
 
 
 def _check_disjoint(train_players: Sequence[int], test_players: Sequence[int],
@@ -165,7 +156,7 @@ def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
                algorithms: Sequence[str] = DEFAULT_ALGORITHMS, seed: int = 0,
                outer_folds: int = 10, inner_folds: int = 3,
                grids: dict | None = None, max_features: int = 12,
-               resample: bool = True, jobs: int = 1,
+               resample: bool = True,
                attributes: Sequence[str] | None = None) -> AttackReport:
     """Nested stratified cross-validation over the per-player table.
 
@@ -194,40 +185,31 @@ def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
         if k < outer_folds:
             report.flags.append(f"reduced_folds:{attribute}:{k}")
         folds = m.stratified_folds(y, k, _rng(seed, ai, 0), classes)
-        report.metric_tables[attribute] = {}
-
-        def prepare_fold(fold: list[int]):
+        scores: dict[str, list[float]] = {alg: [] for alg in algorithms}
+        for fi, fold in enumerate(folds):
             held_out = set(fold)
             train_rows = [i for i in range(P.n_rows) if i not in held_out]
             _check_disjoint([P.row_owner[i] for i in train_rows],
                             [P.row_owner[i] for i in fold],
                             f"simple:{attribute}")
             y_train = [y[i] for i in train_rows]
+            y_test = [y[i] for i in fold]
             selected = m.select_features(P, train_rows, y_train, max_features,
                                          classes)
-            return train_rows, y_train, selected, m.prepare(
-                P, train_rows, y_train, classes, selected, resample)
-
-        prepared = _map_units(prepare_fold, [(fold,) for fold in folds], jobs)
-
-        for gi, algorithm in enumerate(algorithms):
-            def run_fold(fi: int, fold: list[int], algorithm=algorithm,
-                         gi=gi, ai=ai) -> float:
-                train_rows, y_train, selected, prepared_fold = prepared[fi]
+            prepared = m.prepare(P, train_rows, y_train, classes, selected,
+                                 resample)
+            for gi, algorithm in enumerate(algorithms):
                 unit_seed = _unit_seed(seed, ai, gi, fi)
                 best = m.grid_search(algorithm, grids.get(algorithm, {}),
                                      P, train_rows, y_train,
                                      inner_folds=inner_folds, seed=unit_seed,
                                      classes=classes, selected=selected,
                                      resample=resample)
-                model = m.fit_prepared(algorithm, prepared_fold, best, unit_seed)
-                y_pred = m.predict(model, P, fold)
-                return metrics([y[i] for i in fold], y_pred,
-                               classes)["macro_f1"]
-
-            scores = _map_units(run_fold, [(fi, fold) for fi, fold
-                                           in enumerate(folds)], jobs)
-            report.metric_tables[attribute][algorithm] = _mean_std(scores)
+                model = m.fit_prepared(algorithm, prepared, best, unit_seed)
+                scores[algorithm].append(metrics(
+                    y_test, m.predict(model, P, fold), classes)["macro_f1"])
+        report.metric_tables[attribute] = {
+            alg: _mean_std(scores[alg]) for alg in algorithms}
     return report
 
 
@@ -263,7 +245,7 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
                   n_repeats: int | None = None, test_fraction: float = 0.20,
                   val_fraction: float = 0.10, grids: dict | None = None,
                   max_features: int = 12, resample: bool = True,
-                  keep_models: str | None = None, jobs: int = 1,
+                  keep_models: str | None = None,
                   attributes: Sequence[str] | None = None
                   ) -> tuple[AttackReport, list[OneMatchRun]]:
     """80:20 split on unique players, 10% of the remainder for validation.
@@ -290,8 +272,9 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
         "variant_seeds": [v.variant_seed for _, v in runs_spec],
     })
 
-    def run_one(ri: int, matrix: FeatureMatrix) -> tuple[dict, Optional[OneMatchRun]]:
-        run_scores: dict[str, dict[str, float]] = {}
+    scores = {a: {alg: [] for alg in algorithms} for a in attrs}
+    artifacts: list[OneMatchRun] = []
+    for ri, matrix in runs_spec:
         kept_models: dict[str, m.TrainedModel] = {}
         kept_splits: dict[str, tuple[list[int], list[int], list[int]]] = {}
         players = matrix.owners()
@@ -320,7 +303,6 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
                 val_pred = m.predict(models[0], matrix, val_rows)
                 return metrics(y_val, val_pred, classes)["macro_f1"], None
 
-            run_scores[attribute] = {}
             for gi, algorithm in enumerate(algorithms):
                 unit_seed = _unit_seed(run_seed, ai, gi)
                 candidates = m._expand_grid(grids.get(algorithm, {}))
@@ -332,23 +314,18 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
                         [(algorithm, c, unit_seed) for c in candidates],
                         [prepared], val_score)
                 y_pred = m.predict(model, matrix, test_rows)
-                run_scores[attribute][algorithm] = metrics(
-                    y_test, y_pred, classes)["macro_f1"]
+                scores[attribute][algorithm].append(
+                    metrics(y_test, y_pred, classes)["macro_f1"])
                 if keep_models == algorithm:
                     kept_models[attribute] = model
-        artifact = None
         if keep_models is not None:
-            artifact = OneMatchRun(variant_index=ri, matrix=matrix,
-                                   models=kept_models, splits=kept_splits,
-                                   seed=run_seed)
-        return run_scores, artifact
-
-    results = _map_units(run_one, runs_spec, jobs)
+            artifacts.append(OneMatchRun(variant_index=ri, matrix=matrix,
+                                         models=kept_models, splits=kept_splits,
+                                         seed=run_seed))
     for attribute in attrs:
         report.metric_tables[attribute] = {
-            alg: _mean_std([run_scores[attribute][alg] for run_scores, _ in results])
-            for alg in algorithms}
-    return report, [artifact for _, artifact in results if artifact is not None]
+            alg: _mean_std(scores[attribute][alg]) for alg in algorithms}
+    return report, artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +369,7 @@ def _player_prob_blocks(run: OneMatchRun, attribute: str
 def sophisticated_aia(runs: Sequence[OneMatchRun],
                       labels: dict[int, AttributeLabels],
                       n_sweep: Sequence[int] = tuple(range(1, 31)),
-                      draws: int = 100, seed: int = 0, jobs: int = 1,
+                      draws: int = 100, seed: int = 0,
                       attributes: Sequence[str] | None = None,
                       headline_excludes: Sequence[str] = ("gender",)
                       ) -> AttackReport:
@@ -409,15 +386,13 @@ def sophisticated_aia(runs: Sequence[OneMatchRun],
 
     for attribute in attrs:
         classes = list(ATTRIBUTE_SCHEMA[attribute])
-
-        def run_unit(ri: int, run: OneMatchRun, attribute=attribute,
-                     classes=classes) -> dict[int, list[float]]:
+        values: dict[int, list[float]] = {n: [] for n in n_sweep}
+        for ri, run in enumerate(runs):
             _check_disjoint(run.train_players(attribute),
                             run.test_players(attribute),
                             f"sophisticated:{attribute}")
             blocks = _player_prob_blocks(run, attribute)
             truth = {p: getattr(labels[p], attribute) for p in blocks}
-            out: dict[int, list[float]] = {n: [] for n in n_sweep}
             for n in n_sweep:
                 for d in range(draws):
                     rng = _rng(seed, ri, _ATTR_INDEX[attribute], n, d)
@@ -426,13 +401,9 @@ def sophisticated_aia(runs: Sequence[OneMatchRun],
                         avg = _average_draw(block, n, rng)
                         if classes[int(np.argmax(avg))] == truth[player]:
                             correct += 1
-                    out[n].append(correct / len(blocks))
-            return out
-
-        results = _map_units(run_unit, list(enumerate(runs)), jobs)
-        report.curves[attribute] = [
-            {"n": n, **_mean_std([v for result in results for v in result[n]])}
-            for n in n_sweep]
+                    values[n].append(correct / len(blocks))
+        report.curves[attribute] = [{"n": n, **_mean_std(values[n])}
+                                    for n in n_sweep]
     return report
 
 
@@ -536,8 +507,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                  algorithms: Sequence[str] = ("random_forest",),
                  grids: dict | None = None, max_features: int = 12,
                  test_fraction: float = 0.20, val_fraction: float = 0.10,
-                 thresholds: Sequence[float] = _THRESHOLDS,
-                 jobs: int = 1) -> AttackReport:
+                 thresholds: Sequence[float] = _THRESHOLDS) -> AttackReport:
     """Binary, precision-optimized detection of one subgroup.
 
     Everyone outside the target conjunction collapses into the negative
@@ -554,9 +524,11 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         "seed": seed, "repeats": repeats, "draws": draws,
         "n_sweep": list(n_sweep), "algorithms": list(algorithms),
         "grids": grids, "thresholds": [float(t) for t in thresholds],
+        "selected": [],
     })
-
-    def run_repeat(rep: int) -> tuple[dict, dict, dict]:
+    precisions: dict[int, list[float]] = {n: [] for n in n_sweep}
+    recalls: dict[int, list[float]] = {n: [] for n in n_sweep}
+    for rep in range(repeats):
         matrix = variants[rep % len(variants)]
         players = matrix.owners()
         y_by_player = {p: "positive" if target.matches(labels[p]) else "negative"
@@ -624,8 +596,6 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                                                matrix.owner_rows[player])
                        for player in test_p}
         y_true = [y_by_player[p] for p in test_p]
-        precisions: dict[int, list[float]] = {n: [] for n in n_sweep}
-        recalls: dict[int, list[float]] = {n: [] for n in n_sweep}
         for n in n_sweep:
             for d in range(draws):
                 rng = _rng(seed, rep, n, d, 3)
@@ -638,14 +608,10 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                                                             "positive")
                 precisions[n].append(precision)
                 recalls[n].append(recall)
-        chosen = {"repeat": rep, "algorithm": algorithm,
-                  "hyperparams": candidate, "threshold": threshold}
-        return precisions, recalls, chosen
-
-    results = _map_units(run_repeat, [(rep,) for rep in range(repeats)], jobs)
-    for i, series in enumerate(("precision", "recall")):
-        report.curves[series] = [
-            {"n": n, **_mean_std([v for result in results for v in result[i][n]])}
-            for n in n_sweep]
-    report.config["selected"] = [chosen for _, _, chosen in results]
+        report.config["selected"].append({
+            "repeat": rep, "algorithm": algorithm, "hyperparams": candidate,
+            "threshold": threshold})
+    for series, values in (("precision", precisions), ("recall", recalls)):
+        report.curves[series] = [{"n": n, **_mean_std(values[n])}
+                                 for n in n_sweep]
     return report

@@ -34,7 +34,12 @@ from .ingest import (
     load_cached_player,
 )
 from .matrix import load_matrix, save_matrix
-from .stats import correlation_report, required_sample_size, significance_counts
+from .stats import (
+    correlation_report,
+    correlation_scan,
+    required_sample_size,
+    significance_counts,
+)
 from .synth import SynthConfig, FIXTURE_CONFIG, generate_population, write_population_cache, write_survey_csv
 
 
@@ -170,8 +175,9 @@ def _cmd_featurize(args) -> int:
 
 def correlation_doc(matrix, labels, alpha: float, top_k: int) -> dict:
     """The JSON document emitted by `aia correlate` (also used as a golden)."""
-    report = correlation_report(matrix, labels, alpha=alpha, top_k=top_k)
-    table = significance_counts(matrix, labels)
+    scan = correlation_scan(matrix, labels)
+    report = correlation_report(scan, alpha=alpha, top_k=top_k)
+    table = significance_counts(scan)
     doc = {
         "alpha": alpha,
         "top_k": top_k,
@@ -255,25 +261,24 @@ def _cmd_attack(args) -> int:
     if args.protocol == "simple":
         matrix = load_matrix(features_dir / "P.csv")
         report = attacks.simple_aia(matrix, labels, algorithms=algorithms,
-                                    seed=args.seed, jobs=args.jobs)
+                                    seed=args.seed)
     elif args.protocol == "one-match":
         # One run per Mbar variant, or `--repeats` reseeded splits of M.
         data = _load_mbar_variants(features_dir) if args.expert else \
             load_matrix(features_dir / "M.csv")
         report, _ = attacks.one_match_aia(
             data, labels, algorithms=algorithms, seed=args.seed,
-            n_repeats=None if args.expert else args.repeats, jobs=args.jobs)
+            n_repeats=None if args.expert else args.repeats)
     elif args.protocol in ("sophisticated", "indiscriminate"):
         variants = _load_mbar_variants(features_dir)
         _, runs = attacks.one_match_aia(variants, labels,
                                         algorithms=("random_forest",),
                                         seed=args.seed,
-                                        keep_models="random_forest",
-                                        jobs=args.jobs)
+                                        keep_models="random_forest")
         if args.protocol == "sophisticated":
             report = attacks.sophisticated_aia(runs, labels, n_sweep=n_sweep,
                                                draws=args.draws,
-                                               seed=args.seed, jobs=args.jobs)
+                                               seed=args.seed)
         else:
             report = attacks.indiscriminate_aia(runs, labels,
                                                 n=args.sweep_stop,
@@ -287,8 +292,7 @@ def _cmd_attack(args) -> int:
         variants = _load_mbar_variants(features_dir)
         report = attacks.targeted_aia(target, variants, labels,
                                       n_sweep=n_sweep, repeats=args.repeats,
-                                      draws=args.draws, seed=args.seed,
-                                      jobs=args.jobs)
+                                      draws=args.draws, seed=args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise AiaError(f"unknown protocol {args.protocol}")
 
@@ -402,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: attacks run serially")
     p.add_argument("--algorithms", help="comma list; default all five")
     p.add_argument("--expert", action="store_true",
                    help="one-match: use the distilled variants")

@@ -187,7 +187,7 @@ def _parse_chat_entry(entry: dict, index: int) -> ChatMessage:
         raise SchemaError("typed text must be on the global channel", path=path)
     return ChatMessage(
         sender_slot=int(entry.get("slot", 0)),
-        time_s=float(entry.get("time", 0.0)),
+        time_s=float(_number(entry.get("time", 0.0), f"{path}.time")),
         kind=kind,
         channel=channel,
         text_or_id=str(entry.get("key", "")),
@@ -279,9 +279,10 @@ def _match_from_doc(doc: dict) -> MatchRecord:
     cosmetics = []
     for i, item in enumerate(_array(doc, "cosmetics")):
         item = _typed(item, dict, f"$.cosmetics[{i}]")
-        price = float(item.get("price", 0.0) or 0.0)
+        path = f"$.cosmetics[{i}].price"
+        price = float(_number(item.get("price", 0.0) or 0.0, path))
         if price < 0:
-            raise SchemaError("price must be >= 0", path=f"$.cosmetics[{i}].price")
+            raise SchemaError("price must be >= 0", path=path)
         cosmetics.append({
             "item_id": int(item.get("item_id", 0) or 0),
             "owner_slot": int(item.get("owner_slot", 0) or 0),
@@ -320,8 +321,10 @@ def _match_from_doc(doc: dict) -> MatchRecord:
         teamfights=list(_array(doc, "teamfights")),
         picks_bans=list(_array(doc, "picks_bans")),
         draft_timings=list(_array(doc, "draft_timings")),
-        gold_adv=[float(v) for v in _array(doc, "radiant_gold_adv")],
-        xp_adv=[float(v) for v in _array(doc, "radiant_xp_adv")],
+        gold_adv=[float(_number(v, f"$.radiant_gold_adv[{i}]"))
+                  for i, v in enumerate(_array(doc, "radiant_gold_adv"))],
+        xp_adv=[float(_number(v, f"$.radiant_xp_adv[{i}]"))
+                for i, v in enumerate(_array(doc, "radiant_xp_adv"))],
         word_counts=dict(_typed(doc.get("all_word_counts") or {}, dict,
                                 "$.all_word_counts")),
         extras=extras,
@@ -385,20 +388,23 @@ def serialize_match(record: MatchRecord) -> bytes:
 
 
 def parse_player(doc: dict, handle: int) -> PlayerRecord:
-    """Build a PlayerRecord from the cached player document."""
-    profile = doc.get("profile") or {}
-    matches = doc.get("matches") or []
+    """Build a PlayerRecord from the cached player document; a malformed
+    document raises SchemaError with its JSON path."""
+    doc = _typed(doc, dict, "$")
+    profile = _typed(doc.get("profile") or {}, dict, "$.profile")
     seen: list[int] = []
-    for i, entry in enumerate(matches):
-        if "match_id" not in entry:
-            raise SchemaError("match entry lacks match_id", path=f"$.matches[{i}]")
-        mid = int(entry["match_id"])
+    for i, entry in enumerate(_array(doc, "matches")):
+        path = f"$.matches[{i}]"
+        if "match_id" not in _typed(entry, dict, path):
+            raise SchemaError("match entry lacks match_id", path=path)
+        mid = int(_number(entry["match_id"], f"{path}.match_id"))
         if mid not in seen:
             seen.append(mid)
     rank_tier = profile.get("rank_tier")
     return PlayerRecord(
         handle=handle,
-        rank_tier=int(rank_tier) if rank_tier is not None else None,
+        rank_tier=None if rank_tier is None
+        else int(_number(rank_tier, "$.profile.rank_tier")),
         has_plus=bool(profile.get("plus", False)),
         match_ids=tuple(seen),
     )

@@ -64,11 +64,16 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def column_index(self, name: str) -> int:
+    @cached_property
+    def _column_positions(self) -> dict[str, int]:
+        """Position of each column name; the first wins on a repeated name."""
+        positions: dict[str, int] = {}
         for i, col in enumerate(self.columns):
-            if col.name == name:
-                return i
-        raise KeyError(name)
+            positions.setdefault(col.name, i)
+        return positions
+
+    def column_index(self, name: str) -> int:
+        return self._column_positions[name]
 
     def column_values(self, name: str) -> list:
         idx = self.column_index(name)

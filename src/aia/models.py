@@ -75,8 +75,9 @@ def fit_recipe(matrix: FeatureMatrix, row_idx: Sequence[int],
     kept: list[str] = []
     dropped: list[str] = []
     for name in names:
-        col = matrix.columns[matrix.column_index(name)]
-        values = [matrix.rows[i][matrix.column_index(name)] for i in row_idx]
+        idx = matrix.column_index(name)
+        col = matrix.columns[idx]
+        values = [matrix.rows[i][idx] for i in row_idx]
         if col.kind == "categorical":
             cats = sorted(set(values), key=str)
             if len(cats) < 2:
@@ -546,7 +547,8 @@ def select_features(matrix: FeatureMatrix, row_idx: Sequence[int],
     codes = [class_list.index(v) for v in y]
     scored: list[tuple[float, int, str]] = []
     for order, col in enumerate(matrix.columns):
-        values = [matrix.rows[i][matrix.column_index(col.name)] for i in row_idx]
+        idx = matrix.column_index(col.name)
+        values = [matrix.rows[i][idx] for i in row_idx]
         try:
             if col.kind == "categorical":
                 score, _ = stats.cramers_v(values, list(y))

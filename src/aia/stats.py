@@ -390,14 +390,14 @@ def correlation_scan(matrix, labels_by_owner, attributes=None) -> list[Correlati
     return results
 
 
-def correlation_report(matrix, labels_by_owner, alpha: float = 0.01,
+def correlation_report(scan: list[CorrelationResult], alpha: float = 0.01,
                        top_k: int = 3) -> dict[str, list[CorrelationResult]]:
-    """Top-k significant correlations per attribute, ranked by |value|.
+    """Top-k significant correlations per attribute of a `correlation_scan`,
+    ranked by |value|.
 
     Only results with p < alpha are retained; the sign of Spearman's rho is
     preserved in the ranking output.
     """
-    scan = correlation_scan(matrix, labels_by_owner)
     by_attr: dict[str, list[CorrelationResult]] = {}
     for res in scan:
         if res.p_value < alpha:
@@ -409,11 +409,11 @@ def correlation_report(matrix, labels_by_owner, alpha: float = 0.01,
     return report
 
 
-def significance_counts(matrix, labels_by_owner,
+def significance_counts(scan: list[CorrelationResult],
                         alphas: Iterable[float] = (0.01, 0.05, 0.1)) -> SignificanceTable:
-    """Count features reaching p < alpha per (attribute, metric, alpha)."""
+    """Count the features of a `correlation_scan` reaching p < alpha per
+    (attribute, metric, alpha)."""
     alphas = tuple(sorted(alphas))
-    scan = correlation_scan(matrix, labels_by_owner)
     table = SignificanceTable(alphas=alphas)
     for res in scan:
         for alpha in alphas:

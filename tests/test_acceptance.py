@@ -205,8 +205,8 @@ def test_criterion_5_correlation_recovery():
             seed=3000 + seed)
         pop = generate_population(config)
         matrix = build_player_matrix(pop.players, pop.matches, ctx)
-        report = stats.correlation_report(matrix, pop.labels, alpha=0.01,
-                                          top_k=3)
+        report = stats.correlation_report(
+            stats.correlation_scan(matrix, pop.labels), alpha=0.01, top_k=3)
         codes = [("never", "rarely", "regularly").index(
             pop.labels[o].purchase_habits) for o in matrix.row_owner]
         values = [float(v) for v in
@@ -385,7 +385,7 @@ def test_criterion_7_resampler_invariants():
 
 
 # ---------------------------------------------------------------------------
-# 8. Determinism, including across --jobs
+# 8. Determinism across reruns
 # ---------------------------------------------------------------------------
 
 
@@ -395,19 +395,19 @@ def test_criterion_8_byte_identical_reports(fixture_assets, tmp_path):
                   outer_folds=3, grids=attacks.DESK_GRIDS,
                   attributes=("age_bin", "occupation"))
     blobs = []
-    for run_id, jobs in (("a", 1), ("b", 1), ("c", 4)):
-        report = attacks.simple_aia(P, pop.labels, jobs=jobs, **kwargs)
+    for run_id in ("a", "b", "c"):
+        report = attacks.simple_aia(P, pop.labels, **kwargs)
         path = tmp_path / f"{run_id}.json"
         save_report(report, path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
     tgt = []
-    for jobs in (1, 3):
+    for _ in range(2):
         report = attacks.targeted_aia(
             BUILTIN_TARGETS["very_young"], variants[:2], pop.labels,
             n_sweep=(5,), repeats=2, draws=5, seed=23,
-            grids=attacks.DESK_GRIDS, jobs=jobs)
+            grids=attacks.DESK_GRIDS)
         tgt.append(json.dumps(report.to_json_dict(), sort_keys=True))
     assert tgt[0] == tgt[1]
-    _stamp("8 (determinism)", "byte-identical across runs and --jobs")
+    _stamp("8 (determinism)", "byte-identical across reruns")

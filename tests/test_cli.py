@@ -1,9 +1,11 @@
 import json
 import shutil
+import threading
 import warnings
 
 import pytest
 
+from aia import cli, stats
 from aia.cli import main
 from aia.synth import NumericEffect, RateEffect, SynthConfig
 
@@ -96,17 +98,22 @@ def test_featurize_outputs(pipeline_dirs):
     ("chat", [{"slot": None, "time": 1.0, "type": "chat", "key": "gg"}]),
     ("objectives", [5]),
     ("all_word_counts", {"gg": "x"}),
+    ("profile", 3),
 ])
 def test_featurize_on_malformed_cached_match_exits_1(pipeline_dirs, tmp_path,
                                                     capsys, field, value):
+    # The field is set on a player's document when that document has it,
+    # otherwise on the player's first match.
     _, cache, labels_csv, _ = pipeline_dirs
     broken = tmp_path / "cache"
     shutil.copytree(cache, broken)
-    player = json.loads(next((broken / "players").glob("*.json")).read_text())
-    match_path = broken / "matches" / f"{player['matches'][0]['match_id']}.json"
-    doc = json.loads(match_path.read_text())
+    player_path = next((broken / "players").glob("*.json"))
+    player = json.loads(player_path.read_text())
+    path = player_path if field in player else \
+        broken / "matches" / f"{player['matches'][0]['match_id']}.json"
+    doc = json.loads(path.read_text())
     doc[field] = value
-    match_path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc))
     code = main(["featurize", "--variant", "P", "--cache", str(broken),
                  "--labels", str(labels_csv), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -124,6 +131,41 @@ def test_correlate_emits_reports(pipeline_dirs):
     doc = json.loads((out / "correlations.json").read_text())
     assert "top_correlations" in doc
     assert (out / "correlations.csv").exists()
+
+
+def test_correlate_scans_each_pair_once(pipeline_dirs, tmp_path, monkeypatch):
+    _, _, labels_csv, features = pipeline_dirs
+    calls = []
+    scan = stats.correlation_scan
+
+    def counted_scan(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "correlation_scan", counted_scan)
+    monkeypatch.setattr(cli, "correlation_scan", counted_scan)
+    assert main(["correlate", "--features", str(features / "P.csv"),
+                 "--labels", str(labels_csv), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_attack_runs_serially_whatever_jobs(pipeline_dirs, tmp_path,
+                                            monkeypatch):
+    _, _, labels_csv, features = pipeline_dirs
+    argv = ["attack", "--protocol", "simple", "--features", str(features),
+            "--labels", str(labels_csv), "--algorithms", "dummy_stratified",
+            "--seed", "4"]
+    assert main(argv + ["--out", str(tmp_path / "one.json"),
+                        "--jobs", "1"]) == 0
+
+    def no_threads(self):
+        raise AssertionError("an attack started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    assert main(argv + ["--out", str(tmp_path / "four.json"),
+                        "--jobs", "4"]) == 0
+    assert (tmp_path / "four.json").read_bytes() == \
+        (tmp_path / "one.json").read_bytes()
 
 
 def test_attack_simple_runs_and_is_idempotent(pipeline_dirs):

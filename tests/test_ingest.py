@@ -98,6 +98,12 @@ MALFORMED_MATCHES = {
     "non-numeric word count": build_match_doc(all_word_counts={"gg": "x"}),
     "non-numeric player word count": _with_first_player(word_counts={"gg": []}),
     "start time beyond the calendar": build_match_doc(start_time=10 ** 20),
+    "nan cosmetic price": build_match_doc(
+        cosmetics=[{"item_id": 1, "owner_slot": 2, "price": float("nan")}]),
+    "infinite chat time": build_match_doc(
+        chat=[{"slot": 1, "time": float("inf"), "type": "chat", "key": "gg"}]),
+    "nan gold advantage": build_match_doc(radiant_gold_adv=[0.0, float("nan")]),
+    "infinite xp advantage": build_match_doc(radiant_xp_adv=[float("-inf")]),
 }
 
 
@@ -227,6 +233,18 @@ def test_parse_player_dedupes_match_ids():
     assert record.match_ids == (5, 6)
     assert record.rank_tier == 45
     assert record.has_plus
+
+
+@pytest.mark.parametrize("doc", [
+    {"matches": [5]},
+    {"matches": [{"match_id": "x"}]},
+    {"profile": {"rank_tier": "gold"}},
+    {"profile": 3},
+], ids=["match entry not an object", "non-numeric match id",
+        "non-numeric rank tier", "profile not an object"])
+def test_malformed_player_is_schema_error(doc):
+    with pytest.raises(SchemaError):
+        parse_player(doc, handle=77)
 
 
 # ---------------------------------------------------------------------------

@@ -314,14 +314,16 @@ def report_matrix(n=120, seed=4):
 
 def test_correlation_report_ranks_planted_feature_first():
     matrix, labels = report_matrix()
-    report = stats.correlation_report(matrix, labels, alpha=0.01, top_k=3)
+    report = stats.correlation_report(stats.correlation_scan(matrix, labels),
+                                      alpha=0.01, top_k=3)
     assert report["purchase_habits"][0].feature_name == "planted"
     assert report["purchase_habits"][0].metric == "spearman_rho"
 
 
 def test_correlation_report_alpha_zero_is_empty():
     matrix, labels = report_matrix()
-    assert stats.correlation_report(matrix, labels, alpha=0.0) == {}
+    assert stats.correlation_report(stats.correlation_scan(matrix, labels),
+                                    alpha=0.0) == {}
 
 
 def test_strong_tag_above_point_three():
@@ -333,7 +335,8 @@ def test_strong_tag_above_point_three():
 
 def test_significance_counts_monotone_in_alpha():
     matrix, labels = report_matrix()
-    table = stats.significance_counts(matrix, labels, alphas=(0.01, 0.05, 0.1))
+    table = stats.significance_counts(stats.correlation_scan(matrix, labels),
+                                    alphas=(0.01, 0.05, 0.1))
     for attr in ("purchase_habits",):
         for metric in ("spearman_rho", "cramers_v"):
             counts = [table.count(attr, metric, a) for a in (0.01, 0.05, 0.1)]
@@ -371,7 +374,8 @@ def test_all_noise_false_positive_rate():
         purchase_habits=purchase[i], openness="low", conscientiousness="low",
         extraversion="low", agreeableness="low", neuroticism="low")
         for i in range(n)}
-    table = stats.significance_counts(matrix, labels, alphas=(0.1,))
+    table = stats.significance_counts(stats.correlation_scan(matrix, labels),
+                                    alphas=(0.1,))
     count = table.count("purchase_habits", "spearman_rho", 0.1)
     expected = m_features * 0.1
     assert count <= expected + 3 * math.sqrt(expected)
