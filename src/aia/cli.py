@@ -5,7 +5,9 @@ featurize builds the three dataset shapes, correlate / attack / validate
 produce reports, and reproduce-table8 replays the published-values ledger.
 Usage errors exit 2; data errors exit 1 with a structured message. Reports
 embed the config hash, seed, and tool version, and re-running a command
-with identical inputs overwrites outputs with identical bytes.
+with identical inputs overwrites outputs with identical bytes. Each
+subcommand imports the layers it runs when it runs, so a light command such
+as `aia labels` never loads numpy or the model code.
 """
 
 from __future__ import annotations
@@ -17,37 +19,16 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, attacks, validation
+from . import __version__
 from .attributes import bin_survey, read_labels_csv, read_survey_csv, write_labels_csv
 from .errors import AiaError
-from .features import (
-    FeatureContext,
-    build_distilled,
-    build_match_matrix,
-    build_player_matrix,
-)
-from .ingest import (
-    TelemetryClient,
-    filter_players,
-    iter_cached_players,
-    load_cached_match,
-    load_cached_player,
-)
-from .matrix import load_matrix, save_matrix
-from .stats import (
-    correlation_report,
-    correlation_scan,
-    required_sample_size,
-    significance_counts,
-)
-from .synth import SynthConfig, FIXTURE_CONFIG, generate_population, write_population_cache, write_survey_csv
 
 
 def _config_hash(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _finalize_report(report: attacks.AttackReport, seed: int) -> attacks.AttackReport:
+def _finalize_report(report, seed: int):
     report.config["tool_version"] = __version__
     report.config["config_hash"] = _config_hash(report.config)
     report.config.setdefault("seed", seed)
@@ -62,6 +43,9 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _load_corpus(cache_dir: Path, labels_path: Path, min_matches: int,
                  min_human_players: int = 0):
+    from .ingest import (filter_players, iter_cached_players, load_cached_match,
+                         load_cached_player)
+
     labels = read_labels_csv(labels_path)
     pairs = []
     for handle in iter_cached_players(cache_dir):
@@ -88,6 +72,9 @@ def _load_corpus(cache_dir: Path, labels_path: Path, min_matches: int,
 
 
 def _cmd_synth(args) -> int:
+    from .synth import (FIXTURE_CONFIG, SynthConfig, generate_population,
+                        write_population_cache, write_survey_csv)
+
     if args.fixture:
         config = FIXTURE_CONFIG
     else:
@@ -105,6 +92,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    from .ingest import TelemetryClient
+
     handles = [int(line.strip()) for line in
                Path(args.handles).read_text(encoding="utf-8").splitlines()
                if line.strip()]
@@ -143,6 +132,10 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
+    from .features import (FeatureContext, build_distilled, build_match_matrix,
+                           build_player_matrix)
+    from .matrix import save_matrix
+
     cache = Path(args.cache)
     out = Path(args.out)
     players, matches, labels, freport = _load_corpus(
@@ -175,6 +168,8 @@ def _cmd_featurize(args) -> int:
 
 def correlation_doc(matrix, labels, alpha: float, top_k: int) -> dict:
     """The JSON document emitted by `aia correlate` (also used as a golden)."""
+    from .stats import correlation_report, correlation_scan, significance_counts
+
     scan = correlation_scan(matrix, labels)
     report = correlation_report(scan, alpha=alpha, top_k=top_k)
     table = significance_counts(scan)
@@ -201,6 +196,8 @@ def correlation_doc(matrix, labels, alpha: float, top_k: int) -> dict:
 
 
 def _cmd_correlate(args) -> int:
+    from .matrix import load_matrix
+
     matrix = load_matrix(args.features)
     labels = read_labels_csv(args.labels)
     out = Path(args.out)
@@ -244,6 +241,8 @@ def _metric_tables_csv(path: Path, tables: dict) -> None:
 
 
 def _load_mbar_variants(features_dir: Path):
+    from .matrix import load_matrix
+
     paths = sorted(features_dir.glob("Mbar_*.csv"))
     if not paths:
         raise AiaError(f"no Mbar_*.csv variants under {features_dir}")
@@ -251,6 +250,9 @@ def _load_mbar_variants(features_dir: Path):
 
 
 def _cmd_attack(args) -> int:
+    from . import attacks
+    from .matrix import load_matrix
+
     features_dir = Path(args.features)
     labels = read_labels_csv(args.labels)
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms else \
@@ -308,6 +310,8 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validation
+
     tables = None
     if args.pairs:
         tables = json.loads(Path(args.pairs).read_text(encoding="utf-8"))
@@ -331,6 +335,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_reproduce_table8(args) -> int:
+    from . import validation
+
     ledger = validation.hypothesis_table(alpha=0.05)
     for family, (rejected, total) in ledger.counts().items():
         print(f"{family}: reject {rejected}/{total}")
@@ -338,6 +344,8 @@ def _cmd_reproduce_table8(args) -> int:
 
 
 def _cmd_sample_size(args) -> int:
+    from .stats import required_sample_size
+
     n = required_sample_size(args.confidence, args.margin, args.proportion,
                              args.population)
     print(n)

@@ -438,18 +438,38 @@ def load_cached_match(cache_dir: str | Path, match_id: int) -> MatchRecord:
     return parse_match(path.read_bytes())
 
 
+def _read_player_doc(path: Path) -> dict:
+    """The cached player document at `path`; SchemaError naming the file
+    when it is not a JSON object."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected an object, got {type(doc).__name__}")
+    return doc
+
+
 def load_cached_player(cache_dir: str | Path, handle: int) -> PlayerRecord:
     path = player_cache_path(cache_dir, handle)
     if not path.exists():
         raise NotFound(f"player {handle} not in cache {cache_dir}")
-    return parse_player(json.loads(path.read_text(encoding="utf-8")), handle)
+    return parse_player(_read_player_doc(path), handle)
 
 
 def iter_cached_players(cache_dir: str | Path) -> list[int]:
+    """Handles of the cached players; a `players/*.json` file whose name
+    is not a handle raises SchemaError naming it."""
     root = Path(cache_dir) / "players"
     if not root.exists():
         return []
-    return sorted(int(p.stem) for p in root.glob("*.json"))
+    handles = []
+    for p in root.glob("*.json"):
+        try:
+            handles.append(int(p.stem))
+        except ValueError:
+            raise SchemaError(f"{p}: file name is not a player handle") from None
+    return sorted(handles)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +599,7 @@ class TelemetryClient:
             raise SchemaError("window_days must be > 0", path="$.window_days")
         path = player_cache_path(self.cache_dir, handle)
         if path.exists():
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = _read_player_doc(path)
             if doc.get("window_days") == window_days:
                 return parse_player(doc, handle)
         if self.offline:

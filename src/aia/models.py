@@ -7,8 +7,11 @@ of numerics, and an optional univariate feature-selection step, always
 fitted on training rows only. Training is two steps: `prepare` (recipe,
 encoding, ENN cleaning; no seed, no algorithm, so one prepared fold serves
 every candidate) and `fit_prepared` (SMOTE, then the estimator, both
-seeded); `fit` runs both without resampling. Everything is deterministic
-given (data, hyperparams, seed).
+seeded); `fit` runs both without resampling. Logistic regression is fitted
+by damped Newton on the full Hessian (at most ~50 x 50 here) and converges
+in a handful of steps; a fit that still hits its step cap carries the
+`not_converged` flag. Everything is deterministic given (data,
+hyperparams, seed).
 """
 
 from __future__ import annotations
@@ -136,13 +139,25 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _fit_logistic(X: np.ndarray, y_codes: np.ndarray, K: int, l2: float,
-                  tol: float = 1e-6, max_iter: int = 5000):
-    """Full-batch gradient descent with Armijo backtracking line search."""
+                  tol: float = 1e-6, max_iter: int = 50):
+    """Multinomial logistic regression by damped Newton.
+
+    Minimizes mean cross-entropy + 0.5 * l2 * |W[:-1]|^2 / n over the
+    (d + 1) x K weights, bias row unpenalized, from W = 0. Each step solves
+    the full Hessian system; adding one constant to every class's bias
+    leaves the loss unchanged, so the Hessian is singular along that
+    direction and the step is the minimum-norm (least-squares) solution,
+    which keeps the bias row summing to zero. Armijo backtracking (1e-4,
+    halving, at most 60 tries) damps each step. Returns (W, converged),
+    converged meaning |grad|_inf < tol within `max_iter` steps.
+    """
     n, d = X.shape
+    m = (d + 1) * K
     Xb = np.hstack([X, np.ones((n, 1))])
     W = np.zeros((d + 1, K))
     Y = np.zeros((n, K))
     Y[np.arange(n), y_codes] = 1.0
+    ridge = np.repeat(np.r_[np.full(d, l2 / n), 0.0], K)
 
     def loss_grad(W):
         P = _softmax(Xb @ W)
@@ -150,29 +165,36 @@ def _fit_logistic(X: np.ndarray, y_codes: np.ndarray, K: int, l2: float,
         reg = 0.5 * l2 * float((W[:-1] ** 2).sum()) / n
         G = Xb.T @ (P - Y) / n
         G[:-1] += l2 * W[:-1] / n
-        return ll + reg, G
+        return ll + reg, G, P
 
-    converged = False
-    value, grad = loss_grad(W)
+    def hessian(P):
+        # Entry ((j, a), (k, b)) in the row-major order of W.
+        H = np.empty((d + 1, K, d + 1, K))
+        for a in range(K):
+            for b in range(a, K):
+                block = Xb.T @ (Xb * (P[:, a] * ((a == b) - P[:, b]) / n)[:, None])
+                H[:, a, :, b] = block
+                H[:, b, :, a] = block.T
+        H = H.reshape(m, m)
+        H[np.diag_indices(m)] += ridge
+        return H
+
+    value, grad, P = loss_grad(W)
     for _ in range(max_iter):
-        gnorm = float(np.abs(grad).max())
-        if gnorm < tol:
-            converged = True
-            break
-        step = 1.0
-        g2 = float((grad ** 2).sum())
+        if float(np.abs(grad).max()) < tol:
+            return W, True
+        step = np.linalg.lstsq(hessian(P), -grad.ravel(), rcond=None)[0]
+        step = step.reshape(W.shape)
+        slope = float((grad * step).sum())
+        t = 1.0
         for _ in range(60):
-            W_new = W - step * grad
-            value_new, grad_new = loss_grad(W_new)
-            if value_new <= value - 1e-4 * step * g2:
+            W_new = W + t * step
+            value_new, grad_new, P_new = loss_grad(W_new)
+            if value_new <= value + 1e-4 * t * slope:
                 break
-            step *= 0.5
-        if value - value_new < 1e-12 and gnorm < 1e-4:
-            W, value, grad = W_new, value_new, grad_new
-            converged = True
-            break
-        W, value, grad = W_new, value_new, grad_new
-    return W, converged
+            t *= 0.5
+        W, value, grad, P = W_new, value_new, grad_new, P_new
+    return W, float(np.abs(grad).max()) < tol
 
 
 def _predict_logistic(params: dict, X: np.ndarray) -> np.ndarray:

@@ -1,7 +1,11 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,37 @@ def test_featurize_on_malformed_cached_match_exits_1(pipeline_dirs, tmp_path,
     assert "Traceback" not in err
 
 
+def test_featurize_on_stray_player_file_exits_1(pipeline_dirs, tmp_path, capsys):
+    _, cache, labels_csv, _ = pipeline_dirs
+    broken = tmp_path / "cache"
+    shutil.copytree(cache, broken)
+    (broken / "players" / "abc.json").write_text("{}")
+    code = main(["featurize", "--variant", "P", "--cache", str(broken),
+                 "--labels", str(labels_csv), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "abc.json" in err
+    assert "Traceback" not in err
+
+
+def test_labels_command_does_not_import_numpy(pipeline_dirs, tmp_path):
+    _, cache, _, _ = pipeline_dirs
+    script = ("import sys\n"
+              "from aia.cli import main\n"
+              "code = main(['labels', '--in', sys.argv[1], '--out', sys.argv[2]])\n"
+              "assert code == 0, code\n"
+              "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(cache / "survey.csv"),
+         str(tmp_path / "labels.csv")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "labels.csv").exists()
+
+
 def test_correlate_emits_reports(pipeline_dirs):
     root, _, labels_csv, features = pipeline_dirs
     out = root / "correlations"
@@ -143,7 +178,6 @@ def test_correlate_scans_each_pair_once(pipeline_dirs, tmp_path, monkeypatch):
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(stats, "correlation_scan", counted_scan)
-    monkeypatch.setattr(cli, "correlation_scan", counted_scan)
     assert main(["correlate", "--features", str(features / "P.csv"),
                  "--labels", str(labels_csv), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1

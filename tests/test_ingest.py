@@ -16,6 +16,7 @@ from aia.ingest import (
     TransportResponse,
     filter_players,
     load_cached_match,
+    load_cached_player,
     match_cache_path,
     parse_match,
     parse_player,
@@ -333,6 +334,22 @@ def test_offline_mode_never_touches_network(tmp_path):
     with pytest.raises(NotFound):
         offline.fetch_match(901)
     assert boom.calls == []
+
+
+@pytest.mark.parametrize("payload", [b"[1]", b'"7"', b"null", b"{not json",
+                                     b"\xff"],
+                         ids=["array", "string", "null", "unparseable",
+                              "not utf-8"])
+def test_cached_player_that_is_not_an_object_is_schema_error(tmp_path, payload):
+    path = player_cache_path(tmp_path, 7)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(payload)
+    with pytest.raises(SchemaError, match="7.json"):
+        load_cached_player(tmp_path, 7)
+    client = TelemetryClient(tmp_path, offline=True, transport=FakeTransport({}),
+                             sleep=lambda s: None)
+    with pytest.raises(SchemaError, match="7.json"):
+        client.fetch_player(7)
 
 
 def test_rate_limited_retries_honor_retry_after(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aia import models
+from aia.attributes import ATTRIBUTE_SCHEMA
 from aia.errors import SchemaMismatch
 from aia.matrix import Column, FeatureMatrix
 from aia.metrics import binary_precision_recall, metrics
@@ -111,6 +112,83 @@ def test_binary_logistic_probabilities_complement():
     model = models.fit("logistic_regression", m, range(40), y, seed=1)
     probs = models.predict_proba(model, m, range(40))
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
+
+
+def _logistic_objective(X, y_codes, K, l2):
+    """The objective `_fit_logistic` minimizes, with its gradient, over the
+    flattened (d + 1) x K weights."""
+    n, d = X.shape
+    Xb = np.hstack([X, np.ones((n, 1))])
+    Y = np.eye(K)[y_codes]
+
+    def objective(w):
+        W = w.reshape(d + 1, K)
+        P = models._softmax(Xb @ W)
+        value = -np.log(P[np.arange(n), y_codes]).mean() \
+            + 0.5 * l2 * (W[:-1] ** 2).sum() / n
+        G = Xb.T @ (P - Y) / n
+        G[:-1] += l2 * W[:-1] / n
+        return value, G.ravel()
+
+    return objective
+
+
+@pytest.mark.parametrize("l2", [0.01, 1.0])
+def test_logistic_reaches_the_reference_optimum(l2):
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(3)
+    n, d, K = 90, 5, 3
+    y = np.repeat(np.arange(K), n // K)
+    X = rng.normal(size=(n, d)) + 0.8 * y[:, None] * rng.normal(size=d)
+    objective = _logistic_objective(X, y, K, l2)
+    W, converged = models._fit_logistic(X, y, K, l2)
+    reference = minimize(objective, np.zeros((d + 1) * K), jac=True,
+                         method="BFGS", options={"gtol": 1e-10, "maxiter": 10_000})
+    value, grad = objective(W.ravel())
+    assert converged
+    assert np.abs(grad).max() < 1e-6
+    assert abs(value - reference.fun) < 1e-9
+    Xb = np.hstack([X, np.ones((n, 1))])
+    probs = models._softmax(Xb @ W)
+    ref_probs = models._softmax(Xb @ reference.x.reshape(d + 1, K))
+    assert np.abs(probs - ref_probs).max() < 1e-5
+    # The bias is unpenalized and only its differences matter: steps keep
+    # the class-sum of the bias row where W = 0 puts it.
+    assert abs(W[-1].sum()) < 1e-9
+
+
+def test_logistic_reports_hitting_its_cap():
+    m, y = separable()
+    X = np.array([row for row in m.rows])
+    codes = np.array([0 if v == "a" else 1 for v in y])
+    _, converged = models._fit_logistic(X, codes, 2, 1.0, max_iter=1)
+    assert not converged
+
+
+@pytest.fixture(scope="module")
+def fixture_players():
+    from aia.features import FeatureContext, build_player_matrix
+    from aia.synth import regression_fixture
+
+    pop = regression_fixture()
+    return build_player_matrix(pop.players, pop.matches,
+                               FeatureContext.default()), pop.labels
+
+
+@pytest.mark.parametrize("attribute", ["age_bin", "gender"])
+def test_logistic_converges_where_gradient_descent_hit_its_cap(fixture_players,
+                                                                attribute):
+    # All 50 fixture players, 12 selected features, ENN + SMOTE, l2 = 0.1:
+    # full-batch gradient descent stopped at its 5,000-iteration cap here.
+    P, labels = fixture_players
+    classes = list(ATTRIBUTE_SCHEMA[attribute])
+    y = [getattr(labels[owner], attribute) for owner in P.row_owner]
+    rows = list(range(P.n_rows))
+    selected = models.select_features(P, rows, y, 12, classes)
+    fold = models.prepare(P, rows, y, classes, selected, resample=True)
+    model = models.fit_prepared("logistic_regression", fold, {"l2": 0.1}, 0)
+    assert "not_converged" not in model.flags
 
 
 def test_argmax_invariant_under_monotone_rescale():
