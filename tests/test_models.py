@@ -160,7 +160,7 @@ def test_logistic_reaches_the_reference_optimum(l2):
 
 def test_logistic_reports_hitting_its_cap():
     m, y = separable()
-    X = np.array([row for row in m.rows])
+    X = np.array(m.rows)
     codes = np.array([0 if v == "a" else 1 for v in y])
     _, converged = models._fit_logistic(X, codes, 2, 1.0, max_iter=1)
     assert not converged
@@ -180,7 +180,8 @@ def fixture_players():
 def test_logistic_converges_where_gradient_descent_hit_its_cap(fixture_players,
                                                                 attribute):
     # All 50 fixture players, 12 selected features, ENN + SMOTE, l2 = 0.1:
-    # full-batch gradient descent stopped at its 5,000-iteration cap here.
+    # ill-conditioned enough that plain gradient descent needs more than
+    # 5,000 steps here.
     P, labels = fixture_players
     classes = list(ATTRIBUTE_SCHEMA[attribute])
     y = [getattr(labels[owner], attribute) for owner in P.row_owner]
