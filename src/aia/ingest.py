@@ -435,7 +435,10 @@ def load_cached_match(cache_dir: str | Path, match_id: int) -> MatchRecord:
     path = match_cache_path(cache_dir, match_id)
     if not path.exists():
         raise NotFound(f"match {match_id} not in cache {cache_dir}")
-    return parse_match(path.read_bytes())
+    try:
+        return parse_match(path.read_bytes())
+    except SchemaError as exc:
+        raise SchemaError(str(exc), path=str(path)) from exc
 
 
 def _read_player_doc(path: Path) -> dict:
@@ -454,7 +457,11 @@ def load_cached_player(cache_dir: str | Path, handle: int) -> PlayerRecord:
     path = player_cache_path(cache_dir, handle)
     if not path.exists():
         raise NotFound(f"player {handle} not in cache {cache_dir}")
-    return parse_player(_read_player_doc(path), handle)
+    doc = _read_player_doc(path)
+    try:
+        return parse_player(doc, handle)
+    except SchemaError as exc:
+        raise SchemaError(str(exc), path=str(path)) from exc
 
 
 def iter_cached_players(cache_dir: str | Path) -> list[int]:

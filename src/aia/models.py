@@ -12,6 +12,16 @@ by damped Newton on the full Hessian (at most ~50 x 50 here) and converges
 in a handful of steps; a fit that still hits its step cap carries the
 `not_converged` flag. Everything is deterministic given (data,
 hyperparams, seed).
+
+Trees are flat node arrays (scikit-learn's `Tree` layout: feature,
+threshold, left, right, value), predicted by one batched traversal per
+tree. One grower builds them: a decision tree is a forest of one tree
+over all features. A forest's trees grow in lockstep, one node of each
+per step, scored by one batched split search, because a node samples
+only ~sqrt(d) features and per-call overhead dominates a lone node's
+search. Each tree still draws its bootstrap and then its per-node
+feature samples from its own generator, in the order a tree grown alone
+would, so a forest does not depend on how its growth is scheduled.
 """
 
 from __future__ import annotations
@@ -210,114 +220,178 @@ def _gini_children(left: np.ndarray, right: np.ndarray,
     return (nl * gl + nr * gr) / (nl + nr)
 
 
-def _best_split(X: np.ndarray, y_codes: np.ndarray, idx: np.ndarray,
-                features: np.ndarray, K: int, min_leaf: int):
-    n = len(idx)
-    counts = np.bincount(y_codes[idx], minlength=K).astype(float)
-    parent_gini = 1.0 - ((counts / n) ** 2).sum()
-    best = None
-    for f in features:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y_codes[idx][order]
-        onehot = np.zeros((n, K))
-        onehot[np.arange(n), sy] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        cut = np.arange(min_leaf - 1, n - min_leaf)
-        if len(cut) == 0:
-            continue
-        movable = sv[cut] < sv[cut + 1]
-        cut = cut[movable]
-        if len(cut) == 0:
-            continue
-        left = prefix[cut]
-        right = counts - left
-        nl = (cut + 1).astype(float)
-        nr = n - nl
-        weighted = _gini_children(left, right, nl, nr)
-        j = int(np.argmin(weighted))
-        if weighted[j] < parent_gini - 1e-12:
-            if best is None or weighted[j] < best[0] - 1e-15:
-                threshold = (sv[cut[j]] + sv[cut[j] + 1]) / 2.0
-                if threshold >= sv[cut[j] + 1]:
-                    # Adjacent doubles: the midpoint rounds up to the right
-                    # value and would leave that child empty under "<=".
-                    threshold = sv[cut[j]]
-                best = (float(weighted[j]), int(f), threshold)
-    return best
+def _best_splits(X: np.ndarray, rank: np.ndarray, y_codes: np.ndarray, K: int,
+                 min_leaf: int, idxs: Sequence[np.ndarray],
+                 features: np.ndarray) -> list:
+    """Best Gini split of each of B nodes: node b holds the rows `idxs[b]`
+    and may split on the features `features[b]` (a B x F array); `rank`
+    holds each value's rank within its column of X.
+
+    All B x F (node, feature) pairs are scored at once. Their rows sit in
+    one array, one contiguous segment per pair, sorted by one argsort on
+    (feature slot, node, value rank); tied values may land in any order,
+    but no cut falls between them, so no count or threshold depends on it.
+    Class counts left of every cut come from one cumulative sum less each
+    segment's start. A cut must leave `min_leaf` rows on each side and
+    fall between two distinct values; within a pair the first minimum
+    wins. Across a node's features, in order, a pair replaces the best so
+    far only when it beats the parent's Gini by 1e-12 and the best by
+    1e-15, so a near-tie goes to the earlier feature. Returns, per node,
+    `(feature, threshold, class counts of the left child)`, or None when
+    no cut lowers the impurity.
+    """
+    B, F = features.shape
+    sizes = np.array([len(idx) for idx in idxs])
+    rows = np.concatenate(idxs)
+    N = len(rows)
+    node = np.repeat(np.arange(B), sizes)
+    y = y_codes[rows]
+    counts = np.bincount(node * K + y, minlength=B * K).reshape(B, K).astype(float)
+    parent_gini = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+
+    seg = (np.arange(F)[:, None] * B + node).ravel()
+    key = seg * len(X) + rank[rows, features[node].T].ravel()
+    order = np.argsort(key)
+    key = key[order]
+    starts = (np.arange(F)[:, None] * N + (np.cumsum(sizes) - sizes)).ravel()
+    prefix = np.cumsum(y[order % N] == np.arange(K)[:, None], axis=1)
+    prefix = np.hstack([np.zeros((K, 1), dtype=prefix.dtype), prefix])
+
+    def left_of(q):  # class counts up to and including sorted position q
+        return (prefix[:, q + 1] - prefix[:, starts[seg[q]]]).T.astype(float, order="C")
+
+    owner = seg % B
+    local = np.arange(F * N) - starts[seg]
+    n = sizes[owner]
+    movable = np.zeros(F * N, dtype=bool)
+    movable[:-1] = key[:-1] < key[1:]
+    cut = np.flatnonzero((local >= min_leaf - 1) & (local < n - min_leaf) & movable)
+    left = left_of(cut)
+    nl = (local[cut] + 1).astype(float)
+    weighted = np.full(F * N, np.inf)
+    weighted[cut] = _gini_children(left, counts[owner[cut]] - left, nl, n[cut] - nl)
+    seg_min = np.minimum.reduceat(weighted, starts)
+    first = np.minimum.reduceat(
+        np.where(weighted == seg_min[seg], np.arange(F * N), F * N), starts)
+    seg_min = seg_min.reshape(F, B)
+    first = first.reshape(F, B)
+
+    best = np.full(B, np.inf)
+    slot = np.full(B, -1)
+    for j in range(F):
+        take = (seg_min[j] < parent_gini - 1e-12) & (seg_min[j] < best - 1e-15)
+        best[take] = seg_min[j][take]
+        slot[take] = j
+    chosen = np.flatnonzero(slot >= 0)
+    p = first[slot[chosen], chosen]
+    f = features[chosen, slot[chosen]]
+    lo = X[rows[order[p] % N], f]
+    hi = X[rows[order[p + 1] % N], f]
+    # Adjacent doubles: the midpoint rounds up to the right value and would
+    # leave that child empty under "<=", so the left value is used.
+    mid = (lo + hi) / 2.0
+    threshold = np.where(mid >= hi, lo, mid)
+    splits: list = [None] * B
+    for b, feature, cut_at, left_counts in zip(chosen, f, threshold, left_of(p)):
+        splits[b] = (int(feature), cut_at, left_counts)
+    return splits
 
 
-def _grow_tree(X: np.ndarray, y_codes: np.ndarray, K: int,
-               max_depth: Optional[int], min_leaf: int,
-               feature_sampler: Optional[Callable[[], np.ndarray]] = None,
-               root_idx: Optional[np.ndarray] = None) -> dict:
-    """Iterative CART growth; nodes are JSON-able dicts."""
-    all_features = np.arange(X.shape[1])
-    root_idx = np.arange(len(y_codes)) if root_idx is None else root_idx
+def _grow_trees(X: np.ndarray, y_codes: np.ndarray, K: int,
+                max_depth: Optional[int], min_leaf: int,
+                roots: Sequence[np.ndarray],
+                samplers: Sequence[Callable[[], np.ndarray]]) -> list[dict]:
+    """Grow one CART tree per root row set, all in lockstep.
 
-    def leaf(idx):
-        counts = np.bincount(y_codes[idx], minlength=K).astype(float)
-        return {"leaf": True, "probs": (counts / counts.sum()).tolist()}
+    Tree t grows depth-first, left child first, from the rows `roots[t]`
+    and calls `samplers[t]()` for the candidate features of each node that
+    is not a leaf before its split search, so it calls it in the order a
+    tree grown alone would (every sampler returns as many features). Each
+    step takes the next such node off every tree's stack and finds all
+    their splits in one `_best_splits` call. A tree is flat node arrays
+    in pre-order, in the layout of scikit-learn's `Tree`: `feature` and
+    `threshold` (-2 at a leaf), `left` and `right` (-1 at a leaf), and
+    `value`, the class shares of the node's rows.
+    """
+    rank = np.empty(X.shape, dtype=int)
+    for f in range(X.shape[1]):
+        rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
+    trees = [{"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+             for _ in roots]
+    stacks = [[(idx, 0, -1, np.bincount(y_codes[idx], minlength=K).astype(float))]
+              for idx in map(np.asarray, roots)]
+    while True:
+        batch = []
+        for t, (tree, stack) in enumerate(zip(trees, stacks)):
+            while stack:
+                idx, depth, parent, counts = stack.pop()
+                node = len(tree["value"])
+                if parent >= 0:  # a left child is popped before its sibling
+                    tree["left" if tree["left"][parent] == -1 else "right"][parent] = node
+                tree["feature"].append(-2)
+                tree["threshold"].append(-2.0)
+                tree["left"].append(-1)
+                tree["right"].append(-1)
+                tree["value"].append(counts)
+                pure = np.count_nonzero(counts) <= 1
+                depth_stop = max_depth is not None and depth >= max_depth
+                if not (pure or depth_stop or len(idx) < 2 * min_leaf):
+                    batch.append((t, node, idx, depth, counts, samplers[t]()))
+                    break
+        if not batch:
+            break
+        splits = _best_splits(X, rank, y_codes, K, min_leaf, [b[2] for b in batch],
+                              np.array([b[5] for b in batch]))
+        for (t, node, idx, depth, counts, _), split in zip(batch, splits):
+            if split is None:
+                continue
+            f, threshold, left = split
+            trees[t]["feature"][node] = f
+            trees[t]["threshold"][node] = threshold
+            mask = X[idx, f] <= threshold
+            stacks[t].append((idx[~mask], depth + 1, node, counts - left))
+            stacks[t].append((idx[mask], depth + 1, node, left))
+    for tree in trees:
+        for key, column in tree.items():
+            tree[key] = np.array(column)
+        tree["value"] /= tree["value"].sum(axis=1, keepdims=True)
+    return trees
 
-    root: dict = {}
-    stack = [(root, root_idx, 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        counts = np.bincount(y_codes[idx], minlength=K)
-        pure = (counts > 0).sum() <= 1
-        depth_stop = max_depth is not None and depth >= max_depth
-        if pure or depth_stop or len(idx) < 2 * min_leaf:
-            node.update(leaf(idx))
-            continue
-        features = feature_sampler() if feature_sampler is not None else all_features
-        split = _best_split(X, y_codes, idx, features, K, min_leaf)
-        if split is None:
-            node.update(leaf(idx))
-            continue
-        _, f, threshold = split
-        mask = X[idx, f] <= threshold
-        left_node: dict = {}
-        right_node: dict = {}
-        node.update({"leaf": False, "feature": f, "threshold": threshold,
-                     "left": left_node, "right": right_node})
-        stack.append((right_node, idx[~mask], depth + 1))
-        stack.append((left_node, idx[mask], depth + 1))
-    return root
 
-
-def _tree_proba(node: dict, x: np.ndarray) -> np.ndarray:
-    while not node["leaf"]:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return np.asarray(node["probs"])
-
-
-def _predict_tree(params: dict, X: np.ndarray) -> np.ndarray:
-    return np.vstack([_tree_proba(params["tree"], x) for x in X])
+def _tree_apply(tree: dict, X: np.ndarray) -> np.ndarray:
+    """Class shares of the leaf each row of X reaches, all rows at once."""
+    feature, threshold, left, right = (np.asarray(tree[key]) for key in
+                                       ("feature", "threshold", "left", "right"))
+    node = np.zeros(len(X), dtype=int)
+    rows = np.arange(len(X))
+    while True:
+        rows = rows[left[node[rows]] >= 0]
+        if not len(rows):
+            return np.asarray(tree["value"])[node]
+        at = node[rows]
+        node[rows] = np.where(X[rows, feature[at]] <= threshold[at],
+                              left[at], right[at])
 
 
 def _fit_forest(X: np.ndarray, y_codes: np.ndarray, K: int, n_trees: int,
                 max_depth: Optional[int], min_leaf: int, seed: int) -> dict:
     d = X.shape[1]
     m = max(1, int(np.sqrt(d)))
-    trees = []
+    roots, samplers = [], []
     for t in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        boot = rng.integers(0, len(y_codes), len(y_codes))
+        roots.append(rng.integers(0, len(y_codes), len(y_codes)))
 
         def sampler(rng=rng):
             return np.sort(rng.choice(d, size=m, replace=False))
 
-        trees.append(_grow_tree(X, y_codes, K, max_depth, min_leaf,
-                                feature_sampler=sampler, root_idx=boot))
-    return {"trees": trees}
+        samplers.append(sampler)
+    return {"trees": _grow_trees(X, y_codes, K, max_depth, min_leaf, roots,
+                                 samplers)}
 
 
 def _predict_forest(params: dict, X: np.ndarray) -> np.ndarray:
-    probs = [
-        np.vstack([_tree_proba(tree, x) for x in X]) for tree in params["trees"]
-    ]
-    acc = np.mean(probs, axis=0)
+    acc = np.mean([_tree_apply(tree, X) for tree in params["trees"]], axis=0)
     return acc / acc.sum(axis=1, keepdims=True)
 
 
@@ -439,8 +513,10 @@ def fit_prepared(algorithm: str, fold: PreparedFold,
             warnings.warn("logistic regression hit the iteration cap",
                           RuntimeWarning, stacklevel=2)
     elif algorithm == "decision_tree":
-        params = {"tree": _grow_tree(X, y_codes, K, hp["max_depth"],
-                                     int(hp["min_leaf"]))}
+        all_features = np.arange(X.shape[1])
+        params = {"tree": _grow_trees(X, y_codes, K, hp["max_depth"],
+                                      int(hp["min_leaf"]), [np.arange(len(y_codes))],
+                                      [lambda: all_features])[0]}
     elif algorithm == "random_forest":
         params = _fit_forest(X, y_codes, K, int(hp["n_trees"]), hp["max_depth"],
                              int(hp["min_leaf"]), seed)
@@ -476,7 +552,7 @@ def predict_proba(model: TrainedModel, matrix: FeatureMatrix,
     if model.algorithm == "logistic_regression":
         return _predict_logistic(model.params, X)
     if model.algorithm == "decision_tree":
-        return _predict_tree(model.params, X)
+        return _tree_apply(model.params["tree"], X)
     if model.algorithm == "random_forest":
         return _predict_forest(model.params, X)
     return _predict_mlp(model.params, X)
@@ -500,14 +576,18 @@ def predict(model: TrainedModel, matrix: FeatureMatrix,
 # Persistence (versioned JSON)
 # ---------------------------------------------------------------------------
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
-def _jsonable_params(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        out[key] = value.tolist() if isinstance(value, np.ndarray) else value
-    return out
+def _jsonable(value):
+    """Arrays as lists, at any depth of dicts and lists (a forest's trees)."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_jsonable(item) for item in value]
+    return value
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -525,15 +605,19 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
             "categories": model.recipe.categories,
             "dropped_constant": model.recipe.dropped_constant,
         },
-        "params": _jsonable_params(model.params),
+        "params": _jsonable(model.params),
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
 def load_model(path: str | Path, expect_schema_hash: str | None = None) -> TrainedModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != _FORMAT_VERSION:
-        raise SchemaMismatch(f"unsupported model format {doc.get('format_version')}")
+    version = doc.get("format_version")
+    if version == 1:
+        raise SchemaMismatch("model format 1 (trees as nested dicts) is no longer "
+                             "read; retrain and save the model again")
+    if version != _FORMAT_VERSION:
+        raise SchemaMismatch(f"unsupported model format {version}")
     if expect_schema_hash is not None and doc["schema_hash"] != expect_schema_hash:
         raise SchemaMismatch("persisted model was trained on a different schema")
     recipe = Recipe(

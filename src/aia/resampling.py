@@ -14,10 +14,20 @@ from typing import Sequence
 import numpy as np
 
 
-def _neighbor_order(X: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Indices of X sorted by (distance to query, index)."""
-    d2 = ((X - query) ** 2).sum(axis=1)
-    return np.lexsort((np.arange(len(X)), d2))
+def _nearest(X: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k nearest other rows of each row of X, nearest first;
+    equal distances keep index order (a stable sort on distance)."""
+    n = len(X)
+    block = 256
+    out = np.empty((n, k), dtype=int)
+    for start in range(0, n, block):
+        chunk = X[start:start + block]
+        d2 = ((chunk[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        order = np.argsort(d2, axis=1, kind="stable")
+        own = np.arange(start, start + len(chunk))[:, None]
+        out[start:start + len(chunk)] = \
+            order[order != own].reshape(len(chunk), n - 1)[:, :k]
+    return out
 
 
 def smote_oversample(X: np.ndarray, y: Sequence, k: int = 5, seed: int = 0,
@@ -57,10 +67,7 @@ def smote_oversample(X: np.ndarray, y: Sequence, k: int = 5, seed: int = 0,
                 new_labels.append(cls)
             continue
         kk = min(k, n_cls - 1)
-        neighbor_ids = np.empty((n_cls, kk), dtype=int)
-        for i in range(n_cls):
-            order = _neighbor_order(members, members[i])
-            neighbor_ids[i] = order[order != i][:kk]
+        neighbor_ids = _nearest(members, kk)
         for j in range(need):
             base = j % n_cls
             nbr = neighbor_ids[base][rng.integers(0, kk)]
@@ -92,17 +99,7 @@ def enn_undersample(X: np.ndarray, y: Sequence, k: int = 3,
         return X.copy(), y_arr.copy()
     code = {c: i for i, c in enumerate(class_list)}
     y_codes = np.array([code[v] for v in y_arr])
-    keep = np.ones(n, dtype=bool)
-    block = 256
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        chunk = X[start:stop]
-        d2 = ((chunk[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-        for local, i in enumerate(range(start, stop)):
-            order = np.lexsort((np.arange(n), d2[local]))
-            neighbors = [j for j in order if j != i][:k]
-            votes = np.bincount(y_codes[neighbors], minlength=len(class_list))
-            majority = int(np.argmax(votes))  # tie -> earliest class
-            if majority != y_codes[i]:
-                keep[i] = False
+    neighbor_codes = y_codes[_nearest(X, k)]
+    votes = (neighbor_codes[:, :, None] == np.arange(len(class_list))).sum(axis=1)
+    keep = votes.argmax(axis=1) == y_codes  # vote tie -> earliest class
     return X[keep].copy(), y_arr[keep].copy()

@@ -122,7 +122,24 @@ def test_featurize_on_malformed_cached_match_exits_1(pipeline_dirs, tmp_path,
                  "--labels", str(labels_csv), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
-    assert "error:" in err
+    assert "error:" in err and path.name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", ["[1]", "{"])
+def test_featurize_names_an_unreadable_cached_match(pipeline_dirs, tmp_path,
+                                                    capsys, content):
+    _, cache, labels_csv, _ = pipeline_dirs
+    broken = tmp_path / "cache"
+    shutil.copytree(cache, broken)
+    player = json.loads(next((broken / "players").glob("*.json")).read_text())
+    path = broken / "matches" / f"{player['matches'][0]['match_id']}.json"
+    path.write_text(content)
+    code = main(["featurize", "--variant", "P", "--cache", str(broken),
+                 "--labels", str(labels_csv), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and path.name in err
     assert "Traceback" not in err
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,85 @@ def test_tree_split_survives_adjacent_float_values():
     assert np.isfinite(probs).all()
     assert np.allclose(probs.sum(axis=1), 1.0)
     assert models.predict(model, m, range(6)) == y
+
+
+def _forest_inputs(n_trees, n, d, m):
+    """Bootstrap roots and feature samplers as `_fit_forest` builds them;
+    each call returns fresh generators."""
+    roots, samplers = [], []
+    for t in range(n_trees):
+        rng = np.random.default_rng(t)
+        roots.append(rng.integers(0, n, n))
+        samplers.append(lambda rng=rng: np.sort(rng.choice(d, size=m, replace=False)))
+    return roots, samplers
+
+
+def test_lockstep_growth_equals_growing_each_tree_alone():
+    rng = np.random.default_rng(5)
+    X = np.round(rng.normal(size=(80, 6)), 1)  # many tied values
+    y = rng.integers(0, 3, 80)
+    together = models._grow_trees(X, y, 3, None, 2, *_forest_inputs(7, 80, 6, 2))
+    roots, samplers = _forest_inputs(7, 80, 6, 2)
+    assert len({len(tree["feature"]) for tree in together}) > 1
+    for t, tree in enumerate(together):
+        alone = models._grow_trees(X, y, 3, None, 2, [roots[t]], [samplers[t]])[0]
+        assert tree.keys() == alone.keys()
+        for key in tree:
+            assert np.array_equal(tree[key], alone[key])
+
+
+def _best_weighted_gini(values, y, K):
+    """Lowest weighted child Gini over the cuts of one feature, by brute force."""
+    order = np.argsort(values, kind="stable")
+    sv, sy = values[order], y[order]
+    counts = np.bincount(y, minlength=K).astype(float)
+    best = np.inf
+    for cut in range(len(y) - 1):
+        if sv[cut] < sv[cut + 1]:
+            left = np.bincount(sy[:cut + 1], minlength=K).astype(float)
+            nl = np.array([cut + 1.0])
+            best = min(best, models._gini_children(left[None], (counts - left)[None],
+                                                   nl, len(y) - nl)[0])
+    return best
+
+
+def test_near_tied_features_split_on_the_earlier_one():
+    # The best cut of the second column scores a few ulps (5.6e-17) lower
+    # than that of the first: within 1e-15, so the earlier feature wins,
+    # in either column order.
+    y = np.array([0, 0, 0, 1, 0, 1, 0, 0, 1])
+    a = np.array([1, 2, 0, 6, 8, 3, 5, 7, 4], dtype=float)
+    b = np.array([7, 1, 3, 5, 8, 0, 6, 4, 2], dtype=float)
+    assert 0 < _best_weighted_gini(a, y, 2) - _best_weighted_gini(b, y, 2) < 1e-15
+    for X in (np.column_stack([a, b]), np.column_stack([b, a])):
+        tree = models._grow_trees(X, y, 2, 1, 1, [np.arange(9)],
+                                  [lambda: np.arange(2)])[0]
+        assert tree["feature"][0] == 0
+
+
+def _walk(tree, x):
+    """Reference traversal: one row, one node at a time."""
+    node = 0
+    while tree["left"][node] >= 0:
+        go_left = x[tree["feature"][node]] <= tree["threshold"][node]
+        node = tree["left"][node] if go_left else tree["right"][node]
+    return tree["value"][node]
+
+
+def test_batched_traversal_equals_row_by_row_walk():
+    rng = np.random.default_rng(12)
+    X = np.round(rng.normal(size=(120, 4)), 1)
+    y = rng.integers(0, 3, 120)
+    params = models._fit_forest(X, y, 3, 15, None, 1, seed=4)
+    for tree in params["trees"]:
+        # Query rows mix training values with the tree's own thresholds, so
+        # some rows sit exactly on a cut.
+        split = tree["feature"] >= 0
+        pool = [np.concatenate([X[:, f], tree["threshold"][split & (tree["feature"] == f)]])
+                for f in range(4)]
+        Q = np.column_stack([rng.choice(col, 200) for col in pool])
+        assert np.array_equal(models._tree_apply(tree, Q),
+                              np.array([_walk(tree, q) for q in Q]))
 
 
 def test_forest_of_identical_trees_equals_single_tree():
@@ -244,6 +325,19 @@ def test_model_persistence_round_trip(tmp_path):
         loaded = models.load_model(path, expect_schema_hash=m.column_hash())
         assert np.allclose(models.predict_proba(loaded, m, range(40)),
                            models.predict_proba(model, m, range(40)))
+
+
+def test_persistence_rejects_format_1(tmp_path):
+    m, y = separable()
+    model = models.fit("decision_tree", m, range(40), y)
+    path = tmp_path / "model.json"
+    models.save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    doc["params"] = {"tree": {"leaf": True, "probs": [0.5, 0.5]}}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaMismatch, match="format 1"):
+        models.load_model(path)
 
 
 def test_persistence_refuses_schema_mismatch(tmp_path):
