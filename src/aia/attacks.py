@@ -5,6 +5,10 @@ train/test boundary (checked at runtime on every split), all randomness
 descends from (master seed, unit index) so a report does not depend on
 the order its units run in, and a stratified dummy baseline rides along
 wherever models are compared. Every protocol runs its units serially.
+
+The post-processing protocols average per-match class probabilities
+through one kernel, `_draw_means` (prefix means of uniform permutations),
+drawing from one generator per (run, attribute), or per repeat in targeted.
 """
 
 from __future__ import annotations
@@ -18,15 +22,15 @@ import numpy as np
 
 from . import models as m
 from .attributes import ATTRIBUTE_SCHEMA, AttributeLabels
-from .errors import AttributeArity, NoPositives, PlayerOverlap
+from .errors import AttributeArity, NoPositives, OutOfRange, PlayerOverlap
 from .matrix import FeatureMatrix
 from .metrics import binary_precision_recall, metrics
 
 DEFAULT_ALGORITHMS = ("logistic_regression", "decision_tree", "random_forest",
                       "mlp", "dummy_stratified")
 
-# Compact grids keep desk-scale runs inside their time budgets; the full
-# defaults in `models.DEFAULT_GRIDS` remain available via the `grids` knob.
+# Compact grids keep desk-scale runs inside their time budgets; every
+# report records the grids it ran.
 DESK_GRIDS: dict[str, dict[str, list]] = {
     "logistic_regression": {"l2": [0.1, 1.0]},
     "decision_tree": {"max_depth": [3, 10], "min_leaf": [1, 5]},
@@ -102,13 +106,24 @@ def _rows_of(matrix: FeatureMatrix, players: Sequence[int]) -> list[int]:
     return sorted(i for p in players for i in owner_rows[p])
 
 
-def _average_draw(block: np.ndarray, n: int, rng: np.random.Generator
-                  ) -> np.ndarray:
-    """Mean of n rows of a probability block drawn without replacement;
-    the whole block's mean when n reaches its length."""
-    if n < len(block):
-        return block[rng.choice(len(block), size=n, replace=False)].mean(axis=0)
-    return block.mean(axis=0)
+def _draw_means(block: np.ndarray, ns: Sequence[int], draws: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """(draws, len(ns), K) means of n rows of a probability block drawn
+    without replacement: the first n rows of one uniform permutation per
+    draw, all n from one cumulative sum. n at or past the block's length
+    gives the whole block's mean and spends no draw."""
+    ns = np.asarray(ns, dtype=int)
+    if draws < 1 or (ns < 1).any():
+        raise OutOfRange(f"averaging needs draws >= 1 and every n >= 1, got "
+                         f"draws={draws}, n={ns.tolist()}")
+    full = ns >= len(block)
+    means = np.empty((draws, len(ns), block.shape[1]))
+    means[:, full] = block.mean(axis=0)
+    if not full.all():
+        part = ns[~full]
+        perms = rng.permuted(np.tile(np.arange(len(block)), (draws, 1)), axis=1)
+        means[:, ~full] = np.cumsum(block[perms], axis=1)[:, part - 1] / part[:, None]
+    return means
 
 
 def _stratified_player_split(players: Sequence[int], y_by_player: dict[int, str],
@@ -349,21 +364,35 @@ def sophisticated_predict(model: m.TrainedModel, matrix: FeatureMatrix,
     without replacement; n beyond the available count uses everything.
     """
     block = m.predict_proba(model, matrix, list(row_idx))
-    avg = _average_draw(block, len(block) if n is None else n,
-                        rng if rng is not None else np.random.default_rng(0))
+    avg = _draw_means(block, [len(block) if n is None else n], 1,
+                      rng if rng is not None else np.random.default_rng(0))[0, 0]
     return model.class_list[int(np.argmax(avg))], avg
 
 
-def _player_prob_blocks(run: OneMatchRun, attribute: str
-                        ) -> dict[int, np.ndarray]:
-    """predict_proba for each test player's rows, computed once per run."""
-    test_set = set(run.test_players(attribute))
-    rows_by_player = {p: rows for p, rows in run.matrix.owner_rows.items()
-                      if p in test_set}
-    all_rows = [i for rows in rows_by_player.values() for i in rows]
-    probs = m.predict_proba(run.models[attribute], run.matrix, all_rows)
-    cuts = np.cumsum([len(rows) for rows in rows_by_player.values()])[:-1]
-    return dict(zip(rows_by_player, np.split(probs, cuts)))
+def _prob_blocks(model: m.TrainedModel, matrix: FeatureMatrix,
+                 players: Sequence[int]) -> dict[int, np.ndarray]:
+    """Each player's per-match class probabilities, from one predict_proba
+    call over all their rows."""
+    rows = [matrix.owner_rows[p] for p in players]
+    probs = m.predict_proba(model, matrix, [i for r in rows for i in r])
+    cuts = np.cumsum([len(r) for r in rows])[:-1]
+    return dict(zip(players, np.split(probs, cuts)))
+
+
+def _test_means(protocol: str, runs: Sequence[OneMatchRun], attribute: str,
+                labels: dict[int, AttributeLabels], ns: Sequence[int],
+                draws: int, seed: int, stream: int):
+    """Per run, (true class index, `_draw_means`) of each test player; one
+    generator per (run, attribute), `stream` keeping protocols apart."""
+    classes = list(ATTRIBUTE_SCHEMA[attribute])
+    for ri, run in enumerate(runs):
+        test_p = run.test_players(attribute)
+        _check_disjoint(run.train_players(attribute), test_p,
+                        f"{protocol}:{attribute}")
+        rng = _rng(seed, ri, _ATTR_INDEX[attribute], stream)
+        blocks = _prob_blocks(run.models[attribute], run.matrix, test_p)
+        yield [(classes.index(getattr(labels[p], attribute)),
+                _draw_means(block, ns, draws, rng)) for p, block in blocks.items()]
 
 
 def sophisticated_aia(runs: Sequence[OneMatchRun],
@@ -385,23 +414,12 @@ def sophisticated_aia(runs: Sequence[OneMatchRun],
             report.flags.append(f"headline_excludes:{excluded}")
 
     for attribute in attrs:
-        classes = list(ATTRIBUTE_SCHEMA[attribute])
         values: dict[int, list[float]] = {n: [] for n in n_sweep}
-        for ri, run in enumerate(runs):
-            _check_disjoint(run.train_players(attribute),
-                            run.test_players(attribute),
-                            f"sophisticated:{attribute}")
-            blocks = _player_prob_blocks(run, attribute)
-            truth = {p: getattr(labels[p], attribute) for p in blocks}
-            for n in n_sweep:
-                for d in range(draws):
-                    rng = _rng(seed, ri, _ATTR_INDEX[attribute], n, d)
-                    correct = 0
-                    for player, block in blocks.items():
-                        avg = _average_draw(block, n, rng)
-                        if classes[int(np.argmax(avg))] == truth[player]:
-                            correct += 1
-                    values[n].append(correct / len(blocks))
+        for players in _test_means("sophisticated", runs, attribute, labels,
+                                   n_sweep, draws, seed, stream=5):
+            correct = sum(avg.argmax(axis=2) == truth for truth, avg in players)
+            for j, n in enumerate(n_sweep):
+                values[n].extend(correct[:, j] / len(players))
         report.curves[attribute] = [{"n": n, **_mean_std(values[n])}
                                     for n in n_sweep]
     return report
@@ -429,33 +447,17 @@ def indiscriminate_aia(runs: Sequence[OneMatchRun],
         "seed": seed, "n": n, "draws": draws, "n_runs": len(runs),
     })
     for attribute in attrs:
-        classes = list(ATTRIBUTE_SCHEMA[attribute])
         top1_scores: list[float] = []
         top2_scores: list[float] = []
-        for ri, run in enumerate(runs):
-            _check_disjoint(run.train_players(attribute),
-                            run.test_players(attribute),
-                            f"indiscriminate:{attribute}")
-            blocks = _player_prob_blocks(run, attribute)
-            truth = {p: getattr(labels[p], attribute) for p in blocks}
-            for d in range(draws):
-                rng = _rng(seed, ri, _ATTR_INDEX[attribute], d)
-                top1 = 0
-                top2 = 0
-                for player, block in blocks.items():
-                    avg = _average_draw(block, n, rng)
-                    top = list(np.argsort(-avg, kind="stable")[:2])
-                    true_idx = classes.index(truth[player])
-                    top1 += int(top[0] == true_idx)
-                    top2 += int(true_idx in top)
-                top1_scores.append(top1 / len(blocks))
-                top2_scores.append(top2 / len(blocks))
-        t1 = _mean_std(top1_scores)
-        t2 = _mean_std(top2_scores)
+        for players in _test_means("indiscriminate", runs, attribute, labels,
+                                   [n], draws, seed, stream=6):
+            hits = [np.argsort(-avg[:, 0], axis=1, kind="stable")[:, :2] == truth
+                    for truth, avg in players]
+            top1_scores.extend(sum(hit[:, 0] for hit in hits) / len(hits))
+            top2_scores.extend(sum(hit.any(axis=1) for hit in hits) / len(hits))
+        t1, t2 = _mean_std(top1_scores), _mean_std(top2_scores)
         report.metric_tables[attribute] = {
-            "top1": t1, "top2": t2,
-            "improvement": t2["mean"] - t1["mean"],
-        }
+            "top1": t1, "top2": t2, "improvement": t2["mean"] - t1["mean"]}
     return report
 
 
@@ -516,6 +518,8 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
     positive; precision drives both choices. Curves report precision and
     recall per number of averaged matches on disjoint test players.
     """
+    if repeats < 1:
+        raise OutOfRange(f"repeats must be at least 1, got {repeats}")
     grids = grids or DESK_GRIDS
     classes = ["negative", "positive"]
     report = AttackReport(protocol="targeted", config={
@@ -555,11 +559,8 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         def val_score(models: list[m.TrainedModel]):
             """Best (precision, recall) of full-history averages, and its
             threshold; None when no threshold predicts a positive."""
-            pos_proba = {}
-            for player in val_p:
-                block = m.predict_proba(models[0], matrix,
-                                        matrix.owner_rows[player])
-                pos_proba[player] = float(block.mean(axis=0)[1])
+            pos_proba = {p: float(block.mean(axis=0)[1]) for p, block
+                         in _prob_blocks(models[0], matrix, val_p).items()}
             scored: list[tuple[float, float, float]] = []
             for threshold in thresholds:
                 y_pred = ["positive" if pos_proba[p] >= threshold
@@ -592,22 +593,20 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         index, (model,), threshold = best
         algorithm, candidate, _ = candidates[index]
 
-        test_blocks = {player: m.predict_proba(model, matrix,
-                                               matrix.owner_rows[player])
-                       for player in test_p}
-        y_true = [y_by_player[p] for p in test_p]
-        for n in n_sweep:
-            for d in range(draws):
-                rng = _rng(seed, rep, n, d, 3)
-                y_pred = []
-                for player in test_p:
-                    avg_pos = float(_average_draw(test_blocks[player], n, rng)[1])
-                    y_pred.append("positive" if avg_pos >= threshold
-                                  else "negative")
-                precision, recall = binary_precision_recall(y_true, y_pred,
-                                                            "positive")
-                precisions[n].append(precision)
-                recalls[n].append(recall)
+        # (player, draw, n) positive calls on the test players.
+        rng = _rng(seed, rep, 3)
+        called = np.array([_draw_means(block, n_sweep, draws, rng)[..., 1]
+                           >= threshold for block in
+                           _prob_blocks(model, matrix, test_p).values()])
+        positive = np.array([y_by_player[p] == "positive" for p in test_p])
+        hits = called[positive].sum(axis=0)
+        n_called = called.sum(axis=0)
+        precision = np.divide(hits, n_called, out=np.zeros(hits.shape),
+                              where=n_called > 0)
+        recall = hits / positive.sum()
+        for j, n in enumerate(n_sweep):
+            precisions[n].extend(precision[:, j])
+            recalls[n].extend(recall[:, j])
         report.config["selected"].append({
             "repeat": rep, "algorithm": algorithm, "hyperparams": candidate,
             "threshold": threshold})

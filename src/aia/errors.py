@@ -53,7 +53,7 @@ class InsufficientMatches(AiaError):
 
 
 class SchemaMismatch(AiaError):
-    """Row or persisted model does not match the training schema."""
+    """Matrix columns do not match a model's training schema."""
 
 
 class TooFewMinority(AiaError):

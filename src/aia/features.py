@@ -93,7 +93,6 @@ class FeatureConfig:
     after_kill_window_s: float = 10.0
     ranked_lobby_codes: tuple[int, ...] = (7,)
     distill_cap: int = DISTILL_CAP
-    n_variants: int = 20
 
 
 @dataclass

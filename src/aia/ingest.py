@@ -447,21 +447,26 @@ def _read_player_doc(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"{path}: not a JSON document: {exc}") from exc
+        raise SchemaError(f"not a JSON document: {exc}", path=str(path)) from exc
     if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(doc).__name__}")
+        raise SchemaError(f"expected an object, got {type(doc).__name__}",
+                          path=str(path))
     return doc
+
+
+def _parse_cached_player(doc: dict, handle: int, path: Path) -> PlayerRecord:
+    """parse_player on a cached document; SchemaError names the file."""
+    try:
+        return parse_player(doc, handle)
+    except SchemaError as exc:
+        raise SchemaError(str(exc), path=str(path)) from exc
 
 
 def load_cached_player(cache_dir: str | Path, handle: int) -> PlayerRecord:
     path = player_cache_path(cache_dir, handle)
     if not path.exists():
         raise NotFound(f"player {handle} not in cache {cache_dir}")
-    doc = _read_player_doc(path)
-    try:
-        return parse_player(doc, handle)
-    except SchemaError as exc:
-        raise SchemaError(str(exc), path=str(path)) from exc
+    return _parse_cached_player(_read_player_doc(path), handle, path)
 
 
 def iter_cached_players(cache_dir: str | Path) -> list[int]:
@@ -608,7 +613,7 @@ class TelemetryClient:
         if path.exists():
             doc = _read_player_doc(path)
             if doc.get("window_days") == window_days:
-                return parse_player(doc, handle)
+                return _parse_cached_player(doc, handle, path)
         if self.offline:
             raise NotFound(f"player {handle} not cached and client is offline")
         profile_raw = self._get(f"players/{handle}")

@@ -27,10 +27,8 @@ would, so a forest does not depend on how its growth is scheduled.
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,16 +40,6 @@ from .metrics import metrics
 
 ALGORITHMS = ("logistic_regression", "decision_tree", "random_forest",
               "mlp", "dummy_stratified")
-
-# Paper gives no grids; these defaults are recorded in every report.
-DEFAULT_GRIDS: dict[str, dict[str, list]] = {
-    "logistic_regression": {"l2": [0.01, 0.1, 1.0, 10.0]},
-    "decision_tree": {"max_depth": [3, 5, 10, None], "min_leaf": [1, 5, 20]},
-    "random_forest": {"n_trees": [100, 300], "max_depth": [3, 5, 10, None],
-                      "min_leaf": [1]},
-    "mlp": {"hidden": [32, 128], "lr": [1e-2, 1e-3]},
-    "dummy_stratified": {},
-}
 
 DEFAULT_HYPERPARAMS: dict[str, dict] = {
     "logistic_regression": {"l2": 1.0},
@@ -570,67 +558,6 @@ def predict(model: TrainedModel, matrix: FeatureMatrix,
         return [model.class_list[i] for i in draws]
     probs = predict_proba(model, matrix, row_idx)
     return [model.class_list[i] for i in probs.argmax(axis=1)]
-
-
-# ---------------------------------------------------------------------------
-# Persistence (versioned JSON)
-# ---------------------------------------------------------------------------
-
-_FORMAT_VERSION = 2
-
-
-def _jsonable(value):
-    """Arrays as lists, at any depth of dicts and lists (a forest's trees)."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_jsonable(item) for item in value]
-    return value
-
-
-def save_model(model: TrainedModel, path: str | Path) -> None:
-    doc = {
-        "format_version": _FORMAT_VERSION,
-        "algorithm": model.algorithm,
-        "class_list": model.class_list,
-        "hyperparams": model.hyperparams,
-        "seed": model.seed,
-        "schema_hash": model.schema_hash,
-        "flags": model.flags,
-        "recipe": {
-            "selected": model.recipe.selected,
-            "numeric_ranges": {k: list(v) for k, v in model.recipe.numeric_ranges.items()},
-            "categories": model.recipe.categories,
-            "dropped_constant": model.recipe.dropped_constant,
-        },
-        "params": _jsonable(model.params),
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-
-
-def load_model(path: str | Path, expect_schema_hash: str | None = None) -> TrainedModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = doc.get("format_version")
-    if version == 1:
-        raise SchemaMismatch("model format 1 (trees as nested dicts) is no longer "
-                             "read; retrain and save the model again")
-    if version != _FORMAT_VERSION:
-        raise SchemaMismatch(f"unsupported model format {version}")
-    if expect_schema_hash is not None and doc["schema_hash"] != expect_schema_hash:
-        raise SchemaMismatch("persisted model was trained on a different schema")
-    recipe = Recipe(
-        selected=doc["recipe"]["selected"],
-        numeric_ranges={k: tuple(v) for k, v in doc["recipe"]["numeric_ranges"].items()},
-        categories=doc["recipe"]["categories"],
-        dropped_constant=doc["recipe"]["dropped_constant"],
-    )
-    return TrainedModel(
-        algorithm=doc["algorithm"], class_list=doc["class_list"], recipe=recipe,
-        params=doc["params"], hyperparams=doc["hyperparams"], seed=doc["seed"],
-        schema_hash=doc["schema_hash"], flags=doc["flags"],
-    )
 
 
 # ---------------------------------------------------------------------------

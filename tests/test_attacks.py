@@ -182,21 +182,36 @@ def test_probability_averaging_reference_example():
     assert int(np.argmax(avg)) == 0
 
 
-def test_average_draw_uses_whole_block_when_n_reaches_its_length():
-    block = np.array([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.8, 0.2]])
-    for n in (4, 30):
-        rng = np.random.default_rng(0)
-        assert np.array_equal(attacks._average_draw(block, n, rng), block.mean(axis=0))
-        # No draw is spent, so the caller's random stream is untouched.
-        assert rng.random() == np.random.default_rng(0).random()
+def test_draw_means_of_identity_block_average_n_distinct_rows():
+    m = 6
+    means = attacks._draw_means(np.eye(m), range(1, m), 50,
+                                np.random.default_rng(1))
+    assert means.shape == (50, m - 1, m)
+    for j, n in enumerate(range(1, m)):
+        for row in means[:, j]:
+            # n distinct one-hot rows: n entries of 1/n, the rest zero
+            assert sorted(row) == [0.0] * (m - n) + [1 / n] * n
 
 
-def test_average_draw_samples_n_distinct_rows_with_one_choice_call():
-    block = np.arange(20.0).reshape(10, 2)
-    rng = np.random.default_rng(3)
-    rows = np.random.default_rng(3).choice(10, size=4, replace=False)
-    assert np.array_equal(attacks._average_draw(block, 4, rng),
-                          block[rows].mean(axis=0))
+def test_draw_means_uses_whole_block_when_n_reaches_its_length():
+    block = np.random.default_rng(4).dirichlet(np.ones(3), size=7)
+    rng = np.random.default_rng(0)
+    means = attacks._draw_means(block, [7, 30], 5, rng)
+    for mean in means.reshape(-1, 3):
+        assert np.array_equal(mean, block.mean(axis=0))
+    # No draw is spent, so the caller's random stream is untouched.
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+def test_draw_means_includes_each_row_at_rate_n_over_m():
+    m, draws = 7, 4000
+    ns = list(range(1, m))
+    included = attacks._draw_means(np.eye(m), ns, draws,
+                                   np.random.default_rng(2)) > 0
+    for j, n in enumerate(ns):
+        p = n / m
+        se = np.sqrt(p * (1 - p) / draws)
+        assert np.all(np.abs(included[:, j].mean(axis=0) - p) < 4 * se)
 
 
 def _toy_model_and_matrix():
@@ -275,6 +290,48 @@ def test_sophisticated_headline_flag(trained_runs):
                                attributes=("occupation",),
                                headline_excludes=("occupation",))
     assert "headline_excludes:occupation" in report.flags
+
+
+def test_sophisticated_draws_one_generator_per_run_and_attribute(
+        trained_runs, monkeypatch):
+    pop, runs = trained_runs
+    calls = []
+    rng = attacks._rng
+
+    def counted(*entropy):
+        calls.append(entropy)
+        return rng(*entropy)
+
+    monkeypatch.setattr(attacks, "_rng", counted)
+    sophisticated_aia(runs, pop.labels, n_sweep=(1, 2, 3, 30), draws=7,
+                      seed=1, attributes=("occupation", "age_bin"))
+    assert len(calls) == len(runs) * 2
+
+
+def test_indiscriminate_past_every_block_uses_full_means(trained_runs):
+    pop, runs = trained_runs
+    attribute = "age_bin"
+    classes = list(attacks.ATTRIBUTE_SCHEMA[attribute])
+    report = indiscriminate_aia(runs, pop.labels, n=10_000, draws=3, seed=2,
+                                attributes=(attribute,))
+    top1, top2 = [], []
+    for run in runs:
+        hits1 = hits2 = 0
+        test_p = run.test_players(attribute)
+        for player in test_p:
+            mean = models.predict_proba(run.models[attribute], run.matrix,
+                                        run.matrix.owner_rows[player]).mean(axis=0)
+            order = list(np.argsort(-mean, kind="stable"))
+            rank = order.index(classes.index(getattr(pop.labels[player],
+                                                     attribute)))
+            hits1 += rank == 0
+            hits2 += rank <= 1
+        top1 += [hits1 / len(test_p)] * 3
+        top2 += [hits2 / len(test_p)] * 3
+    table = report.metric_tables[attribute]
+    assert table["top1"]["mean"] == pytest.approx(np.mean(top1))
+    assert table["top1"]["std"] == pytest.approx(np.std(top1))
+    assert table["top2"]["mean"] == pytest.approx(np.mean(top2))
 
 
 def test_indiscriminate_top2_at_least_top1(trained_runs):

@@ -251,6 +251,22 @@ def test_attack_targeted_writes_curve_files(pipeline_dirs):
     assert out.with_suffix(".curves.csv").exists()
 
 
+@pytest.mark.parametrize("protocol, flags", [
+    ("sophisticated", ["--draws", "0"]),
+    ("sophisticated", ["--sweep-start", "0"]),
+    ("targeted", ["--repeats", "0"]),
+])
+def test_attack_rejects_bad_averaging_input(pipeline_dirs, tmp_path, capsys,
+                                            protocol, flags):
+    _, _, labels_csv, features = pipeline_dirs
+    out = tmp_path / "report.json"
+    assert main(["attack", "--protocol", protocol, "--features", str(features),
+                 "--labels", str(labels_csv), "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_and_reproduce_table8(capsys, tmp_path):
     assert main(["reproduce-table8"]) == 0
     output = capsys.readouterr().out

@@ -344,12 +344,25 @@ def test_cached_player_that_is_not_an_object_is_schema_error(tmp_path, payload):
     path = player_cache_path(tmp_path, 7)
     path.parent.mkdir(parents=True)
     path.write_bytes(payload)
-    with pytest.raises(SchemaError, match="7.json"):
+    with pytest.raises(SchemaError) as err:
         load_cached_player(tmp_path, 7)
+    assert str(err.value).startswith(f"{path}: ")
     client = TelemetryClient(tmp_path, offline=True, transport=FakeTransport({}),
                              sleep=lambda s: None)
-    with pytest.raises(SchemaError, match="7.json"):
+    with pytest.raises(SchemaError) as err:
         client.fetch_player(7)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_fetch_player_names_a_cached_object_that_breaks_the_schema(tmp_path):
+    path = player_cache_path(tmp_path, 7)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"window_days": 30, "matches": [5]}))
+    client = TelemetryClient(tmp_path, offline=True, transport=FakeTransport({}),
+                             sleep=lambda s: None)
+    with pytest.raises(SchemaError) as err:
+        client.fetch_player(7, window_days=30)
+    assert str(err.value) == f"{path}: $.matches[0]: expected dict, got int"
 
 
 def test_rate_limited_retries_honor_retry_after(tmp_path):

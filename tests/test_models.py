@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -314,39 +313,6 @@ def test_unseen_category_encodes_to_zeros():
                              rows=[["green"]], row_owner=[99])
     encoded = models.transform(extended, [0], recipe)
     assert np.array_equal(encoded, np.zeros((1, 2)))
-
-
-def test_model_persistence_round_trip(tmp_path):
-    m, y = separable()
-    for algorithm in models.ALGORITHMS:
-        model = models.fit(algorithm, m, range(40), y, seed=11)
-        path = tmp_path / f"{algorithm}.json"
-        models.save_model(model, path)
-        loaded = models.load_model(path, expect_schema_hash=m.column_hash())
-        assert np.allclose(models.predict_proba(loaded, m, range(40)),
-                           models.predict_proba(model, m, range(40)))
-
-
-def test_persistence_rejects_format_1(tmp_path):
-    m, y = separable()
-    model = models.fit("decision_tree", m, range(40), y)
-    path = tmp_path / "model.json"
-    models.save_model(model, path)
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 1
-    doc["params"] = {"tree": {"leaf": True, "probs": [0.5, 0.5]}}
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaMismatch, match="format 1"):
-        models.load_model(path)
-
-
-def test_persistence_refuses_schema_mismatch(tmp_path):
-    m, y = separable()
-    model = models.fit("decision_tree", m, range(40), y)
-    path = tmp_path / "model.json"
-    models.save_model(model, path)
-    with pytest.raises(SchemaMismatch):
-        models.load_model(path, expect_schema_hash="0" * 64)
 
 
 def test_predict_rejects_wrong_matrix():
