@@ -106,16 +106,23 @@ def _rows_of(matrix: FeatureMatrix, players: Sequence[int]) -> list[int]:
     return sorted(i for p in players for i in owner_rows[p])
 
 
+def check_averaging(ns: Sequence[int], draws: int) -> None:
+    """OutOfRange unless draws >= 1 and `ns` holds at least one n, each
+    >= 1; the averaging protocols check before they train or predict."""
+    ns = [int(n) for n in ns]
+    if draws < 1 or not ns or min(ns) < 1:
+        raise OutOfRange(f"averaging needs draws >= 1 and at least one n, "
+                         f"every n >= 1, got draws={draws}, n={ns}")
+
+
 def _draw_means(block: np.ndarray, ns: Sequence[int], draws: int,
                 rng: np.random.Generator) -> np.ndarray:
     """(draws, len(ns), K) means of n rows of a probability block drawn
     without replacement: the first n rows of one uniform permutation per
     draw, all n from one cumulative sum. n at or past the block's length
     gives the whole block's mean and spends no draw."""
+    check_averaging(ns, draws)
     ns = np.asarray(ns, dtype=int)
-    if draws < 1 or (ns < 1).any():
-        raise OutOfRange(f"averaging needs draws >= 1 and every n >= 1, got "
-                         f"draws={draws}, n={ns.tolist()}")
     full = ns >= len(block)
     means = np.empty((draws, len(ns), block.shape[1]))
     means[:, full] = block.mean(axis=0)
@@ -403,6 +410,7 @@ def sophisticated_aia(runs: Sequence[OneMatchRun],
                       headline_excludes: Sequence[str] = ("gender",)
                       ) -> AttackReport:
     """Accuracy as a function of how many matches are averaged per player."""
+    check_averaging(n_sweep, draws)
     attrs = [a for a in (attributes or ATTRIBUTE_SCHEMA)
              if a in runs[0].models]
     report = AttackReport(protocol="sophisticated", config={
@@ -434,6 +442,7 @@ def indiscriminate_aia(runs: Sequence[OneMatchRun],
     Only attributes with three or more classes are eligible; asking for a
     binary attribute is an arity error.
     """
+    check_averaging([n], draws)
     if attributes is None:
         attrs = [a for a in ATTRIBUTE_SCHEMA
                  if len(ATTRIBUTE_SCHEMA[a]) >= 3 and a in runs[0].models]
@@ -520,6 +529,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
     """
     if repeats < 1:
         raise OutOfRange(f"repeats must be at least 1, got {repeats}")
+    check_averaging(n_sweep, draws)
     grids = grids or DESK_GRIDS
     classes = ["negative", "positive"]
     report = AttackReport(protocol="targeted", config={

@@ -13,7 +13,9 @@ as `aia labels` never loads numpy or the model code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import gc
 import hashlib
 import json
 import sys
@@ -131,7 +133,27 @@ def _cmd_labels(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector. Featurize builds a large acyclic
+    heap (records, feature rows) that every full collection would rescan
+    without freeing anything; reference counting still frees it all."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def _cmd_featurize(args) -> int:
+    with _collector_paused():
+        return _featurize(args)
+
+
+def _featurize(args) -> int:
     from .features import (FeatureContext, build_distilled, build_match_matrix,
                            build_player_matrix)
     from .matrix import save_matrix
@@ -253,12 +275,19 @@ def _cmd_attack(args) -> int:
     from . import attacks
     from .matrix import load_matrix
 
+    n_sweep = tuple(range(args.sweep_start, args.sweep_stop + 1))
+    # Bad averaging input exits before anything is loaded or trained.
+    if args.protocol == "indiscriminate":
+        attacks.check_averaging([args.sweep_stop], args.draws)
+    elif args.protocol in ("sophisticated", "targeted"):
+        attacks.check_averaging(n_sweep, args.draws)
+    if args.protocol == "targeted" and args.repeats < 1:
+        raise AiaError(f"--repeats must be at least 1, got {args.repeats}")
     features_dir = Path(args.features)
     labels = read_labels_csv(args.labels)
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms else \
         attacks.DEFAULT_ALGORITHMS
     out = Path(args.out)
-    n_sweep = tuple(range(args.sweep_start, args.sweep_stop + 1))
 
     if args.protocol == "simple":
         matrix = load_matrix(features_dir / "P.csv")

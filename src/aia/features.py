@@ -8,6 +8,7 @@ hero expertise) that the plain per-match table does not carry.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -22,7 +23,6 @@ import numpy as np
 from .errors import InsufficientMatches, SchemaError
 from .ingest import MatchRecord, PlayerRecord
 from .matrix import DISTILL_CAP, Column, FeatureMatrix
-from .stats import average_ranks
 
 LEXICON_CATEGORIES = ("laugh", "slang", "bad_behavior", "good_behavior", "provocative")
 WHEEL_CATEGORIES = ("tactical", "laugh", "deny", "good_behavior")
@@ -161,6 +161,21 @@ class ChatFeatures:
         return out
 
 
+_WHEEL_KINDS = ("chatwheel_general", "chatwheel_hero")
+
+
+@functools.lru_cache(maxsize=8)
+def _token_categories(lexicons: tuple[Lexicon, ...]) -> dict[str, tuple[str, ...]]:
+    """token -> the lexicon categories that list it (a later lexicon of the
+    same category replaces an earlier one). Callers must not modify it."""
+    by_category = {lx.category: lx.words for lx in lexicons}
+    lookup: dict[str, tuple[str, ...]] = {}
+    for cat, words in by_category.items():
+        for word in set(words):
+            lookup[word] = lookup.get(word, ()) + (cat,)
+    return lookup
+
+
 def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexicon],
                           early_window_s: float = 90.0,
                           after_kill_window_s: float = 10.0,
@@ -174,33 +189,16 @@ def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexi
     """
     match.slot_record(slot)  # raises SlotNotFound for an absent slot
     wheel_catalog = wheel_catalog or {}
-    typed = [m for m in match.chat
-             if m.sender_slot == slot and m.kind == "typed_text"]
+    categories = _token_categories(tuple(lexicons))
     kills = sorted(t for who, t in match.kill_events() if who == slot)
 
     category_counts = {cat: 0 for cat in LEXICON_CATEGORIES}
-    lexicon_sets = {lx.category: set(lx.words) for lx in lexicons}
     question_only = 0
     qmarks = 0
     emarks = 0
     capitals = 0
     early = 0
     after_kill = 0
-    for msg in typed:
-        text = msg.text_or_id
-        tokens = _TOKEN_RE.findall(text.lower())
-        for cat, words in lexicon_sets.items():
-            category_counts[cat] += sum(1 for t in tokens if t in words)
-        if _QUESTION_ONLY_RE.match(text.strip()):
-            question_only += 1
-        qmarks += text.count("?")
-        emarks += text.count("!")
-        capitals += sum(1 for ch in text if ch.isupper())
-        if msg.time_s < early_window_s:
-            early += 1
-        if any(0.0 <= msg.time_s - kt <= after_kill_window_s for kt in kills):
-            after_kill += 1
-
     wheel_counts = {(ch, cat): 0 for ch in ("global", "team") for cat in WHEEL_CATEGORIES}
     wheel_global = 0
     wheel_team = 0
@@ -209,7 +207,22 @@ def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexi
     for msg in match.chat:
         if msg.sender_slot != slot:
             continue
-        if msg.kind in ("chatwheel_general", "chatwheel_hero"):
+        kind = msg.kind
+        if kind == "typed_text":
+            text = msg.text_or_id
+            for token in _TOKEN_RE.findall(text.lower()):
+                for cat in categories.get(token, ()):
+                    category_counts[cat] += 1
+            if _QUESTION_ONLY_RE.match(text.strip()):
+                question_only += 1
+            qmarks += text.count("?")
+            emarks += text.count("!")
+            capitals += sum(map(str.isupper, text))
+            if msg.time_s < early_window_s:
+                early += 1
+            if any(0.0 <= msg.time_s - kt <= after_kill_window_s for kt in kills):
+                after_kill += 1
+        elif kind in _WHEEL_KINDS:
             if msg.channel == "global":
                 wheel_global += 1
             else:
@@ -217,9 +230,9 @@ def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexi
             cat = wheel_catalog.get(msg.text_or_id)
             if cat in WHEEL_CATEGORIES:
                 wheel_counts[(msg.channel, cat)] += 1
-        elif msg.kind == "sound":
+        elif kind == "sound":
             sounds += 1
-        elif msg.kind == "spray":
+        elif kind == "spray":
             sprays += 1
 
     return ChatFeatures(
@@ -364,17 +377,21 @@ def build_match_features(match: MatchRecord, slot: int,
     row.update(chat.as_feature_dict())
 
     typed_by_slot = {p.slot: 0 for p in match.players}
+    hero_msgs = 0
     for msg in match.chat:
-        if msg.kind == "typed_text" and msg.sender_slot in typed_by_slot:
-            typed_by_slot[msg.sender_slot] += 1
-    slots_sorted = sorted(typed_by_slot)
-    counts = [-typed_by_slot[s] for s in slots_sorted]  # rank 1 = most talkative
-    ranks = average_ranks(counts)
-    row["chat_msgs"] = float(typed_by_slot[slot])
-    row["chat_rank_in_match"] = float(ranks[slots_sorted.index(slot)])
-    row["hero_msg_count"] = float(sum(
-        1 for m in match.chat
-        if m.sender_slot == slot and m.kind == "chatwheel_hero"))
+        if msg.kind == "typed_text":
+            if msg.sender_slot in typed_by_slot:
+                typed_by_slot[msg.sender_slot] += 1
+        elif msg.kind == "chatwheel_hero" and msg.sender_slot == slot:
+            hero_msgs += 1
+    # Average rank among the match's slots, rank 1 = most talkative: the
+    # slots that typed more come first, ties share the mean position.
+    mine = typed_by_slot[slot]
+    more = sum(1 for c in typed_by_slot.values() if c > mine)
+    tied = sum(1 for c in typed_by_slot.values() if c == mine)
+    row["chat_msgs"] = float(mine)
+    row["chat_rank_in_match"] = (more + more + tied - 1) / 2.0 + 1.0
+    row["hero_msg_count"] = float(hero_msgs)
     row["hero_gender"] = hero_gender(ctx.hero_table, player.hero_id)
     row["hero_attr"] = hero_attr(ctx.hero_table, player.hero_id)
     return row
@@ -522,10 +539,14 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
     out["ranked_win_rate"] = sum(ranked) / max(len(ranked), 1)
     out["normal_win_rate"] = sum(normal) / max(len(normal), 1)
 
-    for name in _ALL_MATCH_NUMERIC:
-        vals = np.array([float(r[name]) for r in rows])
-        out[f"mean_{name}"] = float(vals.mean())
-        out[f"std_{name}"] = float(vals.std())
+    # One contiguous row per column: mean/std along it sum pairwise, exactly
+    # as the same calls on each column alone do.
+    block = np.array([[r[name] for r in rows] for name in _ALL_MATCH_NUMERIC],
+                     dtype=float)
+    for name, mean, std in zip(_ALL_MATCH_NUMERIC, block.mean(axis=1).tolist(),
+                               block.std(axis=1).tolist()):
+        out[f"mean_{name}"] = mean
+        out[f"std_{name}"] = std
 
     day_counts = {d: 0 for d in DAY_NAMES}
     hour_counts = {h: 0 for h in range(24)}

@@ -102,13 +102,21 @@ class MatchRecord:
         return len(self.extras)
 
     def kill_events(self) -> list[tuple[int, float]]:
-        """(slot, time) of every kill objective that names a slot."""
-        events = []
-        for obj in self.objectives:
-            who = obj.get("slot", obj.get("player_slot"))
-            if "kill" in str(obj.get("type", "")).lower() and who is not None:
-                events.append((int(who), float(obj.get("time", 0.0))))
-        return events
+        """(slot, time) of every kill objective that names a slot.
+
+        Computed once per `objectives` list (parse_match computes it to
+        validate the record) and shared by later calls, which must not
+        modify it; records are not edited in place after parsing.
+        """
+        held = self.__dict__.get("_kill_events")
+        if held is None or held[0] is not self.objectives:
+            events = []
+            for obj in self.objectives:
+                who = obj.get("slot", obj.get("player_slot"))
+                if "kill" in str(obj.get("type", "")).lower() and who is not None:
+                    events.append((int(who), float(obj.get("time", 0.0))))
+            held = self._kill_events = (self.objectives, events)
+        return held[1]
 
     def slot_record(self, slot: int) -> MatchPlayerSlot:
         for p in self.players:
@@ -142,52 +150,99 @@ class FilterReport:
 
 def _typed(value, kind: type, path: str):
     if not isinstance(value, kind):
-        raise SchemaError(f"expected {kind.__name__}, got {type(value).__name__}",
-                          path=path)
+        raise _wrong_type(value, kind, path)
     return value
+
+
+def _wrong_type(value, kind: type, path: str) -> SchemaError:
+    return SchemaError(f"expected {kind.__name__}, got {type(value).__name__}",
+                       path=path)
 
 
 def _array(doc: dict, key: str) -> list:
-    return _typed(doc.get(key) or [], list, f"$.{key}")
-
-
-def _number(value, path: str):
-    """A finite JSON number; a boolean is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise SchemaError(f"expected a finite number, got {value!r}", path=path)
+    value = doc.get(key) or []
+    if not isinstance(value, list):
+        raise _wrong_type(value, list, f"$.{key}")
     return value
 
 
-def _require(doc: dict, key: str, kind: type, path: str):
+def _is_number(value) -> bool:
+    """A finite JSON number; a boolean is not one."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and math.isfinite(value)
+
+
+def _not_number(value, path: str) -> SchemaError:
+    return SchemaError(f"expected a finite number, got {value!r}", path=path)
+
+
+def _number(value, path: str):
+    if not _is_number(value):
+        raise _not_number(value, path)
+    return value
+
+
+def _require(doc: dict, key: str, kind: type, path: str = "$"):
     """A required boolean (kind bool) or integer (kind int) field."""
-    if key not in doc or doc[key] is None:
+    value = doc.get(key)
+    if value is None:
         raise SchemaError(f"missing required field {key!r}", path=f"{path}.{key}")
     if kind is bool:
-        return _typed(doc[key], bool, f"{path}.{key}")
-    return int(_number(doc[key], f"{path}.{key}"))
+        if not isinstance(value, bool):
+            raise _wrong_type(value, bool, f"{path}.{key}")
+        return value
+    if not _is_number(value):
+        raise _not_number(value, f"{path}.{key}")
+    return int(value)
 
 
 def _optional_num(doc: dict, key: str):
     value = doc.get(key)
-    return None if value is None else float(_number(value, f"$.{key}"))
+    if value is None:
+        return None
+    if not _is_number(value):
+        raise _not_number(value, f"$.{key}")
+    return float(value)
+
+
+def _objects(doc: dict, key: str) -> list[dict]:
+    values = _array(doc, key)
+    for i, value in enumerate(values):
+        if not isinstance(value, dict):
+            raise _wrong_type(value, dict, f"$.{key}[{i}]")
+    return list(values)
+
+
+def _numbers(doc: dict, key: str) -> list[float]:
+    values = _array(doc, key)
+    for i, value in enumerate(values):
+        if not _is_number(value):
+            raise _not_number(value, f"$.{key}[{i}]")
+    return [float(v) for v in values]
 
 
 def _parse_chat_entry(entry: dict, index: int) -> ChatMessage:
-    path = f"$.chat[{index}]"
-    raw_type = _typed(entry, dict, path).get("type", "chat")
+    if not isinstance(entry, dict):
+        raise _wrong_type(entry, dict, f"$.chat[{index}]")
+    raw_type = entry.get("type", "chat")
     kind = _CHAT_TYPE_MAP.get(raw_type)
     if kind is None:
-        raise SchemaError(f"unknown chat type {raw_type!r}", path=path)
+        raise SchemaError(f"unknown chat type {raw_type!r}", path=f"$.chat[{index}]")
     channel = entry.get("channel", "global")
     if channel not in CHAT_CHANNELS:
-        raise SchemaError(f"unknown chat channel {channel!r}", path=path)
+        raise SchemaError(f"unknown chat channel {channel!r}",
+                          path=f"$.chat[{index}]")
     if kind == "typed_text" and channel != "global":
         # Team text is never public; only the global channel can appear.
-        raise SchemaError("typed text must be on the global channel", path=path)
+        raise SchemaError("typed text must be on the global channel",
+                          path=f"$.chat[{index}]")
+    sender_slot = int(entry.get("slot", 0))
+    time_s = entry.get("time", 0.0)
+    if not _is_number(time_s):
+        raise _not_number(time_s, f"$.chat[{index}].time")
     return ChatMessage(
-        sender_slot=int(entry.get("slot", 0)),
-        time_s=float(_number(entry.get("time", 0.0), f"{path}.time")),
+        sender_slot=sender_slot,
+        time_s=float(time_s),
         kind=kind,
         channel=channel,
         text_or_id=str(entry.get("key", "")),
@@ -195,25 +250,33 @@ def _parse_chat_entry(entry: dict, index: int) -> ChatMessage:
 
 
 def _parse_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
-    path = f"$.players[{index}]"
-    slot = _require(_typed(entry, dict, path), "player_slot", int, path)
+    if not isinstance(entry, dict):
+        raise _wrong_type(entry, dict, f"$.players[{index}]")
+    slot = entry.get("player_slot")
+    if slot is None or not _is_number(slot):
+        _require(entry, "player_slot", int, f"$.players[{index}]")  # raises
+    slot = int(slot)
     counts = {}
     for key in ("kills", "deaths", "assists", "denies", "last_hits"):
         value = int(entry.get(key, 0) or 0)
         if value < 0:
-            raise SchemaError(f"{key} must be >= 0", path=f"{path}.{key}")
+            raise SchemaError(f"{key} must be >= 0", path=f"$.players[{index}].{key}")
         counts[key] = value
     is_radiant = entry.get("isRadiant")
     if is_radiant is None:
         is_radiant = slot < 128
     account = entry.get("account_id")
+    handle = int(account) if account is not None else None
+    hero_id = int(entry.get("hero_id", 0) or 0)
+    word_counts = entry.get("word_counts") or {}
+    if not isinstance(word_counts, dict):
+        raise _wrong_type(word_counts, dict, f"$.players[{index}].word_counts")
     return MatchPlayerSlot(
-        handle=int(account) if account is not None else None,
+        handle=handle,
         slot=slot,
-        hero_id=int(entry.get("hero_id", 0) or 0),
+        hero_id=hero_id,
         is_radiant=bool(is_radiant),
-        word_counts=dict(_typed(entry.get("word_counts") or {}, dict,
-                                f"{path}.word_counts")),
+        word_counts=dict(word_counts),
         **counts,
     )
 
@@ -229,22 +292,30 @@ _MATCH_KNOWN_FIELDS = {
 }
 
 
-def parse_match(payload: bytes | str) -> MatchRecord:
+def parse_match(payload: bytes | str | dict) -> MatchRecord:
     """Deserialize one match document into a MatchRecord.
 
-    All schema fields map losslessly; unknown fields are kept in `extras`
-    (and counted) so later feature work can still reach them. The first
-    invariant violation raises SchemaError with its JSON path. Objects and
-    arrays are type-checked where they are read; a scalar that does not
-    convert raises SchemaError too. A document either raises SchemaError
-    or gives a record that feature extraction accepts.
+    `payload` is the document's JSON text, or the document already decoded
+    into a dict; a dict skips decoding and goes through the same checks.
+    The record may share nested objects (objectives, unknown fields) with a
+    dict payload. All schema fields map losslessly; unknown fields are kept
+    in `extras` (and counted) so later feature work can still reach them.
+    The first invariant violation raises SchemaError with its JSON path.
+    Objects and arrays are type-checked where they are read; a scalar that
+    does not convert raises SchemaError too. A document either raises
+    SchemaError or gives a record that feature extraction accepts.
     """
+    if isinstance(payload, dict):
+        doc = payload
+    else:
+        try:
+            doc = json.loads(payload)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise SchemaError(f"not a JSON document: {exc}", path="$") from exc
+        if not isinstance(doc, dict):
+            raise _wrong_type(doc, dict, "$")
     try:
-        doc = json.loads(payload)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SchemaError(f"not a JSON document: {exc}", path="$") from exc
-    try:
-        record = _match_from_doc(_typed(doc, dict, "$"))
+        record = _match_from_doc(doc)
         # Feature extraction converts these values again; converting them
         # here keeps every record that parses featurizable.
         record.kill_events()
@@ -257,7 +328,7 @@ def parse_match(payload: bytes | str) -> MatchRecord:
 
 
 def _match_from_doc(doc: dict) -> MatchRecord:
-    duration = _require(doc, "duration", int, "$")
+    duration = _require(doc, "duration", int)
     if duration < 0:
         raise SchemaError("duration must be >= 0", path="$.duration")
 
@@ -278,21 +349,23 @@ def _match_from_doc(doc: dict) -> MatchRecord:
 
     cosmetics = []
     for i, item in enumerate(_array(doc, "cosmetics")):
-        item = _typed(item, dict, f"$.cosmetics[{i}]")
-        path = f"$.cosmetics[{i}].price"
-        price = float(_number(item.get("price", 0.0) or 0.0, path))
+        if not isinstance(item, dict):
+            raise _wrong_type(item, dict, f"$.cosmetics[{i}]")
+        price = item.get("price", 0.0) or 0.0
+        if not _is_number(price):
+            raise _not_number(price, f"$.cosmetics[{i}].price")
         if price < 0:
-            raise SchemaError("price must be >= 0", path=path)
+            raise SchemaError("price must be >= 0", path=f"$.cosmetics[{i}].price")
         cosmetics.append({
             "item_id": int(item.get("item_id", 0) or 0),
             "owner_slot": int(item.get("owner_slot", 0) or 0),
-            "price": price,
+            "price": float(price),
         })
 
     extras = {k: doc[k] for k in doc if k not in _MATCH_KNOWN_FIELDS}
 
     return MatchRecord(
-        match_id=_require(doc, "match_id", int, "$"),
+        match_id=_require(doc, "match_id", int),
         duration_s=duration,
         start_time=int(doc.get("start_time", 0) or 0),
         game_mode=int(doc.get("game_mode", 0) or 0),
@@ -300,7 +373,7 @@ def _match_from_doc(doc: dict) -> MatchRecord:
         region=int(doc.get("region", 0) or 0),
         patch=int(doc.get("patch", 0) or 0),
         skill=int(doc["skill"]) if doc.get("skill") is not None else None,
-        radiant_win=bool(_require(doc, "radiant_win", bool, "$")),
+        radiant_win=_require(doc, "radiant_win", bool),
         radiant_score=int(doc.get("radiant_score", 0) or 0),
         dire_score=int(doc.get("dire_score", 0) or 0),
         tower_status_radiant=int(doc.get("tower_status_radiant", 0) or 0),
@@ -316,15 +389,12 @@ def _match_from_doc(doc: dict) -> MatchRecord:
         chat=chat,
         cosmetics=cosmetics,
         players=players,
-        objectives=[_typed(o, dict, f"$.objectives[{i}]")
-                    for i, o in enumerate(_array(doc, "objectives"))],
+        objectives=_objects(doc, "objectives"),
         teamfights=list(_array(doc, "teamfights")),
         picks_bans=list(_array(doc, "picks_bans")),
         draft_timings=list(_array(doc, "draft_timings")),
-        gold_adv=[float(_number(v, f"$.radiant_gold_adv[{i}]"))
-                  for i, v in enumerate(_array(doc, "radiant_gold_adv"))],
-        xp_adv=[float(_number(v, f"$.radiant_xp_adv[{i}]"))
-                for i, v in enumerate(_array(doc, "radiant_xp_adv"))],
+        gold_adv=_numbers(doc, "radiant_gold_adv"),
+        xp_adv=_numbers(doc, "radiant_xp_adv"),
         word_counts=dict(_typed(doc.get("all_word_counts") or {}, dict,
                                 "$.all_word_counts")),
         extras=extras,
@@ -433,10 +503,12 @@ def atomic_write(path: Path, data: bytes) -> None:
 
 def load_cached_match(cache_dir: str | Path, match_id: int) -> MatchRecord:
     path = match_cache_path(cache_dir, match_id)
-    if not path.exists():
-        raise NotFound(f"match {match_id} not in cache {cache_dir}")
     try:
-        return parse_match(path.read_bytes())
+        payload = path.read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        raise NotFound(f"match {match_id} not in cache {cache_dir}") from None
+    try:
+        return parse_match(payload)
     except SchemaError as exc:
         raise SchemaError(str(exc), path=str(path)) from exc
 

@@ -618,8 +618,8 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
                            np.round(rng.normal(0, 500, 3), 1)],
         "all_word_counts": all_words,
     }
-    # Round-trip through the parser so every corpus obeys ingest invariants.
-    return parse_match(json.dumps(doc).encode("utf-8"))
+    # Through the parser's checks so every corpus obeys ingest invariants.
+    return parse_match(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -53,3 +53,11 @@ def make_match(**kwargs):
 @pytest.fixture(scope="session")
 def feature_ctx():
     return FeatureContext.default()
+
+
+@pytest.fixture(scope="session")
+def fixture_population():
+    """The frozen 50-player synthetic corpus (`synth.regression_fixture`)."""
+    from aia.synth import regression_fixture
+
+    return regression_fixture()

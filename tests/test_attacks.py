@@ -17,7 +17,7 @@ from aia.attacks import (
     sophisticated_predict,
     targeted_aia,
 )
-from aia.errors import AttributeArity, NoPositives, PlayerOverlap
+from aia.errors import AttributeArity, NoPositives, OutOfRange, PlayerOverlap
 from aia.features import FeatureContext, build_distilled, build_match_matrix, build_player_matrix
 from aia.matrix import Column, FeatureMatrix
 from aia.synth import regression_fixture
@@ -342,6 +342,17 @@ def test_indiscriminate_top2_at_least_top1(trained_runs):
         assert table["top2"]["mean"] >= table["top1"]["mean"]
         assert table["improvement"] == pytest.approx(
             table["top2"]["mean"] - table["top1"]["mean"])
+
+
+def test_empty_sweep_is_out_of_range(fixture_corpus):
+    # An empty sweep would give a report with no points; it is rejected
+    # before any run is read or model trained.
+    pop, _, _, _, variants = fixture_corpus
+    with pytest.raises(OutOfRange):
+        sophisticated_aia([], pop.labels, n_sweep=range(5, 4))
+    with pytest.raises(OutOfRange):
+        targeted_aia(BUILTIN_TARGETS["very_young"], variants, pop.labels,
+                     n_sweep=(), repeats=1, grids=FAST_GRIDS)
 
 
 def test_indiscriminate_rejects_binary_attribute(trained_runs):

@@ -267,6 +267,37 @@ def test_attack_rejects_bad_averaging_input(pipeline_dirs, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("protocol, flags", [
+    ("sophisticated", ["--draws", "0"]),
+    ("sophisticated", ["--sweep-start", "0"]),
+    ("sophisticated", ["--sweep-start", "5", "--sweep-stop", "3"]),
+    ("indiscriminate", ["--draws", "0"]),
+    ("indiscriminate", ["--sweep-stop", "0"]),
+    ("targeted", ["--repeats", "0"]),
+    ("targeted", ["--sweep-start", "5", "--sweep-stop", "3"]),
+], ids=["sophisticated no draws", "sophisticated n=0", "sophisticated empty sweep",
+        "indiscriminate no draws", "indiscriminate n=0", "targeted no repeats",
+        "targeted empty sweep"])
+def test_attack_rejects_bad_averaging_input_before_any_work(
+        monkeypatch, tmp_path, capsys, protocol, flags):
+    from aia import attacks, matrix
+
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    for module, name in ((attacks, "one_match_aia"), (attacks, "targeted_aia"),
+                         (matrix, "load_matrix"), (cli, "read_labels_csv")):
+        monkeypatch.setattr(module, name, boom)
+    out = tmp_path / "report.json"
+    assert main(["attack", "--protocol", protocol,
+                 "--features", str(tmp_path / "features"),
+                 "--labels", str(tmp_path / "labels.csv"),
+                 "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_and_reproduce_table8(capsys, tmp_path):
     assert main(["reproduce-table8"]) == 0
     output = capsys.readouterr().out

@@ -1,9 +1,16 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from aia.errors import InsufficientMatches, SlotNotFound
 from aia.features import (
+    EXPERT_MATCH_SCHEMA,
+    LEXICON_CATEGORIES,
+    NAIVE_MATCH_SCHEMA,
+    WHEEL_CATEGORIES,
+    ChatFeatures,
     build_distilled,
     build_match_features,
     build_match_matrix,
@@ -16,6 +23,7 @@ from aia.features import (
 )
 from aia.ingest import PlayerRecord, parse_match
 from aia.matrix import load_matrix, save_matrix
+from aia.stats import average_ranks
 
 from conftest import build_match_doc, make_match
 
@@ -400,3 +408,130 @@ def test_static_tables_load():
     assert heroes[5]["gender"] == "female"
     wheels = load_wheel_catalog()
     assert wheels["w_haha"] == "laugh"
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the straightforward extractors the fast ones must equal
+# ---------------------------------------------------------------------------
+
+
+def reference_chat_features(match, slot, lexicons, early_window_s=90.0,
+                            after_kill_window_s=10.0, wheel_catalog=None):
+    """extract_chat_features as first written: one scan per lexicon
+    category, kill events and lexicon sets rebuilt on every call."""
+    match.slot_record(slot)
+    wheel_catalog = wheel_catalog or {}
+    typed = [m for m in match.chat
+             if m.sender_slot == slot and m.kind == "typed_text"]
+    kills = sorted(t for who, t in match.kill_events() if who == slot)
+    category_counts = {cat: 0 for cat in LEXICON_CATEGORIES}
+    lexicon_sets = {lx.category: set(lx.words) for lx in lexicons}
+    question_only = qmarks = emarks = capitals = early = after_kill = 0
+    for msg in typed:
+        text = msg.text_or_id
+        tokens = re.findall(r"[a-z0-9']+", text.lower())
+        for cat, words in lexicon_sets.items():
+            category_counts[cat] += sum(1 for t in tokens if t in words)
+        if re.match(r"^\?+$", text.strip()):
+            question_only += 1
+        qmarks += text.count("?")
+        emarks += text.count("!")
+        capitals += sum(1 for ch in text if ch.isupper())
+        if msg.time_s < early_window_s:
+            early += 1
+        if any(0.0 <= msg.time_s - kt <= after_kill_window_s for kt in kills):
+            after_kill += 1
+    wheel_counts = {(ch, cat): 0 for ch in ("global", "team")
+                    for cat in WHEEL_CATEGORIES}
+    wheel_global = wheel_team = sounds = sprays = 0
+    for msg in match.chat:
+        if msg.sender_slot != slot:
+            continue
+        if msg.kind in ("chatwheel_general", "chatwheel_hero"):
+            if msg.channel == "global":
+                wheel_global += 1
+            else:
+                wheel_team += 1
+            cat = wheel_catalog.get(msg.text_or_id)
+            if cat in WHEEL_CATEGORIES:
+                wheel_counts[(msg.channel, cat)] += 1
+        elif msg.kind == "sound":
+            sounds += 1
+        elif msg.kind == "spray":
+            sprays += 1
+    return ChatFeatures(category_counts, question_only, qmarks, emarks,
+                        capitals, early, after_kill, wheel_counts,
+                        wheel_global, wheel_team, sounds, sprays)
+
+
+def reference_chat_rank(match, slot):
+    typed = {p.slot: 0 for p in match.players}
+    for msg in match.chat:
+        if msg.kind == "typed_text" and msg.sender_slot in typed:
+            typed[msg.sender_slot] += 1
+    slots = sorted(typed)
+    ranks = average_ranks([-typed[s] for s in slots])
+    return float(ranks[slots.index(slot)])
+
+
+def test_chat_features_equal_reference_on_every_fixture_slot(
+        fixture_population, feature_ctx):
+    config = feature_ctx.config
+    checked = 0
+    for match in fixture_population.matches.values():
+        for player in match.players:
+            fast = extract_chat_features(
+                match, player.slot, feature_ctx.lexicons,
+                early_window_s=config.early_window_s,
+                after_kill_window_s=config.after_kill_window_s,
+                wheel_catalog=feature_ctx.wheel_catalog)
+            slow = reference_chat_features(
+                match, player.slot, feature_ctx.lexicons,
+                early_window_s=config.early_window_s,
+                after_kill_window_s=config.after_kill_window_s,
+                wheel_catalog=feature_ctx.wheel_catalog)
+            assert fast.as_feature_dict() == slow.as_feature_dict()
+            row = build_match_features(match, player.slot, feature_ctx)
+            assert row["chat_rank_in_match"] == reference_chat_rank(match, player.slot)
+            checked += 1
+    assert checked == 10 * len(fixture_population.matches)
+
+
+def test_stacked_mean_std_equal_per_column_calls_bit_for_bit():
+    # build_player_features takes mean/std of one (columns, n) block along
+    # its rows; each must equal the 1-D call on that column alone.
+    rng = np.random.default_rng(5)
+    for n in range(1, 61):
+        block = np.concatenate([
+            rng.normal(0.0, 1e3, (20, n)),
+            rng.integers(0, 300, (20, n)).astype(float),
+            np.round(rng.uniform(0.0, 3000.0, (7, n)), 1),
+        ])
+        means, stds = block.mean(axis=1), block.std(axis=1)
+        for j, column in enumerate(block):
+            one = np.array(column.tolist())
+            assert means[j].tobytes() == one.mean().tobytes()
+            assert stds[j].tobytes() == one.std().tobytes()
+
+
+def test_player_features_equal_per_column_reference(fixture_population,
+                                                    feature_ctx):
+    rng = np.random.default_rng(11)
+    players = sorted(fixture_population.players, key=lambda p: p.handle)
+    for player in players:
+        matches = [fixture_population.matches[mid]
+                   for mid in sorted(player.match_ids)]
+        # A random block of 5 or more of the player's matches.
+        keep = sorted(rng.choice(len(matches), int(rng.integers(5, len(matches) + 1)),
+                                 replace=False))
+        block = [matches[i] for i in keep]
+        out = build_player_features(player, block, feature_ctx)
+        rows = [build_match_features(
+                    m, next(p.slot for p in m.players if p.handle == player.handle),
+                    feature_ctx) for m in block]
+        for name, kind in NAIVE_MATCH_SCHEMA + EXPERT_MATCH_SCHEMA:
+            if kind != "numeric":
+                continue
+            values = np.array([float(r[name]) for r in rows])
+            assert repr(out[f"mean_{name}"]) == repr(float(values.mean()))
+            assert repr(out[f"std_{name}"]) == repr(float(values.std()))

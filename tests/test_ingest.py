@@ -83,36 +83,124 @@ def _with_first_player(**fields):
     return doc
 
 
+def _players(n):
+    return [{"player_slot": s if s < 5 else s + 123, "hero_id": 1 + s,
+             "account_id": 100 + s} for s in range(n)]
+
+
+def _without(key):
+    doc = build_match_doc()
+    del doc[key]
+    return doc
+
+
+# name -> (document, JSON path of the SchemaError, start of its message).
+# A value whose conversion fails inside the interpreter is reported at "$"
+# with the interpreter's own wording after "malformed value: ".
 MALFORMED_MATCHES = {
-    "null chat slot": build_match_doc(chat=[{"slot": None, "time": 5.0,
-                                             "type": "chat", "key": "gg"}]),
-    "chat entry not an object": build_match_doc(chat=["gg"]),
-    "nan duration": build_match_doc(duration=float("nan")),
-    "infinite duration": build_match_doc(duration=float("inf")),
-    "non-numeric kills": _with_first_player(kills="many"),
-    "list of words for all_word_counts": build_match_doc(all_word_counts=["gg!"]),
-    "objective not an object": build_match_doc(objectives=[5]),
-    "non-numeric kill slot": build_match_doc(
+    "null chat slot": (build_match_doc(chat=[{"slot": None, "time": 5.0,
+                                              "type": "chat", "key": "gg"}]),
+                       "$", "malformed value: "),
+    "chat entry not an object": (build_match_doc(chat=["gg"]),
+                                 "$.chat[0]", "expected dict, got str"),
+    "nan duration": (build_match_doc(duration=float("nan")),
+                     "$.duration", "expected a finite number, got nan"),
+    "infinite duration": (build_match_doc(duration=float("inf")),
+                          "$.duration", "expected a finite number, got inf"),
+    "non-numeric kills": (_with_first_player(kills="many"),
+                          "$", "malformed value: "),
+    "list of words for all_word_counts": (
+        build_match_doc(all_word_counts=["gg!"]),
+        "$.all_word_counts", "expected dict, got list"),
+    "objective not an object": (build_match_doc(objectives=[5]),
+                                "$.objectives[0]", "expected dict, got int"),
+    "non-numeric kill slot": (build_match_doc(
         objectives=[{"type": "CHAT_MESSAGE_KILL", "slot": "x", "time": 1.0}]),
-    "null kill time": build_match_doc(
+        "$", "malformed value: "),
+    "null kill time": (build_match_doc(
         objectives=[{"type": "CHAT_MESSAGE_KILL", "slot": 1, "time": None}]),
-    "non-numeric word count": build_match_doc(all_word_counts={"gg": "x"}),
-    "non-numeric player word count": _with_first_player(word_counts={"gg": []}),
-    "start time beyond the calendar": build_match_doc(start_time=10 ** 20),
-    "nan cosmetic price": build_match_doc(
+        "$", "malformed value: "),
+    "non-numeric word count": (build_match_doc(all_word_counts={"gg": "x"}),
+                               "$", "malformed value: "),
+    "non-numeric player word count": (_with_first_player(word_counts={"gg": []}),
+                                      "$", "malformed value: "),
+    "start time beyond the calendar": (build_match_doc(start_time=10 ** 20),
+                                       "$", "malformed value: "),
+    "nan cosmetic price": (build_match_doc(
         cosmetics=[{"item_id": 1, "owner_slot": 2, "price": float("nan")}]),
-    "infinite chat time": build_match_doc(
+        "$.cosmetics[0].price", "expected a finite number, got nan"),
+    "infinite chat time": (build_match_doc(
         chat=[{"slot": 1, "time": float("inf"), "type": "chat", "key": "gg"}]),
-    "nan gold advantage": build_match_doc(radiant_gold_adv=[0.0, float("nan")]),
-    "infinite xp advantage": build_match_doc(radiant_xp_adv=[float("-inf")]),
+        "$.chat[0].time", "expected a finite number, got inf"),
+    "nan gold advantage": (build_match_doc(radiant_gold_adv=[0.0, float("nan")]),
+                           "$.radiant_gold_adv[1]",
+                           "expected a finite number, got nan"),
+    "infinite xp advantage": (build_match_doc(radiant_xp_adv=[float("-inf")]),
+                              "$.radiant_xp_adv[0]",
+                              "expected a finite number, got -inf"),
+    "negative kills": (_with_first_player(kills=-1),
+                       "$.players[0].kills", "kills must be >= 0"),
+    "negative price": (build_match_doc(
+        cosmetics=[{"item_id": 1, "owner_slot": 2, "price": -1.0}]),
+        "$.cosmetics[0].price", "price must be >= 0"),
+    "unknown chat type": (build_match_doc(
+        chat=[{"slot": 1, "time": 5.0, "type": "shout", "key": "gg"}]),
+        "$.chat[0]", "unknown chat type 'shout'"),
+    "team typed text": (build_match_doc(
+        chat=[{"slot": 1, "time": 5.0, "type": "chat", "channel": "team",
+               "key": "gg"}]),
+        "$.chat[0]", "typed text must be on the global channel"),
+    "no players": (build_match_doc(players=[]),
+                   "$.players", "expected 1..10 players, got 0"),
+    "eleven players": (build_match_doc(players=_players(11)),
+                       "$.players", "expected 1..10 players, got 11"),
+    "missing match_id": (_without("match_id"),
+                         "$.match_id", "missing required field 'match_id'"),
+    "non-boolean radiant_win": (build_match_doc(radiant_win=1),
+                                "$.radiant_win", "expected bool, got int"),
+    "negative score": (build_match_doc(dire_score=-3),
+                       "$.dire_score", "dire_score must be >= 0"),
 }
 
 
-@pytest.mark.parametrize("doc", MALFORMED_MATCHES.values(),
+@pytest.mark.parametrize("doc, path, message", MALFORMED_MATCHES.values(),
                          ids=MALFORMED_MATCHES.keys())
-def test_malformed_match_is_schema_error(doc):
-    with pytest.raises(SchemaError):
+def test_malformed_match_is_schema_error(doc, path, message):
+    with pytest.raises(SchemaError) as err:
         parse_match(json.dumps(doc).encode())
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("doc, path, message", MALFORMED_MATCHES.values(),
+                         ids=MALFORMED_MATCHES.keys())
+def test_decoded_malformed_match_gives_the_same_error(doc, path, message):
+    with pytest.raises(SchemaError) as from_text:
+        parse_match(json.dumps(doc).encode())
+    with pytest.raises(SchemaError) as from_dict:
+        parse_match(json.loads(json.dumps(doc)))
+    assert str(from_dict.value) == str(from_text.value)
+    assert from_dict.value.path == path
+
+
+def test_decoded_document_parses_like_its_text():
+    doc = build_match_doc(
+        chat=[{"slot": 1, "time": 5.0, "type": "chat", "key": "gg"},
+              {"slot": 130, "time": 9.0, "type": "chatwheel", "channel": "team",
+               "key": "w_haha"}],
+        cosmetics=[{"item_id": 1, "owner_slot": 2, "price": 3.0}],
+        objectives=[{"type": "CHAT_MESSAGE_KILL", "slot": 1, "time": 3.0}],
+        radiant_gold_adv=[0.0, 120.5], all_word_counts={"gg": 2},
+        series_type=2)
+    assert parse_match(doc) == parse_match(json.dumps(doc).encode())
+
+
+def test_missing_cached_match_is_not_found(tmp_path):
+    with pytest.raises(NotFound):
+        load_cached_match(tmp_path, 5)
+    (tmp_path / "matches").write_text("not a directory")
+    with pytest.raises(NotFound):
+        load_cached_match(tmp_path, 5)
 
 
 def test_too_deeply_nested_document_is_schema_error():
