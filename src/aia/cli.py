@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .attributes import bin_survey, read_labels_csv, read_survey_csv, write_labels_csv
-from .errors import AiaError
+from .errors import AiaError, MissingLabels
 
 
 def _config_hash(doc: dict) -> str:
@@ -181,8 +181,9 @@ def _featurize(args) -> int:
         return 0
     variants = build_distilled(m, aug, max_per_player=args.cap,
                                n_variants=args.variants, seed=args.seed)
+    lines: dict = {}  # rows the variants share are formatted once
     for i, variant in enumerate(variants):
-        save_matrix(variant, out / f"Mbar_{i:02d}.csv")
+        save_matrix(variant, out / f"Mbar_{i:02d}.csv", lines)
     print(f"featurize: {len(variants)} Mbar variants "
           f"({variants[0].n_rows}x{len(variants[0].columns)}) -> {out}")
     return 0
@@ -217,11 +218,21 @@ def correlation_doc(matrix, labels, alpha: float, top_k: int) -> dict:
     return doc
 
 
+def _check_labelled(matrices, labels, labels_path) -> None:
+    """Every owner of every matrix has a row in the labels file."""
+    for matrix in matrices:
+        for owner in matrix.owners():
+            if owner not in labels:
+                raise MissingLabels(f"owner {owner} has no row in labels file "
+                                    f"{labels_path}")
+
+
 def _cmd_correlate(args) -> int:
     from .matrix import load_matrix
 
     matrix = load_matrix(args.features)
     labels = read_labels_csv(args.labels)
+    _check_labelled([matrix], labels, args.labels)
     out = Path(args.out)
     doc = correlation_doc(matrix, labels, args.alpha, args.top)
     _write_json(out / "correlations.json", doc)
@@ -291,17 +302,20 @@ def _cmd_attack(args) -> int:
 
     if args.protocol == "simple":
         matrix = load_matrix(features_dir / "P.csv")
+        _check_labelled([matrix], labels, args.labels)
         report = attacks.simple_aia(matrix, labels, algorithms=algorithms,
                                     seed=args.seed)
     elif args.protocol == "one-match":
         # One run per Mbar variant, or `--repeats` reseeded splits of M.
         data = _load_mbar_variants(features_dir) if args.expert else \
             load_matrix(features_dir / "M.csv")
+        _check_labelled(data if args.expert else [data], labels, args.labels)
         report, _ = attacks.one_match_aia(
             data, labels, algorithms=algorithms, seed=args.seed,
             n_repeats=None if args.expert else args.repeats)
     elif args.protocol in ("sophisticated", "indiscriminate"):
         variants = _load_mbar_variants(features_dir)
+        _check_labelled(variants, labels, args.labels)
         _, runs = attacks.one_match_aia(variants, labels,
                                         algorithms=("random_forest",),
                                         seed=args.seed,
@@ -321,6 +335,7 @@ def _cmd_attack(args) -> int:
             raise AiaError(f"unknown target {args.target!r}; choose from "
                            f"{sorted(attacks.BUILTIN_TARGETS)}")
         variants = _load_mbar_variants(features_dir)
+        _check_labelled(variants, labels, args.labels)
         report = attacks.targeted_aia(target, variants, labels,
                                       n_sweep=n_sweep, repeats=args.repeats,
                                       draws=args.draws, seed=args.seed)

@@ -44,6 +44,10 @@ class DomainError(AiaError):
     """Argument outside the mathematical domain of the operation."""
 
 
+class MissingLabels(AiaError):
+    """A feature row's owner has no row in the labels file."""
+
+
 class SlotNotFound(AiaError):
     """Requested player slot is not present in the match."""
 

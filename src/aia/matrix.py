@@ -14,9 +14,12 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import SchemaError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VARIANTS = ("P", "M", "M_bar")
 COLUMN_KINDS = ("numeric", "categorical", "boolean")
@@ -87,6 +90,19 @@ class FeatureMatrix:
             index.setdefault(owner, []).append(i)
         return index
 
+    @cached_property
+    def float_columns(self) -> tuple[list[int], "np.ndarray"]:
+        """Positions of the numeric and boolean columns, and their cells as
+        one (columns, rows) float64 block, each column a contiguous row
+        (booleans read 1.0/0.0). Like `owner_rows`, it assumes the rows do
+        not change after construction."""
+        import numpy as np
+
+        positions = [i for i, c in enumerate(self.columns) if c.kind != "categorical"]
+        block = np.array([[row[i] for row in self.rows] for i in positions],
+                         dtype=float).reshape(len(positions), len(self.rows))
+        return positions, block
+
     def owners(self) -> list[int]:
         """Distinct owners in first-appearance order."""
         return list(self.owner_rows)
@@ -124,21 +140,48 @@ def _parse_cell(text: str, kind: str):
     return text
 
 
-def save_matrix(matrix: FeatureMatrix, csv_path: str | Path) -> None:
-    """CSV of the rows plus a `.schema.json` sidecar with the metadata."""
+class _LastLine:
+    """File-like sink that keeps the line a csv writer wrote last."""
+
+    text = ""
+
+    def write(self, text: str) -> None:
+        self.text = text
+
+
+def save_matrix(matrix: FeatureMatrix, csv_path: str | Path,
+                lines: Optional[dict] = None) -> None:
+    """CSV of the rows plus a `.schema.json` sidecar with the metadata.
+
+    `lines`, when given, keeps each row's finished CSV line by (owner,
+    match) across calls, so a row that several matrices share is formatted
+    once. Share it only between matrices with match ids whose rows under
+    one key are equal, as the distilled variants of one M matrix are.
+    """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     header = ["_owner"] + (["_match"] if matrix.row_match is not None else [])
     header += [c.name for c in matrix.columns]
+    sink = _LastLine()
+    writer = csv.writer(sink)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         writer.writerow(header)
+        fh.write(sink.text)
         for i, row in enumerate(matrix.rows):
+            if lines is not None:
+                key = (matrix.row_owner[i], matrix.row_match[i])
+                line = lines.get(key)
+                if line is not None:
+                    fh.write(line)
+                    continue
             lead = [str(matrix.row_owner[i])]
             if matrix.row_match is not None:
                 lead.append(str(matrix.row_match[i]))
             writer.writerow(lead + [_format_cell(v, c.kind)
                                     for v, c in zip(row, matrix.columns)])
+            fh.write(sink.text)
+            if lines is not None:
+                lines[key] = sink.text
     sidecar = {
         "format_version": 1,
         "variant": matrix.variant,

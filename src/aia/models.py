@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import resampling, stats
-from .errors import DegenerateInput, SchemaMismatch
+from .errors import DegenerateInput, LengthMismatch, SchemaMismatch
 from .matrix import FeatureMatrix
 from .metrics import metrics
 
@@ -570,29 +570,38 @@ def select_features(matrix: FeatureMatrix, row_idx: Sequence[int],
                     classes: Sequence[str] | None = None) -> list[str]:
     """Univariate association filter, computed on the given rows only.
 
-    Numeric and boolean columns score |Spearman rho| against class codes;
-    categorical columns score Cramer's V. Degenerate (constant) columns are
-    never selected.
+    Numeric and boolean columns score |Spearman rho| against class codes
+    through the one rank kernel: their training rows form one block
+    (`FeatureMatrix.float_columns`), ranked once, and the codes are ranked
+    once (`stats.centered_ranks`, `stats.rank_correlations`). Categorical
+    columns score Cramer's V. Degenerate (constant) columns are never
+    selected; ties keep column order.
     """
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
+    rows = list(row_idx)
+    if len(rows) != len(y):
+        raise LengthMismatch(f"paired vectors differ in length: {len(rows)} vs {len(y)}")
     class_list = list(classes) if classes is not None else sorted(set(y), key=str)
     codes = [class_list.index(v) for v in y]
-    scored: list[tuple[float, int, str]] = []
+    scored: list[tuple[float, int]] = []
+    positions, block = matrix.float_columns
+    if positions:
+        ranked = stats.centered_ranks(block[:, rows])
+        label = stats.centered_ranks(np.array([codes], dtype=float))
+        scored += [(abs(rho), order) for order, rho
+                   in zip(positions, stats.rank_correlations(ranked, label))
+                   if rho is not None]
     for order, col in enumerate(matrix.columns):
-        idx = matrix.column_index(col.name)
-        values = [matrix.rows[i][idx] for i in row_idx]
-        try:
-            if col.kind == "categorical":
-                score, _ = stats.cramers_v(values, list(y))
-            else:
-                score, _ = stats.spearman([float(v) for v in values], codes)
-                score = abs(score)
-        except DegenerateInput:
-            continue
-        scored.append((score, order, col.name))
+        if col.kind == "categorical":
+            try:
+                score, _ = stats.cramers_v([matrix.rows[i][order] for i in rows],
+                                           list(y))
+            except DegenerateInput:
+                continue
+            scored.append((score, order))
     scored.sort(key=lambda item: (-item[0], item[1]))
-    return [name for _, _, name in scored[:max_features]]
+    return [matrix.columns[order].name for _, order in scored[:max_features]]
 
 
 def _expand_grid(grid: dict[str, list] | list[dict]) -> list[dict]:

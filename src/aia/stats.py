@@ -4,6 +4,13 @@ Spearman's rho (numeric pairs) and Cramer's V (categorical pairs) with
 p-values, the per-attribute correlation report, significance counts at
 several alpha levels, and the finite-population sample-size calculator.
 
+Every rank goes through one kernel, `average_ranks`, which ranks all rows
+of a (columns x rows) block at once. `spearman`, `correlation_scan` and
+`models.select_features` rank a block of columns once and a label vector
+once (`centered_ranks`), then take each column's rho with 1-D sums and
+dots (`rank_correlations`), so a column's rho has the same bits whichever
+block it was ranked in.
+
 Distribution functions (normal quantile, chi-square and Student-t tail
 probabilities) are implemented with the classic series / continued-fraction
 expansions so results are reproducible without a heavyweight dependency;
@@ -216,21 +223,87 @@ def t_sf_two_sided(t: float, df: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks with ties assigned the mean of their positions."""
+def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """1-based ranks along the last axis of a vector or a (k, n) block.
+
+    Each row gets one stable argsort; a tie run is a stretch of equal
+    neighbours in sorted order, and every member of the run from sorted
+    position `start` to `end` gets the mean rank (start + end) / 2 + 1.
+    """
     v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v), dtype=float)
-    i = 0
-    n = len(v)
-    while i < n:
-        j = i
-        while j + 1 < n and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        ranks[order[i:j + 1]] = mean_rank
-        i = j + 1
-    return ranks
+    if v.size == 0:
+        return np.empty(v.shape)
+    block = v.reshape(-1, v.shape[-1])
+    n = block.shape[1]
+    order = np.argsort(block, axis=1, kind="stable")
+    ordered = np.take_along_axis(block, order, axis=1)
+    pos = np.arange(n)
+    # A run starts where a value differs from its left neighbour and ends
+    # where the next one starts (-0.0 == 0.0, so those two tie).
+    starts = np.ones(block.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    ends = np.ones(block.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    run_start = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    run_end = np.minimum.accumulate(np.where(ends, pos, n - 1)[:, ::-1],
+                                    axis=1)[:, ::-1]
+    ranks = np.empty(block.shape)
+    np.put_along_axis(ranks, order, (run_start + run_end) / 2.0 + 1.0, axis=1)
+    return ranks.reshape(v.shape)
+
+
+@dataclass(frozen=True)
+class CenteredRanks:
+    """Average ranks of each row of a block, less the row's mean."""
+
+    centered: np.ndarray  # (k, n), each row contiguous
+    norms: list[float]    # sqrt(r . r) of each centred row
+
+
+def centered_ranks(block) -> CenteredRanks:
+    """Rank every row of a (k, n) block at once, for `rank_correlations`.
+
+    Needs n >= 3 and finite values (`DomainError`). Each row's mean is a
+    pairwise sum over the contiguous row and each norm a 1-D dot, the
+    operations a lone vector gets, so a row's statistics do not depend on
+    the block it sits in.
+    """
+    block = np.asarray(block, dtype=float)
+    n = block.shape[1]
+    if n < 3:
+        raise DomainError(f"spearman needs at least 3 pairs, got {n}")
+    if not np.isfinite(block).all():
+        raise DomainError("spearman requires finite values")
+    ranks = average_ranks(block)
+    centered = ranks - ranks.mean(axis=1, keepdims=True)
+    return CenteredRanks(centered, [math.sqrt(float(r @ r)) for r in centered])
+
+
+def rank_correlations(x: CenteredRanks, y: CenteredRanks) -> list[float | None]:
+    """Spearman's rho of each row of `x` against the one row of `y`.
+
+    None where either side has zero rank variance. rho is clipped to
+    [-1, 1] and snaps to +/-1 within 1e-12 of it (identical or exactly
+    reversed rankings up to float noise).
+    """
+    ry, sy = y.centered[0], y.norms[0]
+    rhos: list[float | None] = []
+    for rx, sx in zip(x.centered, x.norms):
+        if sx == 0.0 or sy == 0.0:
+            rhos.append(None)
+            continue
+        rho = max(-1.0, min(1.0, float(rx @ ry) / (sx * sy)))
+        if abs(rho) >= 1.0 - 1e-12:
+            rho = math.copysign(1.0, rho)
+        rhos.append(rho)
+    return rhos
+
+
+def _spearman_p(rho: float, n: int) -> float:
+    """Two-sided p of rho by t = rho * sqrt((n - 2) / (1 - rho^2)), n - 2 df."""
+    if abs(rho) == 1.0:
+        return 0.0
+    return t_sf_two_sided(rho * math.sqrt((n - 2) / (1.0 - rho * rho)), n - 2)
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
@@ -243,27 +316,12 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     if len(x) != len(y):
         raise LengthMismatch(f"paired vectors differ in length: {len(x)} vs {len(y)}")
     n = len(x)
-    if n < 3:
-        raise DomainError(f"spearman needs at least 3 pairs, got {n}")
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise DomainError("spearman requires finite values")
-    rx = average_ranks(xv)
-    ry = average_ranks(yv)
-    rx_c = rx - rx.mean()
-    ry_c = ry - ry.mean()
-    sx = math.sqrt(float(rx_c @ rx_c))
-    sy = math.sqrt(float(ry_c @ ry_c))
-    if sx == 0.0 or sy == 0.0:
+    rx = centered_ranks(np.asarray(x, dtype=float).reshape(1, n))
+    ry = centered_ranks(np.asarray(y, dtype=float).reshape(1, n))
+    rho = rank_correlations(rx, ry)[0]
+    if rho is None:
         raise DegenerateInput("zero rank variance: correlation undefined")
-    rho = float(rx_c @ ry_c) / (sx * sy)
-    rho = max(-1.0, min(1.0, rho))
-    if abs(rho) >= 1.0 - 1e-12:
-        # Identical (or exactly reversed) rankings up to float noise.
-        return math.copysign(1.0, rho), 0.0
-    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    return rho, t_sf_two_sided(t, n - 2)
+    return rho, _spearman_p(rho, n)
 
 
 def _contingency(x: Sequence, y: Sequence) -> np.ndarray:
@@ -344,27 +402,16 @@ class SignificanceTable:
         return self.counts.get((attribute, metric, alpha), 0)
 
 
-def _metric_pairs(feature_cols, attribute_name: str, ordinal: bool):
-    """Which metric applies to each (feature kind, attribute) pair.
-
-    Numeric features pair with ordinal attributes through Spearman (binary
-    attributes get no rank correlation); categorical and boolean features
-    always pair through Cramer's V.
-    """
-    for col in feature_cols:
-        if col.kind == "numeric":
-            if ordinal:
-                yield col, "spearman_rho"
-        else:
-            yield col, "cramers_v"
-
-
 def correlation_scan(matrix, labels_by_owner, attributes=None) -> list[CorrelationResult]:
     """Score every applicable (feature, attribute) pair.
 
     `matrix` is a FeatureMatrix; `labels_by_owner` maps owner id to
-    AttributeLabels. Degenerate features (constant on this sample) are
-    skipped. Results carry no significance filtering.
+    AttributeLabels. Numeric features pair with ordinal attributes through
+    Spearman (binary attributes get no rank correlation); categorical and
+    boolean features always pair through Cramer's V. The numeric columns
+    are ranked once, as one block, and each ordinal attribute's class codes
+    once. Degenerate features (constant on this sample) are skipped.
+    Results carry no significance filtering.
     """
     from .attributes import ATTRIBUTE_SCHEMA  # local import to avoid a cycle
 
@@ -372,21 +419,33 @@ def correlation_scan(matrix, labels_by_owner, attributes=None) -> list[Correlati
     owners = matrix.row_owner
     n = len(owners)
     attr_names = list(attributes) if attributes is not None else list(ATTRIBUTE_SCHEMA)
+    positions, block = matrix.float_columns
+    numeric = [j for j, pos in enumerate(positions)
+               if matrix.columns[pos].kind == "numeric"]
+    ranked = None  # ranked at the first ordinal attribute
     for attr in attr_names:
         schema_classes = ATTRIBUTE_SCHEMA[attr]
         raw = [getattr(labels_by_owner[o], attr) for o in owners]
-        ordinal = len(schema_classes) >= 3
-        codes = [schema_classes.index(v) for v in raw]
-        for col, metric in _metric_pairs(matrix.columns, attr, ordinal):
-            values = matrix.column_values(col.name)
+        rhos: dict[int, float | None] = {}
+        if len(schema_classes) >= 3 and numeric:
+            if ranked is None:
+                ranked = centered_ranks(block[numeric])
+            codes = [schema_classes.index(v) for v in raw]
+            label = centered_ranks(np.array([codes], dtype=float))
+            rhos = dict(zip((positions[j] for j in numeric),
+                            rank_correlations(ranked, label)))
+        for pos, col in enumerate(matrix.columns):
+            if col.kind == "numeric":
+                rho = rhos.get(pos)
+                if rho is not None:
+                    results.append(CorrelationResult(col.name, attr, "spearman_rho",
+                                                     rho, _spearman_p(rho, n), n))
+                continue
             try:
-                if metric == "spearman_rho":
-                    stat, p = spearman([float(v) for v in values], codes)
-                else:
-                    stat, p = cramers_v(values, raw)
+                stat, p = cramers_v(matrix.column_values(col.name), raw)
             except DegenerateInput:
                 continue
-            results.append(CorrelationResult(col.name, attr, metric, stat, p, n))
+            results.append(CorrelationResult(col.name, attr, "cramers_v", stat, p, n))
     return results
 
 

@@ -61,3 +61,15 @@ def fixture_population():
     from aia.synth import regression_fixture
 
     return regression_fixture()
+
+
+@pytest.fixture(scope="session")
+def fixture_matrices(fixture_population):
+    """P, M and two distilled variants of the frozen corpus, and its labels."""
+    from aia.features import build_distilled, build_match_matrix, build_player_matrix
+
+    pop = fixture_population
+    ctx = FeatureContext.default()
+    P = build_player_matrix(pop.players, pop.matches, ctx)
+    M, aug = build_match_matrix(pop.players, pop.matches, ctx)
+    return P, M, build_distilled(M, aug, n_variants=2, seed=3), pop.labels

@@ -200,6 +200,32 @@ def test_correlate_scans_each_pair_once(pipeline_dirs, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["correlate", "--features", "{features}/P.csv"],
+    ["attack", "--protocol", "simple", "--features", "{features}"],
+    ["attack", "--protocol", "one-match", "--features", "{features}"],
+    ["attack", "--protocol", "one-match", "--expert", "--features", "{features}"],
+    ["attack", "--protocol", "sophisticated", "--features", "{features}"],
+    ["attack", "--protocol", "targeted", "--features", "{features}"],
+], ids=["correlate", "simple", "one-match", "one-match expert", "sophisticated",
+        "targeted"])
+def test_owner_missing_from_labels_exits_1(pipeline_dirs, tmp_path, capsys,
+                                           command):
+    _, _, labels_csv, features = pipeline_dirs
+    lines = labels_csv.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\r\n").split(",")
+    dropped = lines[1].split(",")[header.index("steam_id")]
+    short = tmp_path / "short_labels.csv"
+    short.write_text(lines[0] + "".join(lines[2:]))
+    argv = [arg.format(features=features) for arg in command]
+    assert main(argv + ["--labels", str(short), "--out",
+                        str(tmp_path / "out" / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"owner {dropped} " in err and str(short) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_attack_runs_serially_whatever_jobs(pipeline_dirs, tmp_path,
                                             monkeypatch):
     _, _, labels_csv, features = pipeline_dirs

@@ -22,7 +22,7 @@ from aia.features import (
     load_wheel_catalog,
 )
 from aia.ingest import PlayerRecord, parse_match
-from aia.matrix import load_matrix, save_matrix
+from aia.matrix import Column, FeatureMatrix, load_matrix, save_matrix
 from aia.stats import average_ranks
 
 from conftest import build_match_doc, make_match
@@ -397,6 +397,47 @@ def test_matrix_save_load_round_trip(tmp_path, feature_ctx):
     # byte-stable on re-save
     save_matrix(loaded, tmp_path / "m2.csv")
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()
+
+
+def _variants_written(tmp_path, name, matrices, shared):
+    """Bytes of each matrix's CSV and sidecar, written with one line memo
+    shared by all of them or each on its own."""
+    out = tmp_path / name
+    lines: dict = {}
+    for i, matrix in enumerate(matrices):
+        save_matrix(matrix, out / f"Mbar_{i:02d}.csv", lines if shared else None)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_shared_line_memo_writes_each_variant_as_alone(tmp_path, feature_ctx):
+    players, matches = corpus(n_players=4, matches_per_player=6)
+    m, aug = build_match_matrix(players, matches, feature_ctx)
+    variants = build_distilled(m, aug, max_per_player=4, n_variants=3, seed=2)
+    assert variants[0].row_match != variants[1].row_match
+    alone = _variants_written(tmp_path, "alone", variants, shared=False)
+    assert _variants_written(tmp_path, "shared", variants, shared=True) == alone
+    assert len(alone) == 6
+
+
+def test_shared_line_memo_keeps_csv_quoting(tmp_path):
+    cols = [Column("say", "categorical"), Column("kills", "numeric"),
+            Column("won", "boolean")]
+    cells = {(1, 10): ['say "gg", wp', 3.0, True], (1, 11): ["a,b", -0.0, False],
+             (2, 10): ['"', 1e-300, True], (2, 12): ["line\nbreak", 0.1, False]}
+
+    def variant(keys, seed):
+        return FeatureMatrix(variant="M_bar", columns=cols,
+                             rows=[list(cells[k]) for k in keys],
+                             row_owner=[o for o, _ in keys],
+                             row_match=[mid for _, mid in keys], variant_seed=seed)
+
+    variants = [variant([(1, 10), (2, 10), (2, 12)], 0),
+                variant([(1, 11), (1, 10), (2, 12)], 1)]
+    alone = _variants_written(tmp_path, "alone", variants, shared=False)
+    assert _variants_written(tmp_path, "shared", variants, shared=True) == alone
+    assert b'"say ""gg"", wp"' in alone["Mbar_00.csv"]
+    for i, matrix in enumerate(variants):
+        assert load_matrix(tmp_path / "shared" / f"Mbar_{i:02d}.csv").rows == matrix.rows
 
 
 def test_static_tables_load():

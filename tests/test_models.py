@@ -472,3 +472,57 @@ def test_dummy_accuracy_on_balanced_binary_is_half():
     pred = [("a", "b")[v] for v in rng.integers(0, 2, n)]
     out = metrics(y, pred, ["a", "b"])
     assert out["accuracy"] == pytest.approx(0.5, abs=0.02)
+
+
+def reference_select_features(matrix, row_idx, y, max_features, classes):
+    """`select_features` one column at a time through the loop-ranked
+    reference Spearman."""
+    from aia import stats
+    from aia.errors import DegenerateInput
+    from test_stats import reference_spearman
+
+    codes = [classes.index(v) for v in y]
+    scored = []
+    for order, col in enumerate(matrix.columns):
+        values = [matrix.rows[i][order] for i in row_idx]
+        try:
+            if col.kind == "categorical":
+                score, _ = stats.cramers_v(values, list(y))
+            else:
+                score = abs(reference_spearman([float(v) for v in values], codes)[0])
+        except DegenerateInput:
+            continue
+        scored.append((score, order, col.name))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return [name for _, _, name in scored[:max_features]]
+
+
+def test_select_features_equals_per_column_reference(fixture_matrices):
+    P, M, variants, labels = fixture_matrices
+    rng = np.random.default_rng(12)
+    for matrix in (P, M, *variants):
+        for draw in range(3):
+            rows = sorted(rng.choice(matrix.n_rows, size=matrix.n_rows * 3 // 4,
+                                     replace=False).tolist())
+            for attribute, classes in ATTRIBUTE_SCHEMA.items():
+                y = [getattr(labels[matrix.row_owner[i]], attribute) for i in rows]
+                every = reference_select_features(matrix, rows, y,
+                                                  len(matrix.columns), list(classes))
+                assert models.select_features(matrix, rows, y, 12, classes) == every[:12]
+                assert models.select_features(matrix, rows, y, len(matrix.columns),
+                                              classes) == every
+
+
+def test_select_features_keeps_the_error_of_a_bad_sample():
+    from aia.errors import DomainError, LengthMismatch
+
+    m, y = planted_table()
+    with pytest.raises(DomainError):
+        models.select_features(m, [0, 1], y[:2], 2)
+    with pytest.raises(LengthMismatch):
+        models.select_features(m, range(10), y[:9], 2)
+    rows = [list(r) for r in m.rows]
+    rows[5][0] = float("nan")
+    with pytest.raises(DomainError):
+        models.select_features(table(rows, names=[c.name for c in m.columns]),
+                               range(len(rows)), y, 2)

@@ -1,11 +1,16 @@
 import math
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.stats import rankdata
 
 from aia import stats
-from aia.errors import DegenerateInput, DomainError
+from aia.errors import AiaError, DegenerateInput, DomainError, LengthMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +203,173 @@ def test_smaller_rho_means_larger_p_at_fixed_n():
     rhos = [0.1, 0.3, 0.5, 0.7, 0.9]
     ps = [stats.t_sf_two_sided(r * math.sqrt(df / (1 - r * r)), df) for r in rhos]
     assert ps == sorted(ps, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# The rank kernel against the per-vector loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_average_ranks(values):
+    """Average ranks one vector at a time, by the loop the kernel replaced."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(len(v), dtype=float)
+    i = 0
+    n = len(v)
+    while i < n:
+        j = i
+        while j + 1 < n and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def reference_spearman(x, y):
+    """`stats.spearman` as it was before the rank kernel, on loop ranks."""
+    if len(x) != len(y):
+        raise LengthMismatch("paired vectors differ in length")
+    n = len(x)
+    if n < 3:
+        raise DomainError("spearman needs at least 3 pairs")
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise DomainError("spearman requires finite values")
+    rx = loop_average_ranks(xv)
+    ry = loop_average_ranks(yv)
+    rx_c = rx - rx.mean()
+    ry_c = ry - ry.mean()
+    sx = math.sqrt(float(rx_c @ rx_c))
+    sy = math.sqrt(float(ry_c @ ry_c))
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateInput("zero rank variance")
+    rho = float(rx_c @ ry_c) / (sx * sy)
+    rho = max(-1.0, min(1.0, rho))
+    if abs(rho) >= 1.0 - 1e-12:
+        return math.copysign(1.0, rho), 0.0
+    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+    return rho, stats.t_sf_two_sided(t, n - 2)
+
+
+def assert_ranks_equal_references(values):
+    ranks = stats.average_ranks(values)
+    assert ranks.tobytes() == loop_average_ranks(values).tobytes()
+    assert ranks.tobytes() == rankdata(values, method="average").astype(float).tobytes()
+
+
+RANK_CASES = [
+    [], [2.5], [1.0, 1.0], [3.0, -1.0], [2.0, 1.0, 3.0], [4.0, 4.0, 4.0],
+    [7.0] * 11, [-0.0, 0.0, 1.0, -0.0, 0.0, -1.0], [0.0, -0.0],
+    [round(v, 1) for v in (0.14, 0.1, 0.06, 0.2, 0.12, 0.3, 0.25, 0.1)],
+    [0.1 * k for k in (3, 1, 2, 3, 1, 1)] + [0.3, 0.30000000000000004],
+]
+
+
+@pytest.mark.parametrize("values", RANK_CASES)
+def test_average_ranks_fixed_cases_equal_loop_and_scipy(values):
+    assert_ranks_equal_references(values)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.integers(-20, 20).map(lambda k: round(k * 0.1, 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_FLOATS, max_size=40))
+def test_average_ranks_equal_loop_bit_for_bit(values):
+    assert_ranks_equal_references(values)
+    assert_ranks_equal_references([round(v, 1) for v in values])
+
+
+def test_block_rows_rank_like_lone_vectors():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        k, n = int(rng.integers(1, 12)), int(rng.integers(1, 80))
+        block = np.round(rng.normal(size=(k, n)) * 3, int(rng.integers(0, 2)))
+        block[rng.random((k, n)) < 0.1] = -0.0
+        ranks = stats.average_ranks(block)
+        assert ranks.shape == (k, n)
+        for row, ranked in zip(block, ranks):
+            assert ranked.tobytes() == loop_average_ranks(row).tobytes()
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the AiaError type it raised."""
+    try:
+        return fn(*args)
+    except AiaError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_FLOATS, st.integers(0, 2)), max_size=30))
+def test_spearman_bit_equal_to_reference(pairs):
+    x = [a for a, _ in pairs]
+    y = [float(b) for _, b in pairs]
+    assert repr(_outcome(stats.spearman, x, y)) == \
+        repr(_outcome(reference_spearman, x, y))
+
+
+def test_spearman_errors_equal_reference():
+    for x, y in (([1.0, 2.0], [1.0, 2.0]), ([1.0, 2.0, 3.0], [1.0, 2.0]),
+                 ([1.0, math.inf, 3.0], [1.0, 2.0, 3.0]),
+                 ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+                 ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])):
+        expected = _outcome(reference_spearman, x, y)
+        assert isinstance(expected, type)
+        assert _outcome(stats.spearman, x, y) is expected
+
+
+def reference_scan(matrix, labels_by_owner):
+    """`correlation_scan` one column at a time through `reference_spearman`."""
+    from aia.attributes import ATTRIBUTE_SCHEMA
+
+    results = []
+    n = matrix.n_rows
+    for attr, schema_classes in ATTRIBUTE_SCHEMA.items():
+        raw = [getattr(labels_by_owner[o], attr) for o in matrix.row_owner]
+        codes = [schema_classes.index(v) for v in raw]
+        for col in matrix.columns:
+            values = matrix.column_values(col.name)
+            try:
+                if col.kind != "numeric":
+                    stat, p = stats.cramers_v(values, raw)
+                    metric = "cramers_v"
+                elif len(schema_classes) >= 3:
+                    stat, p = reference_spearman([float(v) for v in values], codes)
+                    metric = "spearman_rho"
+                else:
+                    continue
+            except DegenerateInput:
+                continue
+            results.append(stats.CorrelationResult(col.name, attr, metric, stat, p, n))
+    return results
+
+
+def test_correlation_scan_equals_per_column_reference(fixture_matrices):
+    # M's 836 rows are long enough that summing in another order (a
+    # matrix-vector product, say) changes last bits.
+    P, M, _, labels = fixture_matrices
+    for matrix in (P, M):
+        scan = stats.correlation_scan(matrix, labels)
+        assert any(r.metric == "spearman_rho" for r in scan)
+        assert [repr(astuple(r)) for r in scan] == \
+            [repr(astuple(r)) for r in reference_scan(matrix, labels)]
+
+
+def test_correlation_scan_rejects_non_finite_numeric_cells():
+    from aia.matrix import FeatureMatrix
+
+    matrix, labels = report_matrix()
+    rows = [list(row) for row in matrix.rows]
+    rows[3][0] = math.inf
+    matrix = FeatureMatrix(variant="P", columns=matrix.columns, rows=rows,
+                           row_owner=matrix.row_owner)
+    with pytest.raises(DomainError):
+        stats.correlation_scan(matrix, labels)
 
 
 # ---------------------------------------------------------------------------
