@@ -162,24 +162,37 @@ def _parse_employment(value: str) -> bool:
     raise SchemaError(f"unrecognized employment value {value!r}", path="$.employment")
 
 
+def _int_cell(rec: dict, column: str) -> int:
+    try:
+        return int(rec[column])
+    except (TypeError, ValueError):
+        raise SchemaError(f"not an integer: {rec[column]!r}", path=f"$.{column}") from None
+
+
 def read_survey_csv(path: str | Path) -> list[RawSurveyRow]:
-    """Parse the raw survey CSV (see SURVEY_COLUMNS for the contract)."""
+    """Parse the raw survey CSV (see SURVEY_COLUMNS for the contract); a
+    malformed cell raises a SchemaError naming the file, the data row and
+    the column."""
     rows: list[RawSurveyRow] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(SURVEY_COLUMNS) - set(reader.fieldnames or ())
         if missing - {"country"}:
             raise SchemaError(f"survey file missing columns: {sorted(missing)}")
-        for rec in reader:
-            rows.append(RawSurveyRow(
-                handle=int(rec["steam_id"]),
-                raw_gender=rec["gender"].strip().lower(),
-                raw_age=int(rec["age"]),
-                raw_employment=_parse_employment(rec["employment"]),
-                raw_purchase_frequency=int(rec["purchase_frequency"]),
-                big5_scores=tuple(int(rec[name]) for name in BIG_FIVE),
-                country=(rec.get("country") or "").strip(),
-            ))
+        row = 0
+        try:
+            for row, rec in enumerate(reader, 1):
+                rows.append(RawSurveyRow(
+                    handle=_int_cell(rec, "steam_id"),
+                    raw_gender=(rec["gender"] or "").strip().lower(),
+                    raw_age=_int_cell(rec, "age"),
+                    raw_employment=_parse_employment(rec["employment"] or ""),
+                    raw_purchase_frequency=_int_cell(rec, "purchase_frequency"),
+                    big5_scores=tuple(_int_cell(rec, name) for name in BIG_FIVE),
+                    country=(rec.get("country") or "").strip(),
+                ))
+        except SchemaError as exc:
+            raise SchemaError(f"data row {row}: {exc}", path=str(path)) from exc
     return rows
 
 
@@ -213,13 +226,19 @@ def write_labels_csv(labels: dict[int, AttributeLabels], path: str | Path) -> No
 
 
 def read_labels_csv(path: str | Path) -> dict[int, AttributeLabels]:
+    """Binned labels by handle; a malformed cell raises a SchemaError naming
+    the file, the data row and the column."""
     labels: dict[int, AttributeLabels] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(LABEL_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise SchemaError(f"label file missing columns: {sorted(missing)}")
-        for rec in reader:
-            labels[int(rec["steam_id"])] = AttributeLabels(
-                **{a: rec[a] for a in ATTRIBUTE_SCHEMA})
+        row = 0
+        try:
+            for row, rec in enumerate(reader, 1):
+                labels[_int_cell(rec, "steam_id")] = AttributeLabels(
+                    **{a: rec[a] for a in ATTRIBUTE_SCHEMA})
+        except SchemaError as exc:
+            raise SchemaError(f"data row {row}: {exc}", path=str(path)) from exc
     return labels

@@ -197,33 +197,62 @@ def save_matrix(matrix: FeatureMatrix, csv_path: str | Path,
                            encoding="utf-8")
 
 
+def _bad_column(rec: list[str], header: list[str], kinds: list[str]) -> str:
+    """Name of the first cell of a CSV record that does not parse, or that
+    is missing."""
+    for name, kind, text in zip(header, kinds, rec):
+        try:
+            int(text) if kind == "id" else _parse_cell(text, kind)
+        except ValueError:
+            return name
+    return header[min(len(rec), len(header) - 1)]
+
+
 def load_matrix(csv_path: str | Path) -> FeatureMatrix:
+    """Read a matrix saved by `save_matrix`; a malformed sidecar or cell
+    raises a SchemaError naming the file (and the data row and column)."""
     csv_path = Path(csv_path)
     schema_path = csv_path.with_suffix(csv_path.suffix + ".schema.json")
     if not schema_path.exists():
         raise SchemaError(f"missing sidecar schema for {csv_path}")
-    sidecar = json.loads(schema_path.read_text(encoding="utf-8"))
-    columns = [Column(c["name"], c["kind"]) for c in sidecar["columns"]]
+    try:
+        sidecar = json.loads(schema_path.read_text(encoding="utf-8"))
+        columns = [Column(c["name"], c["kind"]) for c in sidecar["columns"]]
+        variant = sidecar["variant"]
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc}", path=str(schema_path)) from exc
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(f"not a matrix schema: {exc}", path=str(schema_path)) from exc
+    except SchemaError as exc:
+        raise SchemaError(str(exc), path=str(schema_path)) from exc
     has_match = bool(sidecar.get("has_match_ids"))
     rows: list[list] = []
     owners: list[int] = []
     match_ids: list[int] = [] if has_match else None  # type: ignore[assignment]
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         expected = ["_owner"] + (["_match"] if has_match else []) + [c.name for c in columns]
         if header != expected:
-            raise SchemaError("CSV header does not match sidecar schema")
-        for rec in reader:
-            owners.append(int(rec[0]))
-            offset = 1
-            if has_match:
-                match_ids.append(int(rec[1]))
-                offset = 2
-            rows.append([_parse_cell(t, c.kind)
-                         for t, c in zip(rec[offset:], columns)])
+            raise SchemaError("CSV header does not match sidecar schema",
+                              path=str(csv_path))
+        row, rec = 0, []
+        try:
+            for row, rec in enumerate(reader, 1):
+                owners.append(int(rec[0]))
+                offset = 1
+                if has_match:
+                    match_ids.append(int(rec[1]))
+                    offset = 2
+                rows.append([_parse_cell(t, c.kind)
+                             for t, c in zip(rec[offset:], columns)])
+        except (ValueError, IndexError) as exc:
+            kinds = ["id"] * (len(expected) - len(columns)) + [c.kind for c in columns]
+            column = _bad_column(rec, expected, kinds)
+            raise SchemaError(f"data row {row}, column {column!r}: {exc}",
+                              path=str(csv_path)) from exc
     return FeatureMatrix(
-        variant=sidecar["variant"],
+        variant=variant,
         columns=columns,
         rows=rows,
         row_owner=owners,

@@ -14,14 +14,15 @@ in a handful of steps; a fit that still hits its step cap carries the
 hyperparams, seed).
 
 Trees are flat node arrays (scikit-learn's `Tree` layout: feature,
-threshold, left, right, value), predicted by one batched traversal per
-tree. One grower builds them: a decision tree is a forest of one tree
-over all features. A forest's trees grow in lockstep, one node of each
-per step, scored by one batched split search, because a node samples
-only ~sqrt(d) features and per-call overhead dominates a lone node's
-search. Each tree still draws its bootstrap and then its per-node
-feature samples from its own generator, in the order a tree grown alone
-would, so a forest does not depend on how its growth is scheduled.
+threshold, left, right, value). One grower builds them: a decision tree
+is a forest of one tree over all features. A forest's trees grow
+together, level by level: one batched split search takes every open node
+of every tree at a depth, because a node samples only ~sqrt(d) features
+and per-call overhead dominates a lone node's search. Each tree draws its
+bootstrap and then, per level, its nodes' feature samples from its own
+generator, so a forest does not depend on how its growth is scheduled.
+One traversal predicts a whole forest: all (tree, row) pairs walk the
+forest's node arrays together.
 """
 
 from __future__ import annotations
@@ -209,11 +210,11 @@ def _gini_children(left: np.ndarray, right: np.ndarray,
 
 
 def _best_splits(X: np.ndarray, rank: np.ndarray, y_codes: np.ndarray, K: int,
-                 min_leaf: int, idxs: Sequence[np.ndarray],
-                 features: np.ndarray) -> list:
-    """Best Gini split of each of B nodes: node b holds the rows `idxs[b]`
-    and may split on the features `features[b]` (a B x F array); `rank`
-    holds each value's rank within its column of X.
+                 min_leaf: int, rows: np.ndarray, sizes: np.ndarray,
+                 features: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Best Gini split of each of B nodes: node b holds the next `sizes[b]`
+    rows of `rows` and may split on the features `features[b]` (a B x F
+    array); `rank` holds each value's rank within its column of X.
 
     All B x F (node, feature) pairs are scored at once. Their rows sit in
     one array, one contiguous segment per pair, sorted by one argsort on
@@ -224,13 +225,12 @@ def _best_splits(X: np.ndarray, rank: np.ndarray, y_codes: np.ndarray, K: int,
     fall between two distinct values; within a pair the first minimum
     wins. Across a node's features, in order, a pair replaces the best so
     far only when it beats the parent's Gini by 1e-12 and the best by
-    1e-15, so a near-tie goes to the earlier feature. Returns, per node,
-    `(feature, threshold, class counts of the left child)`, or None when
-    no cut lowers the impurity.
+    1e-15, so a near-tie goes to the earlier feature. Returns the nodes
+    that split, in order (`chosen`, those where some cut lowers the
+    impurity), and for each its feature, threshold and the class counts
+    of its left child.
     """
     B, F = features.shape
-    sizes = np.array([len(idx) for idx in idxs])
-    rows = np.concatenate(idxs)
     N = len(rows)
     node = np.repeat(np.arange(B), sizes)
     y = y_codes[rows]
@@ -278,109 +278,124 @@ def _best_splits(X: np.ndarray, rank: np.ndarray, y_codes: np.ndarray, K: int,
     # Adjacent doubles: the midpoint rounds up to the right value and would
     # leave that child empty under "<=", so the left value is used.
     mid = (lo + hi) / 2.0
-    threshold = np.where(mid >= hi, lo, mid)
-    splits: list = [None] * B
-    for b, feature, cut_at, left_counts in zip(chosen, f, threshold, left_of(p)):
-        splits[b] = (int(feature), cut_at, left_counts)
-    return splits
+    return chosen, f, np.where(mid >= hi, lo, mid), left_of(p)
 
 
 def _grow_trees(X: np.ndarray, y_codes: np.ndarray, K: int,
                 max_depth: Optional[int], min_leaf: int,
                 roots: Sequence[np.ndarray],
-                samplers: Sequence[Callable[[], np.ndarray]]) -> list[dict]:
-    """Grow one CART tree per root row set, all in lockstep.
+                rngs: Optional[Sequence[np.random.Generator]] = None) -> dict:
+    """Grow one CART tree per root row set, all together, level by level.
 
-    Tree t grows depth-first, left child first, from the rows `roots[t]`
-    and calls `samplers[t]()` for the candidate features of each node that
-    is not a leaf before its split search, so it calls it in the order a
-    tree grown alone would (every sampler returns as many features). Each
-    step takes the next such node off every tree's stack and finds all
-    their splits in one `_best_splits` call. A tree is flat node arrays
-    in pre-order, in the layout of scikit-learn's `Tree`: `feature` and
-    `threshold` (-2 at a leaf), `left` and `right` (-1 at a leaf), and
-    `value`, the class shares of the node's rows.
+    Each step takes every open node of every tree at the current depth and
+    finds all their splits in one `_best_splits` call, so a forest takes
+    as many steps as its deepest tree is deep. The level's rows are one
+    array, node after node; a split node's rows go left when
+    `X[row, feature] <= threshold`, and one stable sort by child lays out
+    the next level. Without `rngs` every node may split on every feature
+    (a decision tree). With them, tree t draws the candidates of its c
+    open nodes at a level in one call, `rngs[t].random((c, d))`, and each
+    node takes the features of its m = max(1, int(sqrt(d))) smallest keys,
+    sorted. A tree's nodes keep its own level order (parents in order,
+    left child first) and its draws come from its own generator only, so
+    a tree does not depend on which trees grow beside it.
+
+    Returns the trees as one forest of flat node arrays in the layout of
+    scikit-learn's `Tree`: `feature` and `threshold` (-2 at a leaf), `left`
+    and `right` (-1 at a leaf) and `value`, the class shares of the node's
+    rows. Tree t's nodes are contiguous from `root[t]`, in level order, and
+    child indices point into the forest's arrays.
     """
+    d = X.shape[1]
+    m = max(1, int(np.sqrt(d)))
     rank = np.empty(X.shape, dtype=int)
-    for f in range(X.shape[1]):
+    for f in range(d):
         rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
-    trees = [{"feature": [], "threshold": [], "left": [], "right": [], "value": []}
-             for _ in roots]
-    stacks = [[(idx, 0, -1, np.bincount(y_codes[idx], minlength=K).astype(float))]
-              for idx in map(np.asarray, roots)]
+    roots = [np.asarray(root) for root in roots]
+    tree = np.arange(len(roots))
+    sizes = np.array([len(root) for root in roots])
+    rows = np.concatenate(roots)
+    counts = np.bincount(np.repeat(tree, sizes) * K + y_codes[rows],
+                         minlength=len(roots) * K).reshape(-1, K).astype(float)
+    levels = []
+    n_nodes, depth = 0, 0
     while True:
-        batch = []
-        for t, (tree, stack) in enumerate(zip(trees, stacks)):
-            while stack:
-                idx, depth, parent, counts = stack.pop()
-                node = len(tree["value"])
-                if parent >= 0:  # a left child is popped before its sibling
-                    tree["left" if tree["left"][parent] == -1 else "right"][parent] = node
-                tree["feature"].append(-2)
-                tree["threshold"].append(-2.0)
-                tree["left"].append(-1)
-                tree["right"].append(-1)
-                tree["value"].append(counts)
-                pure = np.count_nonzero(counts) <= 1
-                depth_stop = max_depth is not None and depth >= max_depth
-                if not (pure or depth_stop or len(idx) < 2 * min_leaf):
-                    batch.append((t, node, idx, depth, counts, samplers[t]()))
-                    break
-        if not batch:
+        B = len(tree)
+        feature, threshold = np.full(B, -2), np.full(B, -2.0)
+        left, right = np.full(B, -1), np.full(B, -1)
+        levels.append((tree, feature, threshold, left, right, counts))
+        n_nodes += B
+        is_open = (np.count_nonzero(counts, axis=1) > 1) & (sizes >= 2 * min_leaf)
+        if max_depth is not None and depth >= max_depth:
+            is_open[:] = False
+        nodes = np.flatnonzero(is_open)
+        if not len(nodes):
             break
-        splits = _best_splits(X, rank, y_codes, K, min_leaf, [b[2] for b in batch],
-                              np.array([b[5] for b in batch]))
-        for (t, node, idx, depth, counts, _), split in zip(batch, splits):
-            if split is None:
-                continue
-            f, threshold, left = split
-            trees[t]["feature"][node] = f
-            trees[t]["threshold"][node] = threshold
-            mask = X[idx, f] <= threshold
-            stacks[t].append((idx[~mask], depth + 1, node, counts - left))
-            stacks[t].append((idx[mask], depth + 1, node, left))
-    for tree in trees:
-        for key, column in tree.items():
-            tree[key] = np.array(column)
-        tree["value"] /= tree["value"].sum(axis=1, keepdims=True)
-    return trees
-
-
-def _tree_apply(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Class shares of the leaf each row of X reaches, all rows at once."""
-    feature, threshold, left, right = (np.asarray(tree[key]) for key in
-                                       ("feature", "threshold", "left", "right"))
-    node = np.zeros(len(X), dtype=int)
-    rows = np.arange(len(X))
-    while True:
-        rows = rows[left[node[rows]] >= 0]
-        if not len(rows):
-            return np.asarray(tree["value"])[node]
-        at = node[rows]
-        node[rows] = np.where(X[rows, feature[at]] <= threshold[at],
-                              left[at], right[at])
+        rows, sizes = rows[np.repeat(is_open, sizes)], sizes[nodes]
+        if rngs is None:
+            candidates = np.broadcast_to(np.arange(d), (len(nodes), d))
+        else:
+            per_tree = np.bincount(tree[nodes], minlength=len(rngs))
+            keys = np.concatenate([rngs[t].random((c, d))
+                                   for t, c in enumerate(per_tree) if c])
+            candidates = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :m], axis=1)
+        chosen, f, cut_at, left_counts = _best_splits(X, rank, y_codes, K, min_leaf,
+                                                      rows, sizes, candidates)
+        split = nodes[chosen]
+        feature[split], threshold[split] = f, cut_at
+        left[split] = n_nodes + 2 * np.arange(len(split))
+        right[split] = left[split] + 1
+        slot = np.full(len(nodes), -1)
+        slot[chosen] = np.arange(len(chosen))
+        slot = np.repeat(slot, sizes)
+        rows, slot = rows[slot >= 0], slot[slot >= 0]
+        child = 2 * slot + ~(X[rows, f[slot]] <= cut_at[slot])
+        rows = rows[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * len(split))
+        parent_counts, counts = counts[split], np.empty((2 * len(split), K))
+        counts[0::2], counts[1::2] = left_counts, parent_counts - left_counts
+        tree = np.repeat(tree[split], 2)
+        depth += 1
+    tree, feature, threshold, left, right, counts = (np.concatenate(column)
+                                                     for column in zip(*levels))
+    order = np.argsort(tree, kind="stable")  # each tree's nodes together
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(len(order))
+    left, right = left[order], right[order]
+    leaf = left < 0
+    left, right = np.where(leaf, -1, new_id[left]), np.where(leaf, -1, new_id[right])
+    value = counts[order]
+    return {"feature": feature[order], "threshold": threshold[order], "left": left,
+            "right": right, "value": value / value.sum(axis=1, keepdims=True),
+            "root": np.searchsorted(tree[order], np.arange(len(roots)))}
 
 
 def _fit_forest(X: np.ndarray, y_codes: np.ndarray, K: int, n_trees: int,
                 max_depth: Optional[int], min_leaf: int, seed: int) -> dict:
-    d = X.shape[1]
-    m = max(1, int(np.sqrt(d)))
-    roots, samplers = [], []
-    for t in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        roots.append(rng.integers(0, len(y_codes), len(y_codes)))
-
-        def sampler(rng=rng):
-            return np.sort(rng.choice(d, size=m, replace=False))
-
-        samplers.append(sampler)
-    return {"trees": _grow_trees(X, y_codes, K, max_depth, min_leaf, roots,
-                                 samplers)}
+    """Breiman's forest: tree t bootstraps its rows and then draws its
+    candidate features from its own generator, seeded by (seed, t)."""
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, t]))
+            for t in range(n_trees)]
+    roots = [rng.integers(0, len(y_codes), len(y_codes)) for rng in rngs]
+    return _grow_trees(X, y_codes, K, max_depth, min_leaf, roots, rngs)
 
 
-def _predict_forest(params: dict, X: np.ndarray) -> np.ndarray:
-    acc = np.mean([_tree_apply(tree, X) for tree in params["trees"]], axis=0)
-    return acc / acc.sum(axis=1, keepdims=True)
+def _predict_forest(forest: dict, X: np.ndarray) -> np.ndarray:
+    """Mean over a forest's trees of the class shares of the leaf each row
+    of X reaches. All (tree, row) pairs walk the forest's node arrays
+    together, one level per step."""
+    feature, threshold, left, right, value, root = (
+        forest[key] for key in ("feature", "threshold", "left", "right", "value", "root"))
+    n = len(X)
+    node = np.repeat(root, n)
+    pairs = np.arange(len(node))
+    while True:
+        pairs = pairs[left[node[pairs]] >= 0]
+        if not len(pairs):
+            return np.mean(value[node].reshape(len(root), n, -1), axis=0)
+        at = node[pairs]
+        node[pairs] = np.where(X[pairs % n, feature[at]] <= threshold[at],
+                               left[at], right[at])
 
 
 def _fit_mlp(X: np.ndarray, y_codes: np.ndarray, K: int, hidden: int, lr: float,
@@ -501,10 +516,8 @@ def fit_prepared(algorithm: str, fold: PreparedFold,
             warnings.warn("logistic regression hit the iteration cap",
                           RuntimeWarning, stacklevel=2)
     elif algorithm == "decision_tree":
-        all_features = np.arange(X.shape[1])
-        params = {"tree": _grow_trees(X, y_codes, K, hp["max_depth"],
-                                      int(hp["min_leaf"]), [np.arange(len(y_codes))],
-                                      [lambda: all_features])[0]}
+        params = _grow_trees(X, y_codes, K, hp["max_depth"], int(hp["min_leaf"]),
+                             [np.arange(len(y_codes))])
     elif algorithm == "random_forest":
         params = _fit_forest(X, y_codes, K, int(hp["n_trees"]), hp["max_depth"],
                              int(hp["min_leaf"]), seed)
@@ -540,9 +553,10 @@ def predict_proba(model: TrainedModel, matrix: FeatureMatrix,
     if model.algorithm == "logistic_regression":
         return _predict_logistic(model.params, X)
     if model.algorithm == "decision_tree":
-        return _tree_apply(model.params["tree"], X)
-    if model.algorithm == "random_forest":
         return _predict_forest(model.params, X)
+    if model.algorithm == "random_forest":
+        acc = _predict_forest(model.params, X)
+        return acc / acc.sum(axis=1, keepdims=True)
     return _predict_mlp(model.params, X)
 
 

@@ -184,3 +184,43 @@ def test_survey_csv_round_trip(tmp_path):
     write_labels_csv(binned.labels, out)
     loaded = read_labels_csv(out)
     assert loaded == binned.labels
+
+
+_SURVEY = ("steam_id,gender,age,employment,purchase_frequency,openness,"
+           "conscientiousness,extraversion,agreeableness,neuroticism,country\n"
+           "7,female,17,student,0,80,20,40,70,10,DE\n"
+           "9,male,30,yes,2,10,90,70,30,50,BR\n")
+
+
+@pytest.mark.parametrize("column", ["steam_id", "age", "purchase_frequency",
+                                    "neuroticism"])
+def test_survey_names_a_cell_that_is_not_an_integer(tmp_path, column):
+    header, first, second = _SURVEY.splitlines(keepends=True)
+    cells = second.split(",")
+    cells[header.split(",").index(column)] = "abc"
+    survey = tmp_path / "survey.csv"
+    survey.write_text(header + first + ",".join(cells))
+    with pytest.raises(SchemaError) as err:
+        read_survey_csv(survey)
+    assert str(survey) in str(err.value)
+    assert "data row 2" in str(err.value) and f"$.{column}" in str(err.value)
+
+
+def test_survey_names_a_short_row(tmp_path):
+    survey = tmp_path / "survey.csv"
+    survey.write_text(_SURVEY + "11,male,30\n")
+    with pytest.raises(SchemaError) as err:
+        read_survey_csv(survey)
+    assert str(survey) in str(err.value) and "data row 3" in str(err.value)
+
+
+def test_labels_name_a_handle_that_is_not_an_integer(tmp_path):
+    survey = tmp_path / "survey.csv"
+    survey.write_text(_SURVEY)
+    out = tmp_path / "labels.csv"
+    write_labels_csv(bin_survey(read_survey_csv(survey)).labels, out)
+    out.write_text(out.read_text().replace("\n9,", "\nabc,"))
+    with pytest.raises(SchemaError) as err:
+        read_labels_csv(out)
+    assert str(out) in str(err.value)
+    assert "data row 2" in str(err.value) and "$.steam_id" in str(err.value)

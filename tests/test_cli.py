@@ -200,6 +200,58 @@ def test_correlate_scans_each_pair_once(pipeline_dirs, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def _set_cell(src, dst, column, text, row=1):
+    """Copy the CSV `src` to `dst` with one cell of data row `row` set to
+    `text`; returns the cell's old value."""
+    lines = src.read_text().splitlines(keepends=True)
+    at = lines[0].rstrip("\r\n").split(",").index(column)
+    cells = lines[row].split(",")
+    old, cells[at] = cells[at], text
+    lines[row] = ",".join(cells)
+    dst.write_text("".join(lines))
+    return old
+
+
+def _exits_1_naming(argv, capsys, *words):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(word in err for word in words), err
+
+
+def test_correlate_on_a_non_numeric_cell_exits_1(pipeline_dirs, tmp_path, capsys):
+    _, _, labels_csv, features = pipeline_dirs
+    sidecar = json.loads((features / "P.csv.schema.json").read_text())
+    column = next(c["name"] for c in sidecar["columns"] if c["kind"] == "numeric")
+    broken = tmp_path / "P.csv"
+    shutil.copy(features / "P.csv.schema.json", tmp_path / "P.csv.schema.json")
+    _set_cell(features / "P.csv", broken, column, "x1", row=3)
+    _exits_1_naming(["correlate", "--features", str(broken), "--labels",
+                     str(labels_csv), "--out", str(tmp_path / "out")],
+                    capsys, str(broken), "data row 3", repr(column))
+
+
+def test_correlate_on_a_non_integer_label_id_exits_1(pipeline_dirs, tmp_path,
+                                                     capsys):
+    _, _, labels_csv, features = pipeline_dirs
+    broken = tmp_path / "labels.csv"
+    _set_cell(labels_csv, broken, "steam_id", "abc")
+    _exits_1_naming(["correlate", "--features", str(features / "P.csv"),
+                     "--labels", str(broken), "--out", str(tmp_path / "out")],
+                    capsys, str(broken), "data row 1", "steam_id")
+
+
+def test_labels_on_a_non_integer_survey_cell_exits_1(pipeline_dirs, tmp_path,
+                                                     capsys):
+    _, cache, _, _ = pipeline_dirs
+    broken = tmp_path / "survey.csv"
+    _set_cell(cache / "survey.csv", broken, "age", "abc", row=2)
+    _exits_1_naming(["labels", "--in", str(broken), "--out",
+                     str(tmp_path / "labels.csv")],
+                    capsys, str(broken), "data row 2", "age")
+    assert not (tmp_path / "labels.csv").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["correlate", "--features", "{features}/P.csv"],
     ["attack", "--protocol", "simple", "--features", "{features}"],

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from aia.errors import InsufficientMatches, SlotNotFound
+from aia.errors import InsufficientMatches, SchemaError, SlotNotFound
 from aia.features import (
     EXPERT_MATCH_SCHEMA,
     LEXICON_CATEGORIES,
@@ -397,6 +397,46 @@ def test_matrix_save_load_round_trip(tmp_path, feature_ctx):
     # byte-stable on re-save
     save_matrix(loaded, tmp_path / "m2.csv")
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()
+
+
+def _saved_match_matrix(tmp_path):
+    cols = [Column("kills", "numeric"), Column("won", "boolean")]
+    matrix = FeatureMatrix(variant="M", columns=cols, rows=[[1.0, True], [2.5, False]],
+                           row_owner=[7, 8], row_match=[70, 80])
+    path = tmp_path / "M.csv"
+    save_matrix(matrix, path)
+    return path
+
+
+@pytest.mark.parametrize("row, column, text", [
+    (2, "kills", "x1"), (1, "_owner", "abc"), (2, "_match", "8.5"),
+])
+def test_load_matrix_names_the_cell_that_does_not_parse(tmp_path, row, column, text):
+    path = _saved_match_matrix(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[row].split(",")
+    cells[lines[0].rstrip().split(",").index(column)] = text
+    lines[row] = ",".join(cells)
+    path.write_text("".join(lines))
+    with pytest.raises(SchemaError) as err:
+        load_matrix(path)
+    assert str(path) in str(err.value)
+    assert f"data row {row}, column {column!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda doc: doc.pop("columns"), ["columns"]),
+    (lambda doc: doc["columns"][1].update(kind="ratio"), ["won", "ratio"]),
+])
+def test_load_matrix_names_a_malformed_sidecar(tmp_path, edit, words):
+    path = _saved_match_matrix(tmp_path)
+    sidecar = tmp_path / "M.csv.schema.json"
+    doc = json.loads(sidecar.read_text())
+    edit(doc)
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_matrix(path)
+    assert all(word in str(err.value) for word in [str(sidecar)] + words)
 
 
 def _variants_written(tmp_path, name, matrices, shared):

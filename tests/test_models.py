@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aia import models
 from aia.attributes import ATTRIBUTE_SCHEMA
@@ -59,29 +61,102 @@ def test_tree_split_survives_adjacent_float_values():
     assert models.predict(model, m, range(6)) == y
 
 
-def _forest_inputs(n_trees, n, d, m):
-    """Bootstrap roots and feature samplers as `_fit_forest` builds them;
-    each call returns fresh generators."""
-    roots, samplers = [], []
-    for t in range(n_trees):
-        rng = np.random.default_rng(t)
-        roots.append(rng.integers(0, n, n))
-        samplers.append(lambda rng=rng: np.sort(rng.choice(d, size=m, replace=False)))
-    return roots, samplers
+def _forest_inputs(n_trees, n):
+    """Bootstrap roots and generators as `_fit_forest` builds them; each call
+    returns fresh generators."""
+    rngs = [np.random.default_rng(t) for t in range(n_trees)]
+    return [rng.integers(0, n, n) for rng in rngs], rngs
 
 
-def test_lockstep_growth_equals_growing_each_tree_alone():
+def _tree(forest, t):
+    """Tree t of a forest as a forest of one tree."""
+    root = forest["root"]
+    stop = root[t + 1] if t + 1 < len(root) else len(forest["value"])
+    tree = {key: forest[key][root[t]:stop] for key in ("feature", "threshold", "value")}
+    for key in ("left", "right"):
+        child = forest[key][root[t]:stop]
+        tree[key] = np.where(child >= 0, child - root[t], -1)
+    tree["root"] = np.array([0])
+    return tree
+
+
+def test_each_tree_of_a_forest_equals_the_tree_grown_alone():
     rng = np.random.default_rng(5)
     X = np.round(rng.normal(size=(80, 6)), 1)  # many tied values
     y = rng.integers(0, 3, 80)
-    together = models._grow_trees(X, y, 3, None, 2, *_forest_inputs(7, 80, 6, 2))
-    roots, samplers = _forest_inputs(7, 80, 6, 2)
-    assert len({len(tree["feature"]) for tree in together}) > 1
-    for t, tree in enumerate(together):
-        alone = models._grow_trees(X, y, 3, None, 2, [roots[t]], [samplers[t]])[0]
+    forest = models._grow_trees(X, y, 3, None, 2, *_forest_inputs(7, 80))
+    roots, rngs = _forest_inputs(7, 80)
+    assert len(set(np.diff(forest["root"]))) > 1
+    for t in range(7):
+        alone = models._grow_trees(X, y, 3, None, 2, [roots[t]], [rngs[t]])
+        tree = _tree(forest, t)
         assert tree.keys() == alone.keys()
         for key in tree:
             assert np.array_equal(tree[key], alone[key])
+
+
+def _preorder_tree(X, y, K, max_depth, min_leaf):
+    """Reference grower for one tree over all features, as trees were grown
+    before level order: depth-first, left child first, one node per split
+    search, nodes in pre-order."""
+    rank = np.empty(X.shape, dtype=int)
+    for f in range(X.shape[1]):
+        rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+    stack = [(np.arange(len(y)), 0, -1, np.bincount(y, minlength=K).astype(float))]
+    while stack:
+        idx, depth, parent, counts = stack.pop()
+        node = len(tree["value"])
+        if parent >= 0:  # a left child is popped before its sibling
+            tree["left" if tree["left"][parent] == -1 else "right"][parent] = node
+        tree["feature"].append(-2)
+        tree["threshold"].append(-2.0)
+        tree["left"].append(-1)
+        tree["right"].append(-1)
+        tree["value"].append(counts)
+        pure = np.count_nonzero(counts) <= 1
+        depth_stop = max_depth is not None and depth >= max_depth
+        if pure or depth_stop or len(idx) < 2 * min_leaf:
+            continue
+        chosen, f, threshold, left = models._best_splits(
+            X, rank, y, K, min_leaf, idx, np.array([len(idx)]),
+            np.arange(X.shape[1])[None])
+        if not len(chosen):
+            continue
+        tree["feature"][node] = int(f[0])
+        tree["threshold"][node] = threshold[0]
+        mask = X[idx, f[0]] <= threshold[0]
+        stack.append((idx[~mask], depth + 1, node, counts - left[0]))
+        stack.append((idx[mask], depth + 1, node, left[0]))
+    tree = {key: np.array(column) for key, column in tree.items()}
+    tree["value"] /= tree["value"].sum(axis=1, keepdims=True)
+    return tree
+
+
+def _on_thresholds(X, tree, rng, n_rows):
+    """Query rows that mix the values of X with the tree's own thresholds,
+    so some rows sit exactly on a cut."""
+    split = tree["feature"] >= 0
+    pool = [np.concatenate([X[:, f], tree["threshold"][split & (tree["feature"] == f)]])
+            for f in range(X.shape[1])]
+    return np.column_stack([rng.choice(col, n_rows) for col in pool])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 5),
+       st.sampled_from([0, 1]), st.integers(2, 4), st.integers(1, 5),
+       st.one_of(st.none(), st.integers(1, 4)))
+def test_level_order_tree_equals_the_preorder_tree(seed, n, d, decimals, K,
+                                                   min_leaf, max_depth):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(scale=2.0, size=(n, d)), decimals)  # tie-heavy
+    y = rng.integers(0, K, n)
+    tree = models._grow_trees(X, y, K, max_depth, min_leaf, [np.arange(n)])
+    reference = _preorder_tree(X, y, K, max_depth, min_leaf)
+    assert len(tree["value"]) == len(reference["value"])
+    for Q in (X, _on_thresholds(X, reference, rng, 50)):
+        walked = np.array([_walk(reference, q) for q in Q])
+        assert models._predict_forest(tree, Q).tobytes() == walked.tobytes()
 
 
 def _best_weighted_gini(values, y, K):
@@ -108,8 +183,7 @@ def test_near_tied_features_split_on_the_earlier_one():
     b = np.array([7, 1, 3, 5, 8, 0, 6, 4, 2], dtype=float)
     assert 0 < _best_weighted_gini(a, y, 2) - _best_weighted_gini(b, y, 2) < 1e-15
     for X in (np.column_stack([a, b]), np.column_stack([b, a])):
-        tree = models._grow_trees(X, y, 2, 1, 1, [np.arange(9)],
-                                  [lambda: np.arange(2)])[0]
+        tree = models._grow_trees(X, y, 2, 1, 1, [np.arange(9)])
         assert tree["feature"][0] == 0
 
 
@@ -126,16 +200,22 @@ def test_batched_traversal_equals_row_by_row_walk():
     rng = np.random.default_rng(12)
     X = np.round(rng.normal(size=(120, 4)), 1)
     y = rng.integers(0, 3, 120)
-    params = models._fit_forest(X, y, 3, 15, None, 1, seed=4)
-    for tree in params["trees"]:
-        # Query rows mix training values with the tree's own thresholds, so
-        # some rows sit exactly on a cut.
-        split = tree["feature"] >= 0
-        pool = [np.concatenate([X[:, f], tree["threshold"][split & (tree["feature"] == f)]])
-                for f in range(4)]
-        Q = np.column_stack([rng.choice(col, 200) for col in pool])
-        assert np.array_equal(models._tree_apply(tree, Q),
+    forest = models._fit_forest(X, y, 3, 15, None, 1, seed=4)
+    for t in range(15):
+        tree = _tree(forest, t)
+        Q = _on_thresholds(X, tree, rng, 200)
+        assert np.array_equal(models._predict_forest(tree, Q),
                               np.array([_walk(tree, q) for q in Q]))
+
+
+def test_forest_traversal_equals_the_mean_of_row_by_row_walks():
+    rng = np.random.default_rng(13)
+    X = np.round(rng.normal(size=(120, 4)), 1)
+    y = rng.integers(0, 3, 120)
+    forest = models._fit_forest(X, y, 3, 15, None, 1, seed=4)
+    Q = np.concatenate([_on_thresholds(X, _tree(forest, t), rng, 20) for t in range(15)])
+    walked = np.mean([[_walk(_tree(forest, t), q) for q in Q] for t in range(15)], axis=0)
+    assert models._predict_forest(forest, Q).tobytes() == walked.tobytes()
 
 
 def test_forest_of_identical_trees_equals_single_tree():
