@@ -80,7 +80,7 @@ def _tree(forest, t):
     return tree
 
 
-def test_each_tree_of_a_forest_equals_the_tree_grown_alone():
+def test_lockstep_growth_equals_growing_each_tree_alone():
     rng = np.random.default_rng(5)
     X = np.round(rng.normal(size=(80, 6)), 1)  # many tied values
     y = rng.integers(0, 3, 80)
