@@ -39,6 +39,13 @@ DESK_GRIDS: dict[str, dict[str, list]] = {
     "dummy_stratified": {},
 }
 
+# Fixed settings. Simple and one-match reports record the ones they use in
+# their config; the targeted report records only its algorithms.
+MAX_FEATURES = 12
+TEST_FRACTION = 0.20   # players held out for test
+VAL_FRACTION = 0.10    # of the remainder, held out for validation
+TARGETED_ALGORITHMS = ("random_forest",)
+
 
 # ---------------------------------------------------------------------------
 # Report container
@@ -177,8 +184,7 @@ def _stratified_player_split(players: Sequence[int], y_by_player: dict[int, str]
 def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
                algorithms: Sequence[str] = DEFAULT_ALGORITHMS, seed: int = 0,
                outer_folds: int = 10, inner_folds: int = 3,
-               grids: dict | None = None, max_features: int = 12,
-               resample: bool = True,
+               grids: dict | None = None, resample: bool = True,
                attributes: Sequence[str] | None = None) -> AttackReport:
     """Nested stratified cross-validation over the per-player table.
 
@@ -191,7 +197,7 @@ def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
     attrs = list(attributes) if attributes is not None else list(ATTRIBUTE_SCHEMA)
     report = AttackReport(protocol="simple", config={
         "seed": seed, "outer_folds": outer_folds, "inner_folds": inner_folds,
-        "grids": grids, "max_features": max_features, "resample": resample,
+        "grids": grids, "max_features": MAX_FEATURES, "resample": resample,
         "algorithms": list(algorithms), "column_hash": P.column_hash(),
     })
 
@@ -216,7 +222,7 @@ def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
                             f"simple:{attribute}")
             y_train = [y[i] for i in train_rows]
             y_test = [y[i] for i in fold]
-            selected = m.select_features(P, train_rows, y_train, max_features,
+            selected = m.select_features(P, train_rows, y_train, MAX_FEATURES,
                                          classes)
             prepared = m.prepare(P, train_rows, y_train, classes, selected,
                                  resample)
@@ -248,11 +254,9 @@ class OneMatchRun:
     split), so downstream consumers must pair a model with its own split.
     """
 
-    variant_index: int
     matrix: FeatureMatrix
     models: dict[str, m.TrainedModel]
     splits: dict[str, tuple[list[int], list[int], list[int]]]
-    seed: int
 
     def test_players(self, attribute: str) -> list[int]:
         return self.splits[attribute][2]
@@ -264,9 +268,8 @@ class OneMatchRun:
 def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
                   labels: dict[int, AttributeLabels],
                   algorithms: Sequence[str] = DEFAULT_ALGORITHMS, seed: int = 0,
-                  n_repeats: int | None = None, test_fraction: float = 0.20,
-                  val_fraction: float = 0.10, grids: dict | None = None,
-                  max_features: int = 12, resample: bool = True,
+                  n_repeats: int | None = None, grids: dict | None = None,
+                  resample: bool = True,
                   keep_models: str | None = None,
                   attributes: Sequence[str] | None = None
                   ) -> tuple[AttackReport, list[OneMatchRun]]:
@@ -287,9 +290,9 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
     attrs = list(attributes) if attributes is not None else list(ATTRIBUTE_SCHEMA)
 
     report = AttackReport(protocol="one_match", config={
-        "seed": seed, "test_fraction": test_fraction,
-        "val_fraction": val_fraction, "grids": grids,
-        "max_features": max_features, "resample": resample,
+        "seed": seed, "test_fraction": TEST_FRACTION,
+        "val_fraction": VAL_FRACTION, "grids": grids,
+        "max_features": MAX_FEATURES, "resample": resample,
         "algorithms": list(algorithms), "n_runs": len(runs_spec),
         "variant_seeds": [v.variant_seed for _, v in runs_spec],
     })
@@ -306,7 +309,7 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
             classes = list(ATTRIBUTE_SCHEMA[attribute])
             y_by_player = {p: getattr(labels[p], attribute) for p in players}
             train_p, val_p, test_p = _stratified_player_split(
-                players, y_by_player, test_fraction, val_fraction,
+                players, y_by_player, TEST_FRACTION, VAL_FRACTION,
                 _rng(seed, ri, 1, ai))
             kept_splits[attribute] = (train_p, val_p, test_p)
             train_rows = _rows_of(matrix, train_p)
@@ -317,7 +320,7 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
             y_val = [y_rows[i] for i in val_rows]
             y_test = [y_rows[i] for i in test_rows]
             selected = m.select_features(matrix, train_rows, y_train,
-                                         max_features, classes)
+                                         MAX_FEATURES, classes)
             prepared = m.prepare(matrix, train_rows, y_train, classes,
                                  selected, resample)
 
@@ -341,9 +344,8 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
                 if keep_models == algorithm:
                     kept_models[attribute] = model
         if keep_models is not None:
-            artifacts.append(OneMatchRun(variant_index=ri, matrix=matrix,
-                                         models=kept_models, splits=kept_splits,
-                                         seed=run_seed))
+            artifacts.append(OneMatchRun(matrix=matrix, models=kept_models,
+                                         splits=kept_splits))
     for attribute in attrs:
         report.metric_tables[attribute] = {
             alg: _mean_std(scores[attribute][alg]) for alg in algorithms}
@@ -359,21 +361,6 @@ def average_probabilities(vectors: Sequence[Sequence[float]]) -> np.ndarray:
     """Componentwise mean of class-probability vectors."""
     arr = np.asarray(vectors, dtype=float)
     return arr.mean(axis=0)
-
-
-def sophisticated_predict(model: m.TrainedModel, matrix: FeatureMatrix,
-                          row_idx: Sequence[int], n: int | None = None,
-                          rng: np.random.Generator | None = None
-                          ) -> tuple[str, np.ndarray]:
-    """Average per-match probabilities for one player, then take the argmax.
-
-    When n is smaller than the available match count, n rows are sampled
-    without replacement; n beyond the available count uses everything.
-    """
-    block = m.predict_proba(model, matrix, list(row_idx))
-    avg = _draw_means(block, [len(block) if n is None else n], 1,
-                      rng if rng is not None else np.random.default_rng(0))[0, 0]
-    return model.class_list[int(np.argmax(avg))], avg
 
 
 def _prob_blocks(model: m.TrainedModel, matrix: FeatureMatrix,
@@ -515,9 +502,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                  labels: dict[int, AttributeLabels],
                  n_sweep: Sequence[int] = tuple(range(1, 31)),
                  repeats: int = 5, draws: int = 20, seed: int = 0,
-                 algorithms: Sequence[str] = ("random_forest",),
-                 grids: dict | None = None, max_features: int = 12,
-                 test_fraction: float = 0.20, val_fraction: float = 0.10,
+                 grids: dict | None = None,
                  thresholds: Sequence[float] = _THRESHOLDS) -> AttackReport:
     """Binary, precision-optimized detection of one subgroup.
 
@@ -536,7 +521,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         "target": target.name,
         "clauses": [[a, sorted(c)] for a, c in target.clauses],
         "seed": seed, "repeats": repeats, "draws": draws,
-        "n_sweep": list(n_sweep), "algorithms": list(algorithms),
+        "n_sweep": list(n_sweep), "algorithms": list(TARGETED_ALGORITHMS),
         "grids": grids, "thresholds": [float(t) for t in thresholds],
         "selected": [],
     })
@@ -551,7 +536,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
             raise NoPositives(f"target {target.name} matches no player")
         split_rng = _rng(seed, rep, 2)
         train_p, val_p, test_p = _stratified_player_split(
-            players, y_by_player, test_fraction, val_fraction, split_rng)
+            players, y_by_player, TEST_FRACTION, VAL_FRACTION, split_rng)
         for part, name in ((train_p, "train"), (val_p, "validation"),
                            (test_p, "test")):
             if not any(y_by_player[p] == "positive" for p in part):
@@ -561,7 +546,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         train_rows = _rows_of(matrix, train_p)
         y_train = [y_by_player[matrix.row_owner[i]] for i in train_rows]
         selected = m.select_features(matrix, train_rows, y_train,
-                                     max_features, classes)
+                                     MAX_FEATURES, classes)
         prepared = m.prepare(matrix, train_rows, y_train, classes, selected,
                              resample=True)
         y_val = [y_by_player[p] for p in val_p]
@@ -593,7 +578,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         # go to the earlier algorithm and grid point.
         candidates = [
             (algorithm, candidate, _unit_seed(seed, rep, gi, ci))
-            for gi, algorithm in enumerate(algorithms)
+            for gi, algorithm in enumerate(TARGETED_ALGORITHMS)
             for ci, candidate in enumerate(m._expand_grid(grids.get(algorithm, {})))]
         best = m.select_best(candidates, [prepared], val_score)
         if best is None:

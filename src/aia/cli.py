@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .attributes import bin_survey, read_labels_csv, read_survey_csv, write_labels_csv
-from .errors import AiaError, MissingLabels
+from .errors import AiaError, ConfigError, MissingLabels, SchemaError
 
 
 def _config_hash(doc: dict) -> str:
@@ -82,8 +82,12 @@ def _cmd_synth(args) -> int:
     else:
         if args.config is None:
             raise AiaError("synth needs --config FILE or --fixture")
-        config = SynthConfig.from_json_dict(
-            json.loads(Path(args.config).read_text(encoding="utf-8")))
+        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            config = SynthConfig.from_json_dict(json.loads(text))
+            config.validate()
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{args.config}: {exc}") from exc
     population = generate_population(config)
     out = Path(args.out)
     write_population_cache(population, out)
@@ -96,9 +100,15 @@ def _cmd_synth(args) -> int:
 def _cmd_ingest(args) -> int:
     from .ingest import TelemetryClient
 
-    handles = [int(line.strip()) for line in
-               Path(args.handles).read_text(encoding="utf-8").splitlines()
-               if line.strip()]
+    handles = []
+    lines = Path(args.handles).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                handles.append(int(line))
+            except ValueError:
+                raise SchemaError(f"line {number}: not an account id: "
+                                  f"{line.strip()!r}", path=args.handles) from None
     client = TelemetryClient(args.cache, base_url=args.base_url,
                              rate_per_s=args.rate, offline=args.offline)
     fetched_players = 0
@@ -179,8 +189,7 @@ def _featurize(args) -> int:
         save_matrix(m, out / "M.csv")
         print(f"featurize: M {m.n_rows}x{len(m.columns)} -> {out}")
         return 0
-    variants = build_distilled(m, aug, max_per_player=args.cap,
-                               n_variants=args.variants, seed=args.seed)
+    variants = build_distilled(m, aug, n_variants=args.variants, seed=args.seed)
     lines: dict = {}  # rows the variants share are formatted once
     for i, variant in enumerate(variants):
         save_matrix(variant, out / f"Mbar_{i:02d}.csv", lines)
@@ -356,11 +365,18 @@ def _cmd_attack(args) -> int:
 def _cmd_validate(args) -> int:
     from . import validation
 
-    tables = None
-    if args.pairs:
-        tables = json.loads(Path(args.pairs).read_text(encoding="utf-8"))
-    ledger = validation.hypothesis_table(tables, alpha=args.alpha,
-                                         welch=args.welch)
+    if not args.pairs:
+        ledger = validation.hypothesis_table(alpha=args.alpha, welch=args.welch)
+    else:
+        text = Path(args.pairs).read_text(encoding="utf-8")
+        try:
+            ledger = validation.hypothesis_table(json.loads(text), alpha=args.alpha,
+                                                 welch=args.welch)
+        except KeyError as exc:
+            raise SchemaError(f"missing field {exc}", path=args.pairs) from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(f"not a summary-tables document: {exc}",
+                              path=args.pairs) from exc
     rows = validation.ledger_rows(ledger)
     if args.out:
         out = Path(args.out)
@@ -436,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variants", type=int, default=20)
-    p.add_argument("--cap", type=int, default=30, help="max rows per player")
     p.add_argument("--min-matches", type=int, default=5)
     p.add_argument("--min-human-players", type=int, default=0,
                    help="drop matches with fewer humans (default: keep all)")

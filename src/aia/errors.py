@@ -60,10 +60,6 @@ class SchemaMismatch(AiaError):
     """Matrix columns do not match a model's training schema."""
 
 
-class TooFewMinority(AiaError):
-    """Minority class too small for neighbor interpolation."""
-
-
 class LengthMismatch(AiaError):
     """Paired vectors have different lengths."""
 

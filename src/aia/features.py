@@ -13,7 +13,7 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,6 +27,11 @@ from .matrix import DISTILL_CAP, Column, FeatureMatrix
 LEXICON_CATEGORIES = ("laugh", "slang", "bad_behavior", "good_behavior", "provocative")
 WHEEL_CATEGORIES = ("tactical", "laugh", "deny", "good_behavior")
 DAY_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
+
+# Fixed settings, hashed into every matrix's config hash.
+EARLY_WINDOW_S = 90.0       # chat before this time counts as early-game
+AFTER_KILL_WINDOW_S = 10.0  # chat this soon after the slot's kill counts
+RANKED_LOBBY_CODES = (7,)
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 _QUESTION_ONLY_RE = re.compile(r"^\?+$")
@@ -53,27 +58,24 @@ def _data_path(*parts: str) -> Path:
     return Path(resources.files("aia").joinpath("data", *parts))  # type: ignore[arg-type]
 
 
-def load_lexicons(directory: str | Path | None = None) -> list[Lexicon]:
+def load_lexicons() -> list[Lexicon]:
     """One editable text file per category, one lowercase token per line."""
-    root = Path(directory) if directory is not None else _data_path("lexicons")
     out = []
     for category in LEXICON_CATEGORIES:
-        path = root / f"{category}.txt"
+        path = _data_path("lexicons", f"{category}.txt")
         words = tuple(w.strip() for w in path.read_text(encoding="utf-8").splitlines()
                       if w.strip())
         out.append(Lexicon(category, words))
     return out
 
 
-def load_hero_table(path: str | Path | None = None) -> dict[int, dict]:
-    doc = json.loads((Path(path) if path else _data_path("heroes.json"))
-                     .read_text(encoding="utf-8"))
+def load_hero_table() -> dict[int, dict]:
+    doc = json.loads(_data_path("heroes.json").read_text(encoding="utf-8"))
     return {int(k): v for k, v in doc["heroes"].items()}
 
 
-def load_wheel_catalog(path: str | Path | None = None) -> dict[str, str]:
-    doc = json.loads((Path(path) if path else _data_path("wheel_catalog.json"))
-                     .read_text(encoding="utf-8"))
+def load_wheel_catalog() -> dict[str, str]:
+    doc = json.loads(_data_path("wheel_catalog.json").read_text(encoding="utf-8"))
     return dict(doc["wheels"])
 
 
@@ -86,33 +88,21 @@ def hero_attr(hero_table: dict[int, dict], hero_id: int) -> str:
 
 
 @dataclass
-class FeatureConfig:
-    """Tunables recorded in every report's config hash."""
-
-    early_window_s: float = 90.0
-    after_kill_window_s: float = 10.0
-    ranked_lobby_codes: tuple[int, ...] = (7,)
-    distill_cap: int = DISTILL_CAP
-
-
-@dataclass
 class FeatureContext:
     lexicons: list[Lexicon]
     hero_table: dict[int, dict]
     wheel_catalog: dict[str, str]
-    config: FeatureConfig = field(default_factory=FeatureConfig)
 
     @classmethod
-    def default(cls, config: FeatureConfig | None = None) -> "FeatureContext":
-        return cls(load_lexicons(), load_hero_table(), load_wheel_catalog(),
-                   config or FeatureConfig())
+    def default(cls) -> "FeatureContext":
+        return cls(load_lexicons(), load_hero_table(), load_wheel_catalog())
 
     def config_hash(self) -> str:
         blob = json.dumps({
-            "early_window_s": self.config.early_window_s,
-            "after_kill_window_s": self.config.after_kill_window_s,
-            "ranked_lobby_codes": list(self.config.ranked_lobby_codes),
-            "distill_cap": self.config.distill_cap,
+            "early_window_s": EARLY_WINDOW_S,
+            "after_kill_window_s": AFTER_KILL_WINDOW_S,
+            "ranked_lobby_codes": list(RANKED_LOBBY_CODES),
+            "distill_cap": DISTILL_CAP,
             "lexicons": {lx.category: list(lx.words) for lx in self.lexicons},
             "wheels": self.wheel_catalog,
             "heroes": {str(k): v for k, v in sorted(self.hero_table.items())},
@@ -177,8 +167,8 @@ def _token_categories(lexicons: tuple[Lexicon, ...]) -> dict[str, tuple[str, ...
 
 
 def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexicon],
-                          early_window_s: float = 90.0,
-                          after_kill_window_s: float = 10.0,
+                          early_window_s: float = EARLY_WINDOW_S,
+                          after_kill_window_s: float = AFTER_KILL_WINDOW_S,
                           wheel_catalog: dict[str, str] | None = None) -> ChatFeatures:
     """Chat-derived counts for one slot of one match.
 
@@ -368,12 +358,8 @@ def build_match_features(match: MatchRecord, slot: int,
         "day_of_week": DAY_NAMES[tm.tm_wday],
     }
 
-    chat = extract_chat_features(
-        match, slot, ctx.lexicons,
-        early_window_s=ctx.config.early_window_s,
-        after_kill_window_s=ctx.config.after_kill_window_s,
-        wheel_catalog=ctx.wheel_catalog,
-    )
+    chat = extract_chat_features(match, slot, ctx.lexicons,
+                                 wheel_catalog=ctx.wheel_catalog)
     row.update(chat.as_feature_dict())
 
     typed_by_slot = {p.slot: 0 for p in match.players}
@@ -532,7 +518,7 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
 
     out: dict[str, object] = {"matches_count": float(n)}
     wins = [1.0 if r["won"] else 0.0 for r in rows]
-    ranked_codes = {str(c) for c in ctx.config.ranked_lobby_codes}
+    ranked_codes = {str(c) for c in RANKED_LOBBY_CODES}
     ranked = [w for r, w in zip(rows, wins) if r["lobby_type"] in ranked_codes]
     normal = [w for r, w in zip(rows, wins) if r["lobby_type"] not in ranked_codes]
     out["win_rate"] = sum(wins) / n

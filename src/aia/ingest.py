@@ -97,10 +97,6 @@ class MatchRecord:
     word_counts: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)  # unknown source fields, preserved
 
-    @property
-    def unknown_field_count(self) -> int:
-        return len(self.extras)
-
     def kill_events(self) -> list[tuple[int, float]]:
         """(slot, time) of every kill objective that names a slot.
 
@@ -299,7 +295,7 @@ def parse_match(payload: bytes | str | dict) -> MatchRecord:
     into a dict; a dict skips decoding and goes through the same checks.
     The record may share nested objects (objectives, unknown fields) with a
     dict payload. All schema fields map losslessly; unknown fields are kept
-    in `extras` (and counted) so later feature work can still reach them.
+    in `extras` so later feature work can still reach them.
     The first invariant violation raises SchemaError with its JSON path.
     Objects and arrays are type-checked where they are read; a scalar that
     does not convert raises SchemaError too. A document either raises

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .errors import SchemaError
 
@@ -107,18 +107,6 @@ class FeatureMatrix:
         """Distinct owners in first-appearance order."""
         return list(self.owner_rows)
 
-    def project(self, names: Sequence[str]) -> "FeatureMatrix":
-        idx = [self.column_index(n) for n in names]
-        return FeatureMatrix(
-            variant=self.variant,
-            columns=[self.columns[i] for i in idx],
-            rows=[[row[i] for i in idx] for row in self.rows],
-            row_owner=list(self.row_owner),
-            row_match=list(self.row_match) if self.row_match else None,
-            variant_seed=self.variant_seed,
-            config_hash=self.config_hash,
-        )
-
     def column_hash(self) -> str:
         blob = "|".join(f"{c.name}:{c.kind}" for c in self.columns)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -198,14 +186,12 @@ def save_matrix(matrix: FeatureMatrix, csv_path: str | Path,
 
 
 def _bad_column(rec: list[str], header: list[str], kinds: list[str]) -> str:
-    """Name of the first cell of a CSV record that does not parse, or that
-    is missing."""
+    """Name of the first cell of a full-width CSV record that does not parse."""
     for name, kind, text in zip(header, kinds, rec):
         try:
             int(text) if kind == "id" else _parse_cell(text, kind)
         except ValueError:
             return name
-    return header[min(len(rec), len(header) - 1)]
 
 
 def load_matrix(csv_path: str | Path) -> FeatureMatrix:
@@ -239,6 +225,13 @@ def load_matrix(csv_path: str | Path) -> FeatureMatrix:
         row, rec = 0, []
         try:
             for row, rec in enumerate(reader, 1):
+                if len(rec) != len(expected):
+                    # Name the first missing cell, or the last column when
+                    # the row runs past it.
+                    column = expected[min(len(rec), len(expected) - 1)]
+                    raise SchemaError(f"data row {row}, column {column!r}: "
+                                      f"{len(rec)} cells, expected {len(expected)}",
+                                      path=str(csv_path))
                 owners.append(int(rec[0]))
                 offset = 1
                 if has_match:
@@ -246,7 +239,7 @@ def load_matrix(csv_path: str | Path) -> FeatureMatrix:
                     offset = 2
                 rows.append([_parse_cell(t, c.kind)
                              for t, c in zip(rec[offset:], columns)])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             kinds = ["id"] * (len(expected) - len(columns)) + [c.kind for c in columns]
             column = _bad_column(rec, expected, kinds)
             raise SchemaError(f"data row {row}, column {column!r}: {exc}",

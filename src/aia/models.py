@@ -7,11 +7,10 @@ of numerics, and an optional univariate feature-selection step, always
 fitted on training rows only. Training is two steps: `prepare` (recipe,
 encoding, ENN cleaning; no seed, no algorithm, so one prepared fold serves
 every candidate) and `fit_prepared` (SMOTE, then the estimator, both
-seeded); `fit` runs both without resampling. Logistic regression is fitted
-by damped Newton on the full Hessian (at most ~50 x 50 here) and converges
-in a handful of steps; a fit that still hits its step cap carries the
-`not_converged` flag. Everything is deterministic given (data,
-hyperparams, seed).
+seeded). Logistic regression is fitted by damped Newton on the full
+Hessian (at most ~50 x 50 here) and converges in a handful of steps; a
+fit that still hits its step cap carries the `not_converged` flag.
+Everything is deterministic given (data, hyperparams, seed).
 
 Trees are flat node arrays (scikit-learn's `Tree` layout: feature,
 threshold, left, right, value). One grower builds them: a decision tree
@@ -529,16 +528,6 @@ def fit_prepared(algorithm: str, fold: PreparedFold,
                         seed=seed, schema_hash=fold.schema_hash, flags=flags)
 
 
-def fit(algorithm: str, matrix: FeatureMatrix, row_idx: Sequence[int],
-        y: Sequence[str], hyperparams: dict | None = None, seed: int = 0,
-        classes: Sequence[str] | None = None,
-        selected: Sequence[str] | None = None) -> TrainedModel:
-    """Train one classifier on the given rows, without resampling:
-    `prepare`, then `fit_prepared`."""
-    return fit_prepared(algorithm, prepare(matrix, row_idx, y, classes, selected),
-                        hyperparams, seed)
-
-
 def predict_proba(model: TrainedModel, matrix: FeatureMatrix,
                   row_idx: Sequence[int] | None = None) -> np.ndarray:
     """Class-probability matrix (rows on the simplex) for the given rows."""
@@ -674,17 +663,14 @@ def select_best(candidates: Sequence[tuple[str, dict, int]],
 
 def grid_search(algorithm: str, grid: dict[str, list] | list[dict],
                 matrix: FeatureMatrix, row_idx: Sequence[int], y: Sequence[str],
-                inner_folds: int = 3,
-                metric: str | Callable[[Sequence, Sequence], float] = "macro_f1",
-                seed: int = 0,
+                inner_folds: int = 3, seed: int = 0,
                 classes: Sequence[str] | None = None,
                 selected: Sequence[str] | None = None,
                 resample: bool = True) -> dict:
-    """Exhaustive grid evaluation by stratified inner CV.
+    """Exhaustive grid evaluation by stratified inner CV, scored by macro F1.
 
     Each inner training fold is prepared once and serves every grid point.
-    Ties break toward the earlier grid point. The metric is a key produced
-    by `metrics` or a callable (y_true, y_pred) -> float.
+    Ties break toward the earlier grid point.
     """
     if inner_folds < 2:
         raise ValueError("inner_folds must be >= 2")
@@ -709,13 +695,12 @@ def grid_search(algorithm: str, grid: dict[str, list] | list[dict],
         held_out.append(fold)
     if not prepared:
         return candidates[0]
-    score_fn = metric if callable(metric) else \
-        (lambda y_true, y_pred: metrics(y_true, y_pred, class_list)[metric])
 
     def score(fold_models: list[TrainedModel]) -> tuple[float, None]:
         return float(np.mean([
-            score_fn([y[i] for i in fold],
-                     predict(model, matrix, [row_idx[i] for i in fold]))
+            metrics([y[i] for i in fold],
+                    predict(model, matrix, [row_idx[i] for i in fold]),
+                    class_list)["macro_f1"]
             for model, fold in zip(fold_models, held_out)])), None
 
     best = select_best([(algorithm, c, seed) for c in candidates], prepared, score)

@@ -336,14 +336,11 @@ def _contingency(x: Sequence, y: Sequence) -> np.ndarray:
     return table
 
 
-def cramers_v(x: Sequence, y: Sequence,
-              bias_corrected: bool = False) -> tuple[float, float]:
+def cramers_v(x: Sequence, y: Sequence) -> tuple[float, float]:
     """Cramer's V association strength and chi-square p-value.
 
     V = sqrt(chi2 / (n * (min(r, c) - 1))) over the observed contingency
     table; p comes from the chi-square distribution with (r-1)(c-1) df.
-    The plain statistic is the default; the small-sample bias correction
-    (Bergsma's phi-tilde) sits behind a flag for sensitivity runs.
     """
     if len(x) != len(y):
         raise LengthMismatch(f"paired vectors differ in length: {len(x)} vs {len(y)}")
@@ -359,14 +356,7 @@ def cramers_v(x: Sequence, y: Sequence,
     expected = np.outer(row, col) / n
     chi2 = float(((table - expected) ** 2 / expected).sum())
     p = chi2_sf(chi2, (r - 1) * (c - 1))
-    if bias_corrected:
-        phi2 = max(0.0, chi2 / n - (r - 1) * (c - 1) / (n - 1))
-        r_adj = r - (r - 1) ** 2 / (n - 1)
-        c_adj = c - (c - 1) ** 2 / (n - 1)
-        denom = min(r_adj, c_adj) - 1.0
-        v = math.sqrt(phi2 / denom) if denom > 0 else 0.0
-    else:
-        v = math.sqrt(chi2 / (n * (min(r, c) - 1)))
+    v = math.sqrt(chi2 / (n * (min(r, c) - 1)))
     return min(1.0, v), p
 
 

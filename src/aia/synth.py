@@ -150,21 +150,31 @@ class SynthConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SynthConfig":
-        return cls(
-            n_players=int(doc.get("n_players", 50)),
-            matches_range=tuple(doc.get("matches_range", (5, 120))),
-            priors={k: tuple(v) for k, v in doc.get(
-                "priors", {k: list(v) for k, v in TABLE1_PRIORS.items()}).items()},
-            numeric_effects=tuple(NumericEffect(**e)
-                                  for e in doc.get("numeric_effects", ())),
-            rate_effects=tuple(RateEffect(**e) for e in doc.get("rate_effects", ())),
-            categorical_effects=tuple(CategoricalEffect(**e)
-                                      for e in doc.get("categorical_effects", ())),
-            noise_level=float(doc.get("noise_level", 0.5)),
-            match_noise=float(doc.get("match_noise", 1.0)),
-            messages_per_match=float(doc.get("messages_per_match", 4.0)),
-            seed=int(doc.get("seed", 0)),
-        )
+        """The config a `to_json_dict` document describes; a missing field
+        takes its default, and a value that does not convert raises
+        ConfigError naming its field."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"expected a JSON object, got {type(doc).__name__}")
+        readers = {
+            "n_players": int,
+            "matches_range": tuple,
+            "priors": lambda v: {k: tuple(p) for k, p in v.items()},
+            "numeric_effects": lambda v: tuple(NumericEffect(**e) for e in v),
+            "rate_effects": lambda v: tuple(RateEffect(**e) for e in v),
+            "categorical_effects": lambda v: tuple(CategoricalEffect(**e) for e in v),
+            "noise_level": float,
+            "match_noise": float,
+            "messages_per_match": float,
+            "seed": int,
+        }
+        defaults = cls().to_json_dict()
+        fields = {}
+        for name, read in readers.items():
+            try:
+                fields[name] = read(doc.get(name, defaults[name]))
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ConfigError(f"field {name!r}: {exc}") from exc
+        return cls(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,11 @@ def load_published_results(path: str | Path | None = None) -> dict:
 
 
 def _stat(label: str, pair: Iterable[float], n: int) -> SummaryStat:
-    mean, std = pair
-    return SummaryStat(label, float(mean), float(std), n)
+    try:
+        mean, std = pair
+        return SummaryStat(label, float(mean), float(std), n)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{label}: expected [mean, std], got {pair!r}") from exc
 
 
 def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,

@@ -14,7 +14,6 @@ from aia.attacks import (
     save_report,
     simple_aia,
     sophisticated_aia,
-    sophisticated_predict,
     targeted_aia,
 )
 from aia.errors import AttributeArity, NoPositives, OutOfRange, PlayerOverlap
@@ -165,6 +164,10 @@ def test_one_match_single_matrix_repeats(fixture_corpus):
                               seed=6, n_repeats=4, grids=FAST_GRIDS,
                               attributes=("age_bin",))
     assert report.metric_tables["age_bin"]["dummy_stratified"]["n_runs"] == 4
+    # The fixed settings, recorded under the keys they had as options.
+    assert {key: report.config[key] for key in
+            ("max_features", "test_fraction", "val_fraction")} == {
+        "max_features": 12, "test_fraction": 0.2, "val_fraction": 0.1}
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +224,38 @@ def _toy_model_and_matrix():
     matrix = FeatureMatrix(variant="M_bar", columns=[Column("x", "numeric")],
                            rows=rows, row_owner=[1] * 20,
                            row_match=list(range(20)))
-    model = models.fit("decision_tree", matrix, range(20), y,
-                       {"max_depth": 2, "min_leaf": 2})
+    model = models.fit_prepared("decision_tree",
+                                models.prepare(matrix, range(20), y),
+                                {"max_depth": 2, "min_leaf": 2})
     return model, matrix
+
+
+def _player_average(model, matrix, rows, n=None):
+    """Argmax class and mean probabilities of n of `rows` (all when n is
+    None), through the protocols' kernels: `_prob_blocks` for one player
+    who owns exactly those rows, then `_draw_means`."""
+    player = FeatureMatrix(variant="M_bar", columns=matrix.columns,
+                           rows=[matrix.rows[i] for i in rows],
+                           row_owner=[1] * len(rows),
+                           row_match=list(range(len(rows))))
+    block = attacks._prob_blocks(model, player, [1])[1]
+    avg = attacks._draw_means(block, [len(block) if n is None else n], 1,
+                              np.random.default_rng(0))[0, 0]
+    return model.class_list[int(np.argmax(avg))], avg
 
 
 def test_sophisticated_predict_n1_equals_single_row():
     model, matrix = _toy_model_and_matrix()
     single = models.predict_proba(model, matrix, [4])[0]
-    label, avg = sophisticated_predict(model, matrix, [4], n=1)
+    label, avg = _player_average(model, matrix, [4], n=1)
     assert np.allclose(avg, single)
     assert label == model.class_list[int(np.argmax(single))]
 
 
 def test_sophisticated_predict_identical_rows_idempotent():
     model, matrix = _toy_model_and_matrix()
-    label_1, avg_1 = sophisticated_predict(model, matrix, [3])
-    label_n, avg_n = sophisticated_predict(model, matrix, [3, 3, 3, 3])
+    label_1, avg_1 = _player_average(model, matrix, [3])
+    label_n, avg_n = _player_average(model, matrix, [3, 3, 3, 3])
     assert np.allclose(avg_1, avg_n)
     assert label_1 == label_n
 
@@ -245,16 +263,16 @@ def test_sophisticated_predict_identical_rows_idempotent():
 def test_sophisticated_predict_order_invariant():
     model, matrix = _toy_model_and_matrix()
     rows = [2, 5, 11, 17]
-    _, forward = sophisticated_predict(model, matrix, rows)
-    _, backward = sophisticated_predict(model, matrix, rows[::-1])
+    _, forward = _player_average(model, matrix, rows)
+    _, backward = _player_average(model, matrix, rows[::-1])
     assert np.allclose(forward, backward)
 
 
 def test_sophisticated_predict_caps_at_available():
     model, matrix = _toy_model_and_matrix()
     rows = [1, 2, 3]
-    _, all_used = sophisticated_predict(model, matrix, rows, n=50)
-    _, plain = sophisticated_predict(model, matrix, rows)
+    _, all_used = _player_average(model, matrix, rows, n=50)
+    _, plain = _player_average(model, matrix, rows)
     assert np.allclose(all_used, plain)
 
 
@@ -373,14 +391,15 @@ def test_indiscriminate_uniform_model_top2_is_two_thirds():
                            rows=rows, row_owner=list(range(n_players)),
                            row_match=list(range(n_players)))
     y_train = [classes[i % 3] for i in range(n_players)]
-    model = models.fit("dummy_stratified", matrix, range(n_players), y_train,
-                       classes=list(classes), seed=0)
+    model = models.fit_prepared(
+        "dummy_stratified",
+        models.prepare(matrix, range(n_players), y_train, classes=list(classes)),
+        seed=0)
     labels = {i: _labels_with(purchase_habits=classes[int(v)])
               for i, v in enumerate(rng.integers(0, 3, n_players))}
     run = attacks.OneMatchRun(
-        variant_index=0, matrix=matrix,
-        models={"purchase_habits": model},
-        splits={"purchase_habits": ([], [], list(range(n_players)))}, seed=0)
+        matrix=matrix, models={"purchase_habits": model},
+        splits={"purchase_habits": ([], [], list(range(n_players)))})
     report = indiscriminate_aia([run], labels, n=1, draws=1, seed=5,
                                 attributes=("purchase_habits",))
     top2 = report.metric_tables["purchase_habits"]["top2"]["mean"]
@@ -447,6 +466,7 @@ def test_targeted_very_young_reaches_high_precision(fixture_corpus):
     assert by_n[10]["mean"] >= 0.85
     recall_by_n = {c["n"]: c for c in report.curves["recall"]}
     assert 0.0 <= recall_by_n[10]["mean"] <= 1.0
+    assert report.config["algorithms"] == ["random_forest"]
 
 
 def test_targeted_beats_untuned_half_threshold(fixture_corpus):

