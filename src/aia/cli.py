@@ -88,10 +88,11 @@ def _cmd_synth(args) -> int:
             config.validate()
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"{args.config}: {exc}") from exc
-    population = generate_population(config)
     out = Path(args.out)
-    write_population_cache(population, out)
-    write_survey_csv(population, out / "survey.csv")
+    with _collector_paused():
+        population = generate_population(config)
+        write_population_cache(population, out)
+        write_survey_csv(population, out / "survey.csv")
     print(f"synth: {len(population.players)} players, "
           f"{len(population.matches)} matches -> {out}")
     return 0
@@ -145,9 +146,9 @@ def _cmd_labels(args) -> int:
 
 @contextlib.contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector. Featurize builds a large acyclic
-    heap (records, feature rows) that every full collection would rescan
-    without freeing anything; reference counting still frees it all."""
+    """Pause the cyclic garbage collector. Synth and featurize build a large
+    acyclic heap (records, feature rows) that every full collection would
+    rescan without freeing anything; reference counting still frees it all."""
     if not gc.isenabled():
         yield
         return

@@ -14,7 +14,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import NotFound, RateLimited, SchemaError
 
@@ -39,8 +39,10 @@ _CHAT_TYPE_INV = {v: k for k, v in _CHAT_TYPE_MAP.items()}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+# A match holds ~10 slots and ~15 chat entries, so these two are named
+# tuples: immutable like the frozen records, and several times cheaper to
+# build, which every parse of every match pays.
+class ChatMessage(NamedTuple):
     sender_slot: int
     time_s: float
     kind: str      # one of CHAT_KINDS
@@ -48,8 +50,7 @@ class ChatMessage:
     text_or_id: str
 
 
-@dataclass(frozen=True)
-class MatchPlayerSlot:
+class MatchPlayerSlot(NamedTuple):
     handle: Optional[int]
     slot: int
     hero_id: int
@@ -59,7 +60,7 @@ class MatchPlayerSlot:
     denies: int
     last_hits: int
     is_radiant: bool
-    word_counts: dict = field(default_factory=dict)
+    word_counts: dict
 
 
 @dataclass
@@ -236,13 +237,8 @@ def _parse_chat_entry(entry: dict, index: int) -> ChatMessage:
     time_s = entry.get("time", 0.0)
     if not _is_number(time_s):
         raise _not_number(time_s, f"$.chat[{index}].time")
-    return ChatMessage(
-        sender_slot=sender_slot,
-        time_s=float(time_s),
-        kind=kind,
-        channel=channel,
-        text_or_id=str(entry.get("key", "")),
-    )
+    return ChatMessage(sender_slot, float(time_s), kind, channel,
+                       str(entry.get("key", "")))
 
 
 def _parse_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
@@ -252,12 +248,12 @@ def _parse_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
     if slot is None or not _is_number(slot):
         _require(entry, "player_slot", int, f"$.players[{index}]")  # raises
     slot = int(slot)
-    counts = {}
+    counts = []
     for key in ("kills", "deaths", "assists", "denies", "last_hits"):
         value = int(entry.get(key, 0) or 0)
         if value < 0:
             raise SchemaError(f"{key} must be >= 0", path=f"$.players[{index}].{key}")
-        counts[key] = value
+        counts.append(value)
     is_radiant = entry.get("isRadiant")
     if is_radiant is None:
         is_radiant = slot < 128
@@ -267,14 +263,8 @@ def _parse_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
     word_counts = entry.get("word_counts") or {}
     if not isinstance(word_counts, dict):
         raise _wrong_type(word_counts, dict, f"$.players[{index}].word_counts")
-    return MatchPlayerSlot(
-        handle=handle,
-        slot=slot,
-        hero_id=hero_id,
-        is_radiant=bool(is_radiant),
-        word_counts=dict(word_counts),
-        **counts,
-    )
+    return MatchPlayerSlot(handle, slot, hero_id, *counts, bool(is_radiant),
+                           dict(word_counts))
 
 
 _MATCH_KNOWN_FIELDS = {
@@ -490,10 +480,17 @@ def match_cache_path(cache_dir: str | Path, match_id: int) -> Path:
 
 
 def atomic_write(path: Path, data: bytes) -> None:
-    """Write-temp-then-rename so readers never see partial files."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
+    """Write-temp-then-rename so readers never see partial files. The
+    directory is made only when the temp file cannot be opened for want of
+    it, so a cache of thousands of files pays for one mkdir per directory."""
+    tmp = f"{path}.tmp"
+    try:
+        fh = open(tmp, "wb")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "wb")
+    with fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -91,6 +92,11 @@ class CategoricalEffect:
     strength: float
 
 
+def _is_real(value) -> bool:
+    """A real number; a boolean or a string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SynthConfig:
     n_players: int = 50
@@ -108,14 +114,17 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_players < 1:
             raise ConfigError("n_players must be >= 1")
-        lo, hi = self.matches_range
-        if not 1 <= lo <= hi:
+        if (len(self.matches_range) != 2
+                or not all(map(_is_real, self.matches_range))
+                or not 1 <= self.matches_range[0] <= self.matches_range[1]):
             raise ConfigError(f"bad matches_range {self.matches_range}")
         for attr, probs in self.priors.items():
             if attr not in ATTRIBUTE_SCHEMA:
                 raise ConfigError(f"unknown attribute {attr!r}")
             if len(probs) != len(ATTRIBUTE_SCHEMA[attr]):
                 raise ConfigError(f"prior arity mismatch for {attr!r}")
+            if not all(_is_real(p) and p >= 0.0 for p in probs):
+                raise ConfigError(f"priors for {attr!r} must be numbers >= 0: {probs}")
             # Published distributions carry rounding error (one row sums to
             # 99.99%); tolerate it and renormalize at draw time.
             if abs(sum(probs) - 1.0) > 1e-3:
@@ -123,16 +132,18 @@ class SynthConfig:
         for eff in self.numeric_effects:
             if eff.feature not in NUMERIC_CHANNELS:
                 raise ConfigError(f"unknown numeric channel {eff.feature!r}")
-            if not -1.0 < eff.rho < 1.0 or eff.rho == 0.0:
-                raise ConfigError(f"rho must be in (-1, 1) and nonzero: {eff.rho}")
+            if not _is_real(eff.rho) or not -1.0 < eff.rho < 1.0 or eff.rho == 0.0:
+                raise ConfigError(f"rho must be in (-1, 1) and nonzero: {eff.rho!r}")
         for eff in self.rate_effects:
             if eff.feature not in MIX_CHANNELS + RATE_CHANNELS:
                 raise ConfigError(f"unknown rate channel {eff.feature!r}")
+            if not _is_real(eff.slope) or not math.isfinite(eff.slope):
+                raise ConfigError(f"slope must be a finite number: {eff.slope!r}")
         for eff in self.categorical_effects:
             if eff.feature not in ("hero_gender", "has_plus"):
                 raise ConfigError(f"unknown categorical channel {eff.feature!r}")
-            if not 0.0 <= eff.strength <= 1.0:
-                raise ConfigError("strength must lie in [0, 1]")
+            if not _is_real(eff.strength) or not 0.0 <= eff.strength <= 1.0:
+                raise ConfigError(f"strength must lie in [0, 1]: {eff.strength!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -280,6 +291,7 @@ class SynthPopulation:
 _AGE_RANGES = {"13-18": (13, 18), "19-24": (19, 24), "25-38": (25, 38)}
 _BIG5_RANGES = {"low": (0, 33), "medium": (34, 66), "high": (67, 100)}
 _WINDOW_END = 1_578_000_000  # fixed so corpora are reproducible
+_WINDOW_DAYS = 30            # the trailing window every player document records
 
 
 def _survey_row_for(handle: int, labels: AttributeLabels,
@@ -309,18 +321,41 @@ def sample_labels(priors: dict[str, tuple[float, ...]], n: int,
                   seed: int = 0) -> list[AttributeLabels]:
     """Draw n label sets from the priors (no telemetry attached)."""
     rng = np.random.default_rng(seed)
-    return [_draw_labels(priors, rng)[0] for _ in range(n)]
+    cdfs = _prior_cdfs(priors)
+    return [_draw_labels(cdfs, rng)[0] for _ in range(n)]
 
 
-def _draw_labels(priors: dict[str, tuple[float, ...]],
+def _prior_cdfs(priors: dict[str, tuple[float, ...]]) -> dict[str, np.ndarray]:
+    return {attr: _cdf(_normalized(priors[attr])) for attr in ATTRIBUTE_SCHEMA}
+
+
+def _draw_labels(cdfs: dict[str, np.ndarray],
                  rng: np.random.Generator) -> tuple[AttributeLabels, dict[str, int]]:
     values = {}
     codes = {}
     for attr, classes in ATTRIBUTE_SCHEMA.items():
-        code = int(rng.choice(len(classes), p=_normalized(priors[attr])))
+        code = _draw(rng, cdfs[attr])
         codes[attr] = code
         values[attr] = classes[code]
     return AttributeLabels(**values), codes
+
+
+def _cdf(probs: Sequence[float]) -> np.ndarray:
+    """The cumulative table `rng.choice(..., p=probs)` searches."""
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """`rng.choice(len(cdf), p=probs)` for `cdf = _cdf(probs)`: the same
+    index from the same single uniform, without re-checking `probs` and
+    rebuilding the table on every call."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+_LOBBY_TYPES = (0, 7)
+_LOBBY_CDF = _cdf((0.4, 0.6))
 
 
 def _pick(rng: np.random.Generator, seq: Sequence):
@@ -387,14 +422,14 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
     cat_effects = {e.feature: e for e in config.categorical_effects}
 
     m_lo, m_hi = config.matches_range
-    match_weights = _log_uniform_weights(m_lo, m_hi)
-    match_values = np.arange(m_lo, m_hi + 1)
+    match_cdf = _cdf(_log_uniform_weights(m_lo, m_hi))
 
     # Global draws happen up front so per-player work only touches its own
     # derived generator (parallel-friendly, identical either way).
-    drawn = [_draw_labels(config.priors, rng0) for _ in range(config.n_players)]
-    n_matches_all = [int(v) for v in rng0.choice(
-        match_values, size=config.n_players, p=match_weights)]
+    prior_cdfs = _prior_cdfs(config.priors)
+    drawn = [_draw_labels(prior_cdfs, rng0) for _ in range(config.n_players)]
+    n_matches_all = [m_lo + _draw(rng0, match_cdf)
+                     for _ in range(config.n_players)]
 
     players: list[PlayerRecord] = []
     matches: dict[int, MatchRecord] = {}
@@ -435,7 +470,7 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
 
         n_matches = n_matches_all[p]
         start_times = sorted(
-            int(_WINDOW_END - rng.integers(0, 30 * 86400))
+            int(_WINDOW_END - rng.integers(0, _WINDOW_DAYS * 86400))
             for _ in range(n_matches))
 
         mix_base = {cat: 1.0 for cat in LEXICON_CATEGORIES}
@@ -445,7 +480,7 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
             mix_base[cat] = math.exp(zs[name])
         mix_names = list(mix_base)
         mix_probs = np.array([mix_base[c] for c in mix_names])
-        mix_probs = mix_probs / mix_probs.sum()
+        mix_cdf = _cdf(mix_probs / mix_probs.sum())
 
         match_ids = []
         for start_time in start_times:
@@ -454,7 +489,7 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
             match_ids.append(match_id)
             matches[match_id] = _synth_match(
                 match_id, start_time, handle, latents, channel_plants, zs, rng,
-                config, lexicons, mix_names, mix_probs,
+                config, lexicons, mix_names, mix_cdf,
                 female_pool, male_pool, hero_ids, general_wheels, hero_wheels,
                 cat_effects, player_labels)
 
@@ -494,7 +529,7 @@ def _channel_value(name: str, latents: dict[str, float],
 
 
 def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
-                 config, lexicons, mix_names, mix_probs, female_pool,
+                 config, lexicons, mix_names, mix_cdf, female_pool,
                  male_pool, hero_ids, general_wheels, hero_wheels,
                  cat_effects, player_labels) -> MatchRecord:
     position = int(rng.integers(0, 10))
@@ -527,7 +562,7 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
     my_words: dict[str, int] = {}
     all_words: dict[str, int] = {}
     for _ in range(n_msgs):
-        cat = str(rng.choice(mix_names, p=mix_probs))
+        cat = mix_names[_draw(rng, mix_cdf)]
         text = _message_text(None if cat == "neutral" else cat, lexicons, rng)
         chat.append({"slot": slot, "time": float(rng.integers(0, int(duration))),
                      "type": "chat", "channel": "global", "key": text})
@@ -596,7 +631,7 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
         "duration": int(duration),
         "start_time": int(start_time),
         "game_mode": int(_pick(rng, [1, 2, 22])),
-        "lobby_type": int(rng.choice([0, 7], p=[0.4, 0.6])),
+        "lobby_type": _LOBBY_TYPES[_draw(rng, _LOBBY_CDF)],
         "region": int(_pick(rng, [1, 3, 8])),
         "patch": int(_pick(rng, [42, 43])),
         "skill": int(_pick(rng, [1, 2, 3])),
@@ -637,14 +672,14 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
 # ---------------------------------------------------------------------------
 
 
-def write_population_cache(population: SynthPopulation, cache_dir: str | Path,
-                           window_days: int = 30) -> None:
+def write_population_cache(population: SynthPopulation,
+                           cache_dir: str | Path) -> None:
     from .ingest import serialize_match
 
     cache_dir = Path(cache_dir)
     for player in population.players:
         doc = {
-            "window_days": window_days,
+            "window_days": _WINDOW_DAYS,
             "profile": {"profile": {"account_id": player.handle},
                         "rank_tier": player.rank_tier, "plus": player.has_plus},
             "matches": [{"match_id": mid} for mid in player.match_ids],
@@ -732,6 +767,7 @@ def regression_fixture() -> SynthPopulation:
 
 # Reference class counts at n=484: the published percentages rounded onto
 # whole players (every attribute lands within 0.01 points of its source).
+_REFERENCE_SEED = 484
 _REFERENCE_COUNTS: dict[str, tuple[int, ...]] = {
     "gender": (24, 460),
     "age_bin": (65, 260, 159),
@@ -745,13 +781,13 @@ _REFERENCE_COUNTS: dict[str, tuple[int, ...]] = {
 }
 
 
-def table1_reference_labels(seed: int = 484) -> list[AttributeLabels]:
+def table1_reference_labels() -> list[AttributeLabels]:
     """A deterministic 484-row label set with the reference class counts.
 
     Attributes are shuffled independently; this is a distribution stand-in,
     not a joint-dependence model.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_REFERENCE_SEED)
     columns: dict[str, list[str]] = {}
     for attr, counts in _REFERENCE_COUNTS.items():
         values: list[str] = []

@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Iterable
 
 from .errors import DegenerateInput, DomainError, MissingPair
@@ -106,10 +105,10 @@ class HypothesisLedger:
         return {f.name: (f.rejected, f.total) for f in self.families}
 
 
-def load_published_results(path: str | Path | None = None) -> dict:
-    if path is None:
-        path = Path(resources.files("aia").joinpath("data", "published_results.json"))  # type: ignore[arg-type]
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def load_published_results() -> dict:
+    """The published summary tables shipped with the package."""
+    path = resources.files("aia").joinpath("data", "published_results.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _stat(label: str, pair: Iterable[float], n: int) -> SummaryStat:
@@ -118,6 +117,14 @@ def _stat(label: str, pair: Iterable[float], n: int) -> SummaryStat:
         return SummaryStat(label, float(mean), float(std), n)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{label}: expected [mean, std], got {pair!r}") from exc
+
+
+def _n_runs(table: dict, name: str) -> int:
+    value = table["n_runs"]
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}.n_runs: expected an integer, got {value!r}") from exc
 
 
 def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,
@@ -138,7 +145,7 @@ def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,
         best = row.get("best")
         if best is None or best not in row or "dummy" not in row:
             raise MissingPair(f"simple table row {attr!r} lacks best/dummy stats")
-        n = int(simple["n_runs"])
+        n = _n_runs(simple, "simple")
         results.append(two_sample_ttest(
             _stat(f"{attr}:dummy", row["dummy"], n),
             _stat(f"{attr}:{best}", row[best], n), alpha=alpha, welch=welch))
@@ -150,7 +157,7 @@ def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,
         for attr, row in one_match["attributes"].items():
             if opponent not in row or "dummy" not in row:
                 raise MissingPair(f"one-match row {attr!r} lacks {opponent}/dummy stats")
-            n = int(one_match["n_runs"])
+            n = _n_runs(one_match, "one_match")
             results.append(two_sample_ttest(
                 _stat(f"{attr}:dummy", row["dummy"], n),
                 _stat(f"{attr}:{opponent}", row[opponent], n),
@@ -162,7 +169,7 @@ def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,
     for attr, row in indis["attributes"].items():
         if "sophisticated" not in row or "indiscriminate" not in row:
             raise MissingPair(f"indiscriminate row {attr!r} lacks a pair")
-        n = int(indis["n_runs"])
+        n = _n_runs(indis, "indiscriminate")
         results.append(two_sample_ttest(
             _stat(f"{attr}:sophisticated", row["sophisticated"], n),
             _stat(f"{attr}:indiscriminate", row["indiscriminate"], n),

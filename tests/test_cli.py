@@ -285,11 +285,36 @@ def test_synth_on_a_non_numeric_config_field_exits_1(tmp_path, capsys):
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"matches_range": ["a", "b"]}, "matches_range"),
+    ({"numeric_effects": [{"feature": "kills", "attribute": "age_bin",
+                           "rho": "x"}]}, "rho"),
+], ids=["matches_range", "rho"])
+def test_synth_on_a_non_numeric_config_value_names_its_field(tmp_path, capsys,
+                                                             doc, field):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(doc))
+    _exits_1_naming(["synth", "--config", str(config), "--out",
+                     str(tmp_path / "cache")], capsys, str(config), field)
+    assert not (tmp_path / "cache").exists()
+
+
 def test_validate_on_a_document_without_tables_exits_1(tmp_path, capsys):
     pairs = tmp_path / "pairs.json"
     pairs.write_text(json.dumps({"foo": 1}))
     _exits_1_naming(["validate", "--pairs", str(pairs)], capsys, str(pairs),
                     "'simple'")
+
+
+def test_validate_on_a_non_integer_run_count_names_its_field(tmp_path, capsys):
+    from aia.validation import load_published_results
+
+    doc = load_published_results()
+    doc["simple"]["n_runs"] = "x"
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps(doc))
+    _exits_1_naming(["validate", "--pairs", str(pairs)], capsys, str(pairs),
+                    "simple.n_runs", "'x'")
 
 
 @pytest.mark.parametrize("command", [

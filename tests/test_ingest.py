@@ -14,6 +14,7 @@ from aia.ingest import (
     TelemetryClient,
     TokenBucket,
     TransportResponse,
+    atomic_write,
     filter_players,
     load_cached_match,
     load_cached_player,
@@ -306,6 +307,24 @@ def test_duplicate_handle_rejected():
     doc["players"][1]["account_id"] = doc["players"][0]["account_id"]
     with pytest.raises(SchemaError):
         parse_match(json.dumps(doc).encode())
+
+
+def test_chat_and_slot_records_are_immutable():
+    record = parse_match(build_match_doc(
+        chat=[{"slot": 0, "time": 5.0, "type": "chat", "key": "gg"}]))
+    with pytest.raises(AttributeError):
+        record.chat[0].time_s = 6.0
+    with pytest.raises(AttributeError):
+        record.players[0].kills = 99
+    assert record.chat[0].time_s == 5.0
+
+
+def test_atomic_write_creates_a_missing_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "1.json"
+    atomic_write(path, b"one")
+    atomic_write(path, b"two")
+    assert path.read_bytes() == b"two"
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["1.json"]
 
 
 def test_slot_lookup():

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from aia import stats
+from aia.cli import main
 from aia.attributes import ATTRIBUTE_SCHEMA, bin_labels
 from aia.errors import ConfigError
 from aia.features import build_player_matrix
@@ -10,7 +13,10 @@ from aia.synth import (
     FIXTURE_CONFIG,
     TABLE1_PRIORS,
     NumericEffect,
+    RateEffect,
     SynthConfig,
+    _cdf,
+    _draw,
     _pick,
     calibrate_sigma,
     generate_population,
@@ -46,6 +52,43 @@ def test_pick_draws_what_rng_choice_draws(seq):
         assert [_pick(a, seq) for _ in range(50)] == \
             [b.choice(seq) for _ in range(50)]
         assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("probs", [
+    (0.4, 0.6),
+    (0.0496, 0.9504),
+    (0.1343, 0.5372, 0.3285),
+    (1 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9, 4 / 9),
+    (0.0, 0.25, 0.0, 0.75),
+])
+def test_cdf_draw_draws_what_rng_choice_draws(probs):
+    # The same index from the same single uniform, so replacing
+    # `rng.choice(..., p=probs)` by a table built once keeps every corpus.
+    cdf = _cdf(probs)
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [_draw(a, cdf) for _ in range(200)] == \
+            [int(b.choice(len(probs), p=probs)) for _ in range(200)]
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def _tree_digest(root):
+    """sha256 over the sorted relative paths, each followed by NUL and the
+    file's bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_fixture_corpus_bytes_are_pinned(tmp_path):
+    # Every byte of the committed fixture's cache, manifest and survey: a
+    # change to generation, serialization or the cache layout shows here.
+    assert main(["synth", "--fixture", "--out", str(tmp_path)]) == 0
+    assert len([p for p in tmp_path.rglob("*") if p.is_file()]) == 888
+    assert _tree_digest(tmp_path) == \
+        "fd34a95a995722dd0c5f0f2bbacb8062ac95d347814ee5b3d98cdbc86f217601"
 
 
 def test_different_seed_different_corpus():
@@ -91,6 +134,13 @@ def test_config_validation():
         SynthConfig(numeric_effects=(NumericEffect("nope", "age_bin", 0.4),)).validate()
     with pytest.raises(ConfigError):
         SynthConfig(priors={**TABLE1_PRIORS, "gender": (0.4, 0.4)}).validate()
+    # Category draws do not re-check their probabilities, so the config must.
+    for bad in ((-0.5, 1.5), (float("nan"), 1.0), ("a", "b")):
+        with pytest.raises(ConfigError, match="priors for 'gender'"):
+            SynthConfig(priors={**TABLE1_PRIORS, "gender": bad}).validate()
+    with pytest.raises(ConfigError, match="slope"):
+        SynthConfig(rate_effects=(RateEffect("hero_msg_count", "occupation",
+                                             float("inf")),)).validate()
 
 
 def test_config_json_round_trip():
