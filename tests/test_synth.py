@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from aia import stats
-from aia.cli import main
 from aia.attributes import ATTRIBUTE_SCHEMA, bin_labels
+from aia.cli import main
 from aia.errors import ConfigError
 from aia.features import build_player_matrix
 from aia.ingest import load_cached_match, load_cached_player, parse_match, serialize_match
@@ -76,9 +76,10 @@ def _tree_digest(root):
     """sha256 over the sorted relative paths, each followed by NUL and the
     file's bytes."""
     digest = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
-        digest.update(path.read_bytes())
+    for rel in sorted(p.relative_to(root).as_posix()
+                      for p in root.rglob("*") if p.is_file()):
+        digest.update(rel.encode() + b"\0")
+        digest.update((root / rel).read_bytes())
     return digest.hexdigest()
 
 
