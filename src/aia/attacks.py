@@ -100,6 +100,8 @@ def _unit_seed(*entropy: int) -> int:
 
 
 _ATTR_INDEX = {name: i for i, name in enumerate(ATTRIBUTE_SCHEMA)}
+# The attributes the indiscriminate (top-2) protocol can score.
+TOP2_ATTRIBUTES = tuple(a for a in ATTRIBUTE_SCHEMA if len(ATTRIBUTE_SCHEMA[a]) >= 3)
 
 
 def _attr_labels(labels: dict[int, AttributeLabels], owners: Sequence[int],
@@ -431,8 +433,7 @@ def indiscriminate_aia(runs: Sequence[OneMatchRun],
     """
     check_averaging([n], draws)
     if attributes is None:
-        attrs = [a for a in ATTRIBUTE_SCHEMA
-                 if len(ATTRIBUTE_SCHEMA[a]) >= 3 and a in runs[0].models]
+        attrs = [a for a in TOP2_ATTRIBUTES if a in runs[0].models]
     else:
         for a in attributes:
             if len(ATTRIBUTE_SCHEMA[a]) < 3:

@@ -30,6 +30,8 @@ BIG_FIVE = ("openness", "conscientiousness", "extraversion",
             "agreeableness", "neuroticism")
 
 AGE_BINS = ((13, 18, "13-18"), (19, 24, "19-24"), (25, 38, "25-38"))
+MIN_AGE = 13      # the survey's youngest respondent
+BIG5_MAX = 100    # Big Five scores lie in [0, BIG5_MAX]
 
 
 @dataclass(frozen=True)
@@ -68,11 +70,11 @@ class RawSurveyRow:
     country: str = ""
 
     def __post_init__(self):
-        if self.raw_age < 13:
-            raise OutOfRange(f"raw_age {self.raw_age} below survey minimum 13")
+        if self.raw_age < MIN_AGE:
+            raise OutOfRange(f"raw_age {self.raw_age} below survey minimum {MIN_AGE}")
         for score in self.big5_scores:
-            if not 0 <= score <= 100:
-                raise OutOfRange(f"big5 score {score} outside [0, 100]")
+            if not 0 <= score <= BIG5_MAX:
+                raise OutOfRange(f"big5 score {score} outside [0, {BIG5_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -162,11 +164,28 @@ def _parse_employment(value: str) -> bool:
     raise SchemaError(f"unrecognized employment value {value!r}", path="$.employment")
 
 
-def _int_cell(rec: dict, column: str) -> int:
+def _int_cell(rec: dict, column: str, lo: int | None = None,
+              hi: int | None = None) -> int:
+    """The integer in a cell, inside [lo, hi] where those are given."""
     try:
-        return int(rec[column])
+        value = int(rec[column])
     except (TypeError, ValueError):
         raise SchemaError(f"not an integer: {rec[column]!r}", path=f"$.{column}") from None
+    if lo is not None and value < lo:
+        raise SchemaError(f"{value} below the minimum {lo}", path=f"$.{column}")
+    if hi is not None and value > hi:
+        raise SchemaError(f"{value} above the maximum {hi}", path=f"$.{column}")
+    return value
+
+
+def _new_handle(rec: dict, seen: dict[int, int], row: int) -> int:
+    """The row's steam_id, which no earlier data row may hold."""
+    handle = _int_cell(rec, "steam_id")
+    if handle in seen:
+        raise SchemaError(f"steam_id {handle} repeats data row {seen[handle]}",
+                          path="$.steam_id")
+    seen[handle] = row
+    return handle
 
 
 def read_survey_csv(path: str | Path) -> list[RawSurveyRow]:
@@ -180,15 +199,17 @@ def read_survey_csv(path: str | Path) -> list[RawSurveyRow]:
         if missing - {"country"}:
             raise SchemaError(f"survey file missing columns: {sorted(missing)}")
         row = 0
+        seen: dict[int, int] = {}
         try:
             for row, rec in enumerate(reader, 1):
                 rows.append(RawSurveyRow(
-                    handle=_int_cell(rec, "steam_id"),
+                    handle=_new_handle(rec, seen, row),
                     raw_gender=(rec["gender"] or "").strip().lower(),
-                    raw_age=_int_cell(rec, "age"),
+                    raw_age=_int_cell(rec, "age", MIN_AGE),
                     raw_employment=_parse_employment(rec["employment"] or ""),
                     raw_purchase_frequency=_int_cell(rec, "purchase_frequency"),
-                    big5_scores=tuple(_int_cell(rec, name) for name in BIG_FIVE),
+                    big5_scores=tuple(_int_cell(rec, name, 0, BIG5_MAX)
+                                      for name in BIG_FIVE),
                     country=(rec.get("country") or "").strip(),
                 ))
         except SchemaError as exc:
@@ -235,9 +256,10 @@ def read_labels_csv(path: str | Path) -> dict[int, AttributeLabels]:
         if missing:
             raise SchemaError(f"label file missing columns: {sorted(missing)}")
         row = 0
+        seen: dict[int, int] = {}
         try:
             for row, rec in enumerate(reader, 1):
-                labels[_int_cell(rec, "steam_id")] = AttributeLabels(
+                labels[_new_handle(rec, seen, row)] = AttributeLabels(
                     **{a: rec[a] for a in ATTRIBUTE_SCHEMA})
         except SchemaError as exc:
             raise SchemaError(f"data row {row}: {exc}", path=str(path)) from exc

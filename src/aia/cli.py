@@ -18,6 +18,7 @@ import csv
 import gc
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -326,10 +327,13 @@ def _cmd_attack(args) -> int:
     elif args.protocol in ("sophisticated", "indiscriminate"):
         variants = _load_mbar_variants(features_dir)
         _check_labelled(variants, labels, args.labels)
-        _, runs = attacks.one_match_aia(variants, labels,
-                                        algorithms=("random_forest",),
-                                        seed=args.seed,
-                                        keep_models="random_forest")
+        # Top-2 reports only attributes of three or more classes, so only
+        # those are trained; seeds are keyed by attribute, not position.
+        _, runs = attacks.one_match_aia(
+            variants, labels, algorithms=("random_forest",), seed=args.seed,
+            keep_models="random_forest",
+            attributes=attacks.TOP2_ATTRIBUTES
+            if args.protocol == "indiscriminate" else None)
         if args.protocol == "sophisticated":
             report = attacks.sophisticated_aia(runs, labels, n_sweep=n_sweep,
                                                draws=args.draws,
@@ -508,7 +512,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Thread-count variables of the BLAS builds numpy may load.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pin_blas_threads() -> None:
+    """One BLAS thread per process, unless the caller set any count. Attacks
+    run serially; starting a second OpenBLAS thread costs each process
+    ~0.1 s, and on products this small its spinning raises CPU time more
+    than it cuts wall time. Takes effect only before numpy is imported."""
+    if not any(var in os.environ for var in BLAS_THREAD_VARS):
+        for var in BLAS_THREAD_VARS:
+            os.environ[var] = "1"
+
+
 def main(argv=None) -> int:
+    _pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

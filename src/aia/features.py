@@ -403,8 +403,8 @@ def build_match_matrix(players: Sequence[PlayerRecord],
                        ctx: FeatureContext) -> tuple[FeatureMatrix, AugmentationTable]:
     """Per-match matrix (naive columns) plus the aligned expert-column table.
 
-    Rows are emitted sorted by (owner, match id) so parallel and serial
-    builds agree byte for byte.
+    Rows are emitted sorted by (owner, match id), whatever order the
+    players and matches come in, so a rebuild agrees byte for byte.
     """
     naive_cols = naive_match_columns()
     expert_cols = expert_match_columns()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -121,10 +122,17 @@ def _format_cell(value, kind: str) -> str:
 
 
 def _parse_cell(text: str, kind: str):
+    """The value `_format_cell` wrote: ValueError for a boolean other than
+    "true"/"false" and for a number that is not finite."""
     if kind == "boolean":
+        if text not in ("true", "false"):
+            raise ValueError(f"not a boolean: {text!r}")
         return text == "true"
     if kind == "numeric":
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {text!r}")
+        return value
     return text
 
 
@@ -223,6 +231,7 @@ def load_matrix(csv_path: str | Path) -> FeatureMatrix:
             raise SchemaError("CSV header does not match sidecar schema",
                               path=str(csv_path))
         row, rec = 0, []
+        per_owner: dict[int, int] = {}  # M_bar rows so far, held to the cap
         try:
             for row, rec in enumerate(reader, 1):
                 if len(rec) != len(expected):
@@ -232,7 +241,14 @@ def load_matrix(csv_path: str | Path) -> FeatureMatrix:
                     raise SchemaError(f"data row {row}, column {column!r}: "
                                       f"{len(rec)} cells, expected {len(expected)}",
                                       path=str(csv_path))
-                owners.append(int(rec[0]))
+                owner = int(rec[0])
+                owners.append(owner)
+                if variant == "M_bar":
+                    per_owner[owner] = per_owner.get(owner, 0) + 1
+                    if per_owner[owner] > DISTILL_CAP:
+                        raise SchemaError(f"data row {row}, column '_owner': owner "
+                                          f"{owner} has more than {DISTILL_CAP} rows",
+                                          path=str(csv_path))
                 offset = 1
                 if has_match:
                     match_ids.append(int(rec[1]))

@@ -201,62 +201,78 @@ def _predict_logistic(params: dict, X: np.ndarray) -> np.ndarray:
     return _softmax(Xb @ W)
 
 
+def _gini(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Gini impurity of m nodes from their (K x m) class counts, summed
+    class by class in order: the bits of `.sum(axis=1)` over (m x K)
+    shares for K < 8 (numpy adds fewer than 8 terms in sequence)."""
+    square = (counts[0] / total) ** 2
+    for row in counts[1:]:
+        square = square + (row / total) ** 2
+    return 1.0 - square
+
+
 def _gini_children(left: np.ndarray, right: np.ndarray,
                    nl: np.ndarray, nr: np.ndarray) -> np.ndarray:
-    gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-    gr = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
-    return (nl * gl + nr * gr) / (nl + nr)
+    """Size-weighted Gini of m candidate splits from their (K x m) left and
+    right class counts and sizes."""
+    return (nl * _gini(left, nl) + nr * _gini(right, nr)) / (nl + nr)
 
 
 def _best_splits(X: np.ndarray, rank: np.ndarray, y_codes: np.ndarray, K: int,
-                 min_leaf: int, rows: np.ndarray, sizes: np.ndarray,
-                 features: np.ndarray) -> tuple[np.ndarray, ...]:
+                 min_leaf: int, rows: np.ndarray, weight: np.ndarray,
+                 sizes: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, ...]:
     """Best Gini split of each of B nodes: node b holds the next `sizes[b]`
-    rows of `rows` and may split on the features `features[b]` (a B x F
-    array); `rank` holds each value's rank within its column of X.
+    entries of `rows`, entry i standing for `weight[i]` copies of its row,
+    and may split on the features `features[b]` (a B x F array); `rank`
+    holds each value's rank within its column of X.
 
-    All B x F (node, feature) pairs are scored at once. Their rows sit in
-    one array, one contiguous segment per pair, sorted by one argsort on
+    All B x F (node, feature) pairs are scored at once. Their entries sit
+    in one array, one contiguous segment per pair, sorted by one argsort on
     (feature slot, node, value rank); tied values may land in any order,
     but no cut falls between them, so no count or threshold depends on it.
-    Class counts left of every cut come from one cumulative sum less each
-    segment's start. A cut must leave `min_leaf` rows on each side and
-    fall between two distinct values; within a pair the first minimum
-    wins. Across a node's features, in order, a pair replaces the best so
-    far only when it beats the parent's Gini by 1e-12 and the best by
-    1e-15, so a near-tie goes to the earlier feature. Returns the nodes
-    that split, in order (`chosen`, those where some cut lowers the
-    impurity), and for each its feature, threshold and the class counts
-    of its left child.
+    Class weights left of every cut come from one cumulative sum less each
+    segment's start; weights are whole numbers, so every count is exact
+    and equals that of the rows repeated. A cut must leave `min_leaf` rows
+    on each side and fall between two distinct values; within a pair the
+    first minimum wins. Across a node's features, in order, a pair
+    replaces the best so far only when it beats the parent's Gini by 1e-12
+    and the best by 1e-15, so a near-tie goes to the earlier feature.
+    Returns the nodes that split, in order (`chosen`, those where some cut
+    lowers the impurity), and for each its feature, threshold and the
+    class counts of its left child.
     """
     B, F = features.shape
     N = len(rows)
     node = np.repeat(np.arange(B), sizes)
     y = y_codes[rows]
-    counts = np.bincount(node * K + y, minlength=B * K).reshape(B, K).astype(float)
-    parent_gini = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+    counts = np.bincount(y * B + node, weight, minlength=K * B).reshape(K, B)
+    total = counts.sum(axis=0)
+    parent_gini = _gini(counts, total)
 
     seg = (np.arange(F)[:, None] * B + node).ravel()
     key = seg * len(X) + rank[rows, features[node].T].ravel()
     order = np.argsort(key)
     key = key[order]
+    entry = order % N
     starts = (np.arange(F)[:, None] * N + (np.cumsum(sizes) - sizes)).ravel()
-    prefix = np.cumsum(y[order % N] == np.arange(K)[:, None], axis=1)
-    prefix = np.hstack([np.zeros((K, 1), dtype=prefix.dtype), prefix])
+    reach = np.zeros(F * N + 1)
+    np.cumsum(weight[entry], out=reach[1:])
+    prefix = np.zeros((K, F * N + 1))
+    np.cumsum(np.where(y == np.arange(K)[:, None], weight, 0.0)[:, entry], axis=1,
+              out=prefix[:, 1:])
 
-    def left_of(q):  # class counts up to and including sorted position q
-        return (prefix[:, q + 1] - prefix[:, starts[seg[q]]]).T.astype(float, order="C")
+    def left_of(q):  # class weights up to and including sorted position q
+        return prefix[:, q + 1] - prefix[:, starts[seg[q]]]
 
-    owner = seg % B
-    local = np.arange(F * N) - starts[seg]
-    n = sizes[owner]
-    movable = np.zeros(F * N, dtype=bool)
-    movable[:-1] = key[:-1] < key[1:]
-    cut = np.flatnonzero((local >= min_leaf - 1) & (local < n - min_leaf) & movable)
+    movable = np.flatnonzero(key[:-1] < key[1:])
+    nl = reach[movable + 1] - reach[starts[seg[movable]]]
+    owner = seg[movable] % B
+    n = total[owner]
+    fits = (nl >= min_leaf) & (n - nl >= min_leaf)
+    cut, nl, n, owner = movable[fits], nl[fits], n[fits], owner[fits]
     left = left_of(cut)
-    nl = (local[cut] + 1).astype(float)
     weighted = np.full(F * N, np.inf)
-    weighted[cut] = _gini_children(left, counts[owner[cut]] - left, nl, n[cut] - nl)
+    weighted[cut] = _gini_children(left, counts[:, owner] - left, nl, n - nl)
     seg_min = np.minimum.reduceat(weighted, starts)
     first = np.minimum.reduceat(
         np.where(weighted == seg_min[seg], np.arange(F * N), F * N), starts)
@@ -272,12 +288,12 @@ def _best_splits(X: np.ndarray, rank: np.ndarray, y_codes: np.ndarray, K: int,
     chosen = np.flatnonzero(slot >= 0)
     p = first[slot[chosen], chosen]
     f = features[chosen, slot[chosen]]
-    lo = X[rows[order[p] % N], f]
-    hi = X[rows[order[p + 1] % N], f]
+    lo = X[rows[entry[p]], f]
+    hi = X[rows[entry[p + 1]], f]
     # Adjacent doubles: the midpoint rounds up to the right value and would
     # leave that child empty under "<=", so the left value is used.
     mid = (lo + hi) / 2.0
-    return chosen, f, np.where(mid >= hi, lo, mid), left_of(p)
+    return chosen, f, np.where(mid >= hi, lo, mid), left_of(p).T
 
 
 def _grow_trees(X: np.ndarray, y_codes: np.ndarray, K: int,
@@ -286,18 +302,21 @@ def _grow_trees(X: np.ndarray, y_codes: np.ndarray, K: int,
                 rngs: Optional[Sequence[np.random.Generator]] = None) -> dict:
     """Grow one CART tree per root row set, all together, level by level.
 
-    Each step takes every open node of every tree at the current depth and
-    finds all their splits in one `_best_splits` call, so a forest takes
-    as many steps as its deepest tree is deep. The level's rows are one
-    array, node after node; a split node's rows go left when
-    `X[row, feature] <= threshold`, and one stable sort by child lays out
-    the next level. Without `rngs` every node may split on every feature
-    (a decision tree). With them, tree t draws the candidates of its c
-    open nodes at a level in one call, `rngs[t].random((c, d))`, and each
-    node takes the features of its m = max(1, int(sqrt(d))) smallest keys,
-    sorted. A tree's nodes keep its own level order (parents in order,
-    left child first) and its draws come from its own generator only, so
-    a tree does not depend on which trees grow beside it.
+    A root may repeat rows (a bootstrap); each tree keeps its distinct rows
+    with their multiplicities as weights, which give the same counts, sizes
+    and splits as the rows repeated in fewer entries. Each step takes every
+    open node of every tree at the current depth and finds all their
+    splits in one `_best_splits` call, so a forest takes as many steps as
+    its deepest tree is deep. The level's entries are one array, node after
+    node; a split node's rows go left when `X[row, feature] <= threshold`,
+    and one stable sort by child lays out the next level. Without `rngs`
+    every node may split on every feature (a decision tree). With them,
+    tree t draws the candidates of its c open nodes at a level in one call,
+    `rngs[t].random((c, d))`, and each node takes the features of its
+    m = max(1, int(sqrt(d))) smallest keys, sorted. A tree's nodes keep its
+    own level order (parents in order, left child first) and its draws
+    come from its own generator only, so a tree does not depend on which
+    trees grow beside it.
 
     Returns the trees as one forest of flat node arrays in the layout of
     scikit-learn's `Tree`: `feature` and `threshold` (-2 at a leaf), `left`
@@ -310,12 +329,13 @@ def _grow_trees(X: np.ndarray, y_codes: np.ndarray, K: int,
     rank = np.empty(X.shape, dtype=int)
     for f in range(d):
         rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
-    roots = [np.asarray(root) for root in roots]
+    distinct = [np.unique(root, return_counts=True) for root in roots]
     tree = np.arange(len(roots))
-    sizes = np.array([len(root) for root in roots])
-    rows = np.concatenate(roots)
-    counts = np.bincount(np.repeat(tree, sizes) * K + y_codes[rows],
-                         minlength=len(roots) * K).reshape(-1, K).astype(float)
+    sizes = np.array([len(rows) for rows, _ in distinct])
+    rows = np.concatenate([rows for rows, _ in distinct])
+    weight = np.concatenate([copies for _, copies in distinct]).astype(float)
+    counts = np.bincount(np.repeat(tree, sizes) * K + y_codes[rows], weight,
+                         minlength=len(roots) * K).reshape(-1, K)
     levels = []
     n_nodes, depth = 0, 0
     while True:
@@ -324,13 +344,15 @@ def _grow_trees(X: np.ndarray, y_codes: np.ndarray, K: int,
         left, right = np.full(B, -1), np.full(B, -1)
         levels.append((tree, feature, threshold, left, right, counts))
         n_nodes += B
-        is_open = (np.count_nonzero(counts, axis=1) > 1) & (sizes >= 2 * min_leaf)
+        is_open = (np.count_nonzero(counts, axis=1) > 1) & \
+            (counts.sum(axis=1) >= 2 * min_leaf)
         if max_depth is not None and depth >= max_depth:
             is_open[:] = False
         nodes = np.flatnonzero(is_open)
         if not len(nodes):
             break
-        rows, sizes = rows[np.repeat(is_open, sizes)], sizes[nodes]
+        kept = np.repeat(is_open, sizes)
+        rows, weight, sizes = rows[kept], weight[kept], sizes[nodes]
         if rngs is None:
             candidates = np.broadcast_to(np.arange(d), (len(nodes), d))
         else:
@@ -338,8 +360,8 @@ def _grow_trees(X: np.ndarray, y_codes: np.ndarray, K: int,
             keys = np.concatenate([rngs[t].random((c, d))
                                    for t, c in enumerate(per_tree) if c])
             candidates = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :m], axis=1)
-        chosen, f, cut_at, left_counts = _best_splits(X, rank, y_codes, K, min_leaf,
-                                                      rows, sizes, candidates)
+        chosen, f, cut_at, left_counts = _best_splits(
+            X, rank, y_codes, K, min_leaf, rows, weight, sizes, candidates)
         split = nodes[chosen]
         feature[split], threshold[split] = f, cut_at
         left[split] = n_nodes + 2 * np.arange(len(split))
@@ -347,9 +369,11 @@ def _grow_trees(X: np.ndarray, y_codes: np.ndarray, K: int,
         slot = np.full(len(nodes), -1)
         slot[chosen] = np.arange(len(chosen))
         slot = np.repeat(slot, sizes)
-        rows, slot = rows[slot >= 0], slot[slot >= 0]
+        kept = slot >= 0
+        rows, weight, slot = rows[kept], weight[kept], slot[kept]
         child = 2 * slot + ~(X[rows, f[slot]] <= cut_at[slot])
-        rows = rows[np.argsort(child, kind="stable")]
+        order = np.argsort(child, kind="stable")
+        rows, weight = rows[order], weight[order]
         sizes = np.bincount(child, minlength=2 * len(split))
         parent_counts, counts = counts[split], np.empty((2 * len(split), K))
         counts[0::2], counts[1::2] = left_counts, parent_counts - left_counts

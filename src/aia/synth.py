@@ -425,7 +425,7 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
     match_cdf = _cdf(_log_uniform_weights(m_lo, m_hi))
 
     # Global draws happen up front so per-player work only touches its own
-    # derived generator (parallel-friendly, identical either way).
+    # derived generator: a player's records do not depend on the others'.
     prior_cdfs = _prior_cdfs(config.priors)
     drawn = [_draw_labels(prior_cdfs, rng0) for _ in range(config.n_players)]
     n_matches_all = [m_lo + _draw(rng0, match_cdf)

@@ -1,7 +1,15 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aia.attributes import (
     ATTRIBUTE_SCHEMA,
+    LABEL_COLUMNS,
+    SURVEY_COLUMNS,
     AttributeLabels,
     BinningConfig,
     RawSurveyRow,
@@ -224,3 +232,67 @@ def test_labels_name_a_handle_that_is_not_an_integer(tmp_path):
         read_labels_csv(out)
     assert str(out) in str(err.value)
     assert "data row 2" in str(err.value) and "$.steam_id" in str(err.value)
+
+
+# Text for one mutated CSV cell: anything, and the near misses of each kind.
+CELL_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.sampled_from(["", " ", "9", "11", "-1", "12", "13", "39", "100", "101",
+                     "1e3", "3.0", " 7 ", "yes", "student", "maybe", "female",
+                     "medium", "High", "13-18", "never"]),
+    st.integers(-10**20, 10**20).map(str))
+
+
+def _mutated_csv(tmp, text_of_file, row, column, text):
+    path = Path(tmp) / "in.csv"
+    path.write_text(text_of_file)
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    records[row][records[0].index(column)] = text
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(records)
+    return path
+
+
+def _assert_names_the_cell(exc, path, row, column):
+    assert str(path) in str(exc)
+    assert f"data row {row}" in str(exc) and f"$.{column}" in str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2), st.sampled_from(SURVEY_COLUMNS), CELL_TEXT)
+def test_survey_reader_takes_or_names_any_mutated_cell(row, column, text):
+    # Either a SchemaError names the file, the data row and the column, or
+    # every row loads and binning takes it (or excludes it with a reason).
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _mutated_csv(tmp, _SURVEY, row, column, text)
+        try:
+            rows = read_survey_csv(path)
+        except SchemaError as exc:
+            _assert_names_the_cell(exc, path, row, column)
+            return
+    assert len({r.handle for r in rows}) == len(rows) == 2
+    binned = bin_survey(rows)
+    assert len(binned.labels) + len(binned.excluded) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2), st.sampled_from(LABEL_COLUMNS), CELL_TEXT)
+def test_labels_reader_takes_or_names_any_mutated_cell(row, column, text):
+    # Either a SchemaError names the file, the data row and the column, or
+    # both players load with labels inside the schema.
+    with tempfile.TemporaryDirectory() as tmp:
+        survey = Path(tmp) / "survey.csv"
+        survey.write_text(_SURVEY)
+        labels = Path(tmp) / "labels.csv"
+        write_labels_csv(bin_survey(read_survey_csv(survey)).labels, labels)
+        path = _mutated_csv(tmp, labels.read_text(), row, column, text)
+        try:
+            loaded = read_labels_csv(path)
+        except SchemaError as exc:
+            _assert_names_the_cell(exc, path, row, column)
+            return
+    assert len(loaded) == 2
+    for handle, lab in loaded.items():
+        assert type(handle) is int
+        assert all(getattr(lab, a) in ATTRIBUTE_SCHEMA[a] for a in ATTRIBUTE_SCHEMA)

@@ -362,6 +362,19 @@ def test_attack_runs_serially_whatever_jobs(pipeline_dirs, tmp_path,
         (tmp_path / "one.json").read_bytes()
 
 
+@pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "2"}])
+def test_main_pins_blas_to_one_thread_unless_the_caller_chose(monkeypatch, capsys,
+                                                              preset):
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    monkeypatch.setattr(os, "environ", dict(env, **preset))
+    assert main(["sample-size", "--population", "100"]) == 0
+    pinned = {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS}
+    if preset:
+        assert pinned == {var: preset.get(var) for var in cli.BLAS_THREAD_VARS}
+    else:
+        assert pinned == dict.fromkeys(cli.BLAS_THREAD_VARS, "1")
+
+
 def test_attack_simple_runs_and_is_idempotent(pipeline_dirs):
     root, _, labels_csv, features = pipeline_dirs
     out = root / "simple.json"
@@ -392,6 +405,40 @@ def test_attack_targeted_writes_curve_files(pipeline_dirs):
                  "--seed", "2", "--jobs", "1"]) == 0
     assert out.exists()
     assert out.with_suffix(".curves.csv").exists()
+
+
+# sha256 of each per-match report (and its CSV) on the 40-player corpus
+# above, recorded before the ENN and forest kernels were rewritten: the
+# rewrites must keep every byte.
+PER_MATCH_REPORT_SHA256 = {
+    "indiscriminate": {
+        ".json": "6602bacdcb35eccd5210bfce7d14fc595147b70cf26699cab29e88a7e64bc6c8",
+        ".metrics.csv": "52f5c2811a4a8159fdf0c30f48c80b3da46bada7c2d72e12ddc8342d8677e68e"},
+    "one-match": {
+        ".json": "dbf397cf173562bfdb63fc0dcfe1d74a3a260fc0497760a858f7c7acac953912",
+        ".metrics.csv": "69aed05061a069b47e566cac20a6e5306bdd92a1d1202577c98c91669ac6f897"},
+    "sophisticated": {
+        ".json": "14846efa44d88a75261fa52511a1edafe0bc8aa8f8d58f176ebb95d16583a80c",
+        ".curves.csv": "748a7e3dd5a83ed86176bcbd06d01e87b1ee28db524aa0dd2d5e65a1dd2dd30d"},
+    "targeted": {
+        ".json": "a26b1882f2998e083d6831df5f0ceedec1f7f5d561bdb6d753cf284b8bd3ed7c",
+        ".curves.csv": "4990cc72404217fe33942c1e078897c9258200b000a045898140984eee7ac11f"},
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PER_MATCH_REPORT_SHA256))
+def test_per_match_reports_keep_their_bytes(pipeline_dirs, tmp_path, protocol):
+    import hashlib
+
+    _, _, labels_csv, features = pipeline_dirs
+    out = tmp_path / "report.json"
+    assert main(["attack", "--protocol", protocol, "--features", str(features),
+                 "--labels", str(labels_csv), "--out", str(out),
+                 "--draws", "20", "--repeats", "2", "--sweep-stop", "8",
+                 "--seed", "7"]) == 0
+    digests = {suffix: hashlib.sha256(out.with_suffix(suffix).read_bytes()).hexdigest()
+               for suffix in PER_MATCH_REPORT_SHA256[protocol]}
+    assert digests == PER_MATCH_REPORT_SHA256[protocol]
 
 
 @pytest.mark.parametrize("protocol, flags", [

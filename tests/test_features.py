@@ -1,8 +1,15 @@
+import csv
 import json
+import math
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aia.errors import InsufficientMatches, SchemaError, SlotNotFound
 from aia.features import (
@@ -25,7 +32,8 @@ from aia.features import (
     load_wheel_catalog,
 )
 from aia.ingest import PlayerRecord, parse_match
-from aia.matrix import Column, FeatureMatrix, load_matrix, save_matrix
+from aia import models
+from aia.matrix import DISTILL_CAP, Column, FeatureMatrix, load_matrix, save_matrix
 from aia.stats import average_ranks
 
 from conftest import build_match_doc, make_match
@@ -424,6 +432,70 @@ def test_load_matrix_names_the_cell_that_does_not_parse(tmp_path, row, column, t
         load_matrix(path)
     assert str(path) in str(err.value)
     assert f"data row {row}, column {column!r}" in str(err.value)
+
+
+# Text for one mutated CSV cell: anything, and the near misses of each kind.
+CELL_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.sampled_from(["", " ", "nan", "-inf", "1e400", "true", "True", "false",
+                     "0", " 3", "3.5", "1_0", "0x10", "7", "8", "13", "101"]),
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str))
+
+
+def mutate_cell(path, row, column, text):
+    """Rewrite a CSV file with the cell at (data row, column) set to text."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    records[row][records[0].index(column)] = text
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(records)
+
+
+def _property_matrix(variant):
+    """A small matrix of each variant; under M_bar owner 7 sits at the cap."""
+    cols = [Column("kills", "numeric"), Column("won", "boolean"),
+            Column("hero", "categorical")]
+    n = DISTILL_CAP + 2 if variant == "M_bar" else 4
+    owners = [7] * (n - 2) + [8, 9] if variant == "M_bar" else [7, 8, 9, 10]
+    rows = [[float(i % 5), i % 2 == 0, f"h{i % 3}"] for i in range(n)]
+    return FeatureMatrix(variant=variant, columns=cols, rows=rows, row_owner=owners,
+                         row_match=None if variant == "P" else list(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["P", "M", "M_bar"]), st.integers(0, 10**6),
+       st.sampled_from(["_owner", "_match", "kills", "won", "hero"]), CELL_TEXT)
+def test_load_matrix_takes_or_names_any_mutated_cell(variant, pick, column, text):
+    # Either a SchemaError names the file, the data row and the column, or
+    # the cell loads as a value the recipe encodes to a finite number.
+    matrix = _property_matrix(variant)
+    if variant == "P" and column == "_match":
+        column = "_owner"
+    row = 1 + pick % matrix.n_rows
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{variant}.csv"
+        save_matrix(matrix, path)
+        mutate_cell(path, row, column, text)
+        try:
+            loaded = load_matrix(path)
+        except SchemaError as exc:
+            assert str(path) in str(exc)
+            assert f"data row {row}, column {column!r}" in str(exc)
+            return
+    cell = {"_owner": loaded.row_owner, "_match": loaded.row_match}.get(column)
+    if cell is not None:
+        assert type(cell[row - 1]) is int
+    else:
+        value = loaded.rows[row - 1][loaded.column_index(column)]
+        kind = {"kills": float, "won": bool, "hero": str}[column]
+        assert type(value) is kind
+        assert column != "won" or text == ("true" if value else "false")
+        assert column != "kills" or math.isfinite(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        recipe = models.fit_recipe(loaded, range(loaded.n_rows))
+    assert np.isfinite(models.transform(loaded, range(loaded.n_rows), recipe)).all()
 
 
 @pytest.mark.parametrize("edit, words", [

@@ -1,4 +1,6 @@
 
+from typing import Optional, Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,7 +122,7 @@ def _preorder_tree(X, y, K, max_depth, min_leaf):
         if pure or depth_stop or len(idx) < 2 * min_leaf:
             continue
         chosen, f, threshold, left = models._best_splits(
-            X, rank, y, K, min_leaf, idx, np.array([len(idx)]),
+            X, rank, y, K, min_leaf, idx, np.ones(len(idx)), np.array([len(idx)]),
             np.arange(X.shape[1])[None])
         if not len(chosen):
             continue
@@ -170,7 +172,8 @@ def _best_weighted_gini(values, y, K):
         if sv[cut] < sv[cut + 1]:
             left = np.bincount(sy[:cut + 1], minlength=K).astype(float)
             nl = np.array([cut + 1.0])
-            best = min(best, models._gini_children(left[None], (counts - left)[None],
+            best = min(best, models._gini_children(left[:, None],
+                                                   (counts - left)[:, None],
                                                    nl, len(y) - nl)[0])
     return best
 
@@ -186,6 +189,167 @@ def test_near_tied_features_split_on_the_earlier_one():
     for X in (np.column_stack([a, b]), np.column_stack([b, a])):
         tree = models._grow_trees(X, y, 2, 1, 1, [np.arange(9)])
         assert tree["feature"][0] == 0
+
+
+# ---------------------------------------------------------------------------
+# Weighted-row growth against the unweighted grower it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_gini_children(left: np.ndarray, right: np.ndarray,
+                   nl: np.ndarray, nr: np.ndarray) -> np.ndarray:
+    gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+    gr = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+    return (nl * gl + nr * gr) / (nl + nr)
+
+
+def reference_best_splits(X: np.ndarray, rank: np.ndarray, y_codes: np.ndarray, K: int,
+                 min_leaf: int, rows: np.ndarray, sizes: np.ndarray,
+                 features: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_best_splits` over repeated rows, one entry per bootstrap draw."""
+    B, F = features.shape
+    N = len(rows)
+    node = np.repeat(np.arange(B), sizes)
+    y = y_codes[rows]
+    counts = np.bincount(node * K + y, minlength=B * K).reshape(B, K).astype(float)
+    parent_gini = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+
+    seg = (np.arange(F)[:, None] * B + node).ravel()
+    key = seg * len(X) + rank[rows, features[node].T].ravel()
+    order = np.argsort(key)
+    key = key[order]
+    starts = (np.arange(F)[:, None] * N + (np.cumsum(sizes) - sizes)).ravel()
+    prefix = np.cumsum(y[order % N] == np.arange(K)[:, None], axis=1)
+    prefix = np.hstack([np.zeros((K, 1), dtype=prefix.dtype), prefix])
+
+    def left_of(q):  # class counts up to and including sorted position q
+        return (prefix[:, q + 1] - prefix[:, starts[seg[q]]]).T.astype(float, order="C")
+
+    owner = seg % B
+    local = np.arange(F * N) - starts[seg]
+    n = sizes[owner]
+    movable = np.zeros(F * N, dtype=bool)
+    movable[:-1] = key[:-1] < key[1:]
+    cut = np.flatnonzero((local >= min_leaf - 1) & (local < n - min_leaf) & movable)
+    left = left_of(cut)
+    nl = (local[cut] + 1).astype(float)
+    weighted = np.full(F * N, np.inf)
+    weighted[cut] = reference_gini_children(left, counts[owner[cut]] - left, nl,
+                                            n[cut] - nl)
+    seg_min = np.minimum.reduceat(weighted, starts)
+    first = np.minimum.reduceat(
+        np.where(weighted == seg_min[seg], np.arange(F * N), F * N), starts)
+    seg_min = seg_min.reshape(F, B)
+    first = first.reshape(F, B)
+
+    best = np.full(B, np.inf)
+    slot = np.full(B, -1)
+    for j in range(F):
+        take = (seg_min[j] < parent_gini - 1e-12) & (seg_min[j] < best - 1e-15)
+        best[take] = seg_min[j][take]
+        slot[take] = j
+    chosen = np.flatnonzero(slot >= 0)
+    p = first[slot[chosen], chosen]
+    f = features[chosen, slot[chosen]]
+    lo = X[rows[order[p] % N], f]
+    hi = X[rows[order[p + 1] % N], f]
+    # Adjacent doubles: the midpoint rounds up to the right value and would
+    # leave that child empty under "<=", so the left value is used.
+    mid = (lo + hi) / 2.0
+    return chosen, f, np.where(mid >= hi, lo, mid), left_of(p)
+
+
+def reference_grow_trees(X: np.ndarray, y_codes: np.ndarray, K: int,
+                max_depth: Optional[int], min_leaf: int,
+                roots: Sequence[np.ndarray],
+                rngs: Optional[Sequence[np.random.Generator]] = None) -> dict:
+    """`_grow_trees` as it was: a bootstrap's repeated rows each take an
+    entry of every level's array."""
+    d = X.shape[1]
+    m = max(1, int(np.sqrt(d)))
+    rank = np.empty(X.shape, dtype=int)
+    for f in range(d):
+        rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
+    roots = [np.asarray(root) for root in roots]
+    tree = np.arange(len(roots))
+    sizes = np.array([len(root) for root in roots])
+    rows = np.concatenate(roots)
+    counts = np.bincount(np.repeat(tree, sizes) * K + y_codes[rows],
+                         minlength=len(roots) * K).reshape(-1, K).astype(float)
+    levels = []
+    n_nodes, depth = 0, 0
+    while True:
+        B = len(tree)
+        feature, threshold = np.full(B, -2), np.full(B, -2.0)
+        left, right = np.full(B, -1), np.full(B, -1)
+        levels.append((tree, feature, threshold, left, right, counts))
+        n_nodes += B
+        is_open = (np.count_nonzero(counts, axis=1) > 1) & (sizes >= 2 * min_leaf)
+        if max_depth is not None and depth >= max_depth:
+            is_open[:] = False
+        nodes = np.flatnonzero(is_open)
+        if not len(nodes):
+            break
+        rows, sizes = rows[np.repeat(is_open, sizes)], sizes[nodes]
+        if rngs is None:
+            candidates = np.broadcast_to(np.arange(d), (len(nodes), d))
+        else:
+            per_tree = np.bincount(tree[nodes], minlength=len(rngs))
+            keys = np.concatenate([rngs[t].random((c, d))
+                                   for t, c in enumerate(per_tree) if c])
+            candidates = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :m], axis=1)
+        chosen, f, cut_at, left_counts = reference_best_splits(
+            X, rank, y_codes, K, min_leaf, rows, sizes, candidates)
+        split = nodes[chosen]
+        feature[split], threshold[split] = f, cut_at
+        left[split] = n_nodes + 2 * np.arange(len(split))
+        right[split] = left[split] + 1
+        slot = np.full(len(nodes), -1)
+        slot[chosen] = np.arange(len(chosen))
+        slot = np.repeat(slot, sizes)
+        rows, slot = rows[slot >= 0], slot[slot >= 0]
+        child = 2 * slot + ~(X[rows, f[slot]] <= cut_at[slot])
+        rows = rows[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * len(split))
+        parent_counts, counts = counts[split], np.empty((2 * len(split), K))
+        counts[0::2], counts[1::2] = left_counts, parent_counts - left_counts
+        tree = np.repeat(tree[split], 2)
+        depth += 1
+    tree, feature, threshold, left, right, counts = (np.concatenate(column)
+                                                     for column in zip(*levels))
+    order = np.argsort(tree, kind="stable")  # each tree's nodes together
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(len(order))
+    left, right = left[order], right[order]
+    leaf = left < 0
+    left, right = np.where(leaf, -1, new_id[left]), np.where(leaf, -1, new_id[right])
+    value = counts[order]
+    return {"feature": feature[order], "threshold": threshold[order], "left": left,
+            "right": right, "value": value / value.sum(axis=1, keepdims=True),
+            "root": np.searchsorted(tree[order], np.arange(len(roots)))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(1, 8),
+       st.sampled_from([0, 1, 3]), st.integers(2, 4), st.integers(1, 4),
+       st.one_of(st.none(), st.integers(1, 4)), st.integers(1, 6))
+def test_weighted_growth_equals_the_unweighted_grower(seed, n, d, decimals, K,
+                                                      min_leaf, max_depth, n_trees):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(scale=2.0, size=(n, d)), decimals)
+    y = rng.integers(0, K, n)
+    pairs = [(models._grow_trees(X, y, K, max_depth, min_leaf, [np.arange(n)]),
+              reference_grow_trees(X, y, K, max_depth, min_leaf, [np.arange(n)]))]
+    roots, rngs = _forest_inputs(n_trees, n)
+    forest = models._grow_trees(X, y, K, max_depth, min_leaf, roots, rngs)
+    roots, rngs = _forest_inputs(n_trees, n)
+    pairs.append((forest, reference_grow_trees(X, y, K, max_depth, min_leaf,
+                                               roots, rngs)))
+    for got, want in pairs:
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype
+            assert got[key].tobytes() == want[key].tobytes()
 
 
 def _walk(tree, x):

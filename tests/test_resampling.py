@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aia import resampling
 from aia.resampling import enn_undersample, smote_oversample
 
 
@@ -156,3 +161,58 @@ def test_enn_all_decisions_use_original_set():
     _, y_out = enn_undersample(X, y, k=3, classes=["a", "b"])
     removed = enn_oracle(X.tolist(), y, 3, ["a", "b"])
     assert len(y_out) == 6 - len(removed)
+
+
+# ---------------------------------------------------------------------------
+# Nearest neighbours: the screened kernel against the full sort it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_nearest(X, k):
+    """`_nearest` as it was before screening: every exact distance of a
+    256-row block, stable-sorted in full, self left out."""
+    n = len(X)
+    block = 256
+    out = np.empty((n, k), dtype=int)
+    for start in range(0, n, block):
+        chunk = X[start:start + block]
+        d2 = ((chunk[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        order = np.argsort(d2, axis=1, kind="stable")
+        own = np.arange(start, start + len(chunk))[:, None]
+        out[start:start + len(chunk)] = \
+            order[order != own].reshape(len(chunk), n - 1)[:, :k]
+    return out
+
+
+def _neighbour_input(seed, n, d, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.normal(size=(n, d))
+    if kind == "grid":  # many equal distances, tied by index
+        return np.round(rng.normal(size=(n, d)), 1)
+    if kind == "binary":  # one-hot-like blocks: most rows repeat
+        return (rng.random((n, d)) < 0.3).astype(float)
+    if kind == "offset":  # large norms, small differences
+        return np.round(rng.random((n, d)), 2) + 10.0 ** rng.choice([6, 8])
+    return rng.random((n, d)) * 1e-150  # tiny: squares near underflow
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 90), st.integers(0, 12),
+       st.sampled_from(["gaussian", "grid", "binary", "offset", "tiny"]),
+       st.integers(1, 5), st.sampled_from([8, 1 << 10, 1 << 14, 1 << 25]))
+def test_screened_neighbours_equal_the_full_sort(seed, n, d, kind, k, budget):
+    X = _neighbour_input(seed, n, d, kind)
+    k = min(k, n - 1)
+    with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
+        got = resampling._nearest(X, k)
+    assert np.array_equal(got, reference_nearest(X, k))
+
+
+def test_screened_neighbours_on_a_fold_sized_block():
+    # Several blocks of a fold-sized set with tied distances, as in ENN on
+    # an encoded training fold.
+    rng = np.random.default_rng(8)
+    X = np.round(rng.random((700, 14)), 1)
+    with mock.patch.object(resampling, "_BLOCK_BYTES", 1 << 18):
+        assert np.array_equal(resampling._nearest(X, 3), reference_nearest(X, 3))
