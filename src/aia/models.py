@@ -256,10 +256,10 @@ def _best_splits(X: np.ndarray, rank: np.ndarray, y_codes: np.ndarray, K: int,
     entry = order % N
     starts = (np.arange(F)[:, None] * N + (np.cumsum(sizes) - sizes)).ravel()
     reach = np.zeros(F * N + 1)
-    np.cumsum(weight[entry], out=reach[1:])
+    np.cumsum(weight.take(entry), out=reach[1:])
     prefix = np.zeros((K, F * N + 1))
-    np.cumsum(np.where(y == np.arange(K)[:, None], weight, 0.0)[:, entry], axis=1,
-              out=prefix[:, 1:])
+    for k, class_weight in enumerate(np.where(y == np.arange(K)[:, None], weight, 0.0)):
+        np.cumsum(class_weight.take(entry), out=prefix[k, 1:])
 
     def left_of(q):  # class weights up to and including sorted position q
         return prefix[:, q + 1] - prefix[:, starts[seg[q]]]

@@ -17,6 +17,7 @@ import numpy as np
 # Byte budget of one `_nearest` block: its (rows x n) screen and the
 # exact re-rank of its candidates, (rows x n x (d + 1)) float64 at most.
 _BLOCK_BYTES = 1 << 25
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 def _nearest(X: np.ndarray, k: int) -> np.ndarray:
@@ -26,29 +27,30 @@ def _nearest(X: np.ndarray, k: int) -> np.ndarray:
     The distance is `((a - b) ** 2).sum()`, but only candidates get it.
     A block of rows is first screened with |a|^2 + |b|^2 - 2 a.b (one
     matrix product), which stays within `margin` = 4 (d + 4) eps
-    (|a|^2 + max |b|^2) of the exact value. Every row screened within
+    (|a|^2 + max |b|^2) + tiny of the exact value (tiny, the smallest
+    normal double, covers underflow). Every row screened within
     2 margin of a row's k-th smallest is a candidate: at least k
     candidates are exactly no farther than that bound, and every other row
     is exactly farther. Candidates are ordered by (exact distance, index).
     """
     n, d = X.shape
     norms = (X * X).sum(axis=1)
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    top = norms.max()
     block = max(1, _BLOCK_BYTES // (8 * n * (d + 1)))
     out = np.empty((n, k), dtype=int)
     for start in range(0, n, block):
         chunk = X[start:start + block]
         b = len(chunk)
         screen = norms[start:start + b, None] + norms - 2.0 * (chunk @ X.T)
-        screen[np.arange(b), np.arange(start, start + b)] = np.inf  # self
-        margin = 4 * (d + 4) * eps * (norms[start:start + b] + norms.max()) + tiny
-        bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + 2 * margin
+        screen.ravel()[start::n + 1] = np.inf  # each row's own column
+        bound = np.partition(screen, k - 1, axis=1)[:, k - 1]
+        bound += (norms[start:start + b] + top) * (8 * (d + 4) * _EPS) + 2 * _TINY
         row, col = np.nonzero(screen <= bound[:, None])
         exact = ((chunk[row] - X[col]) ** 2).sum(axis=1)
-        order = np.lexsort((col, exact, row))
+        order = np.lexsort((exact, row))  # stable: ties stay in column order
         per_row = np.bincount(row, minlength=b)
         first = np.cumsum(per_row) - per_row
-        out[start:start + b] = col[order][first[:, None] + np.arange(k)]
+        out[start:start + b] = col[order[first[:, None] + np.arange(k)]]
     return out
 
 
