@@ -518,8 +518,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def _pin_blas_threads() -> None:
     """One BLAS thread per process, unless the caller set any count. Attacks
-    run serially; starting a second OpenBLAS thread costs each process
-    ~0.1 s, and on products this small its spinning raises CPU time more
+    run serially; a second OpenBLAS thread costs each process ~0.1 s of CPU
+    time, and on products this small its spinning raises CPU time more
     than it cuts wall time. Takes effect only before numpy is imported."""
     if not any(var in os.environ for var in BLAS_THREAD_VARS):
         for var in BLAS_THREAD_VARS:
