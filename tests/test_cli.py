@@ -426,6 +426,32 @@ PER_MATCH_REPORT_SHA256 = {
 }
 
 
+# sha256 of each featurize output on the 40-player corpus above, recorded
+# before the parser, the feature rows and the CSV writer were rewritten for
+# speed: the rewrites must keep every byte. Every player has at most 12
+# matches, under the distill cap, so both Mbar variants keep every row.
+FEATURIZE_SHA256 = {
+    "P.csv": "2c2d65fd875ba75b33cbcd5e6544995f2f62c1b135c4b3f09e1da83f8bf2591a",
+    "P.csv.schema.json": "ad84a3420a454509ad522a1a1821dedeb80b3b03df497a29630df477ee807d13",
+    "M.csv": "c9c47816908f7d347e8537daee5753c437f990a3bb0211294428a4781f6608d0",
+    "M.csv.schema.json": "e1f7ecbe0d1a496bbad19897ac668a2ce9eee0b16a15d088448730396d0b81e3",
+    "Mbar_00.csv": "d6d64dd4156ada183e9e56880c3274a2760a15ff1bdebf79711ef0afbe06d81a",
+    "Mbar_00.csv.schema.json": "f31a3e422ceea784db2c342f6b4344bc1fccf5a5bd2138ceee940a5a9c1b147b",
+    "Mbar_01.csv": "d6d64dd4156ada183e9e56880c3274a2760a15ff1bdebf79711ef0afbe06d81a",
+    "Mbar_01.csv.schema.json": "91e08cb35e21c6763bb3bf114e5929a3089ba07f46fb1fdce1cbc4e75b2a107f",
+    "filter_report.json": "b0f8f38b1063881d72b89f26ad53530ab4b5a6e5711a5e210e2112f2acdc00fb",
+}
+
+
+def test_featurize_outputs_keep_their_bytes(pipeline_dirs):
+    import hashlib
+
+    _, _, _, features = pipeline_dirs
+    digests = {name: hashlib.sha256((features / name).read_bytes()).hexdigest()
+               for name in FEATURIZE_SHA256}
+    assert digests == FEATURIZE_SHA256
+
+
 @pytest.mark.parametrize("protocol", sorted(PER_MATCH_REPORT_SHA256))
 def test_per_match_reports_keep_their_bytes(pipeline_dirs, tmp_path, protocol):
     import hashlib
