@@ -167,7 +167,7 @@ def _cmd_featurize(args) -> int:
 
 def _featurize(args) -> int:
     from .features import (FeatureContext, build_distilled, build_match_matrix,
-                           build_player_matrix)
+                           build_naive_match_matrix, build_player_matrix)
     from .matrix import save_matrix
 
     cache = Path(args.cache)
@@ -186,11 +186,12 @@ def _featurize(args) -> int:
         save_matrix(matrix, out / "P.csv")
         print(f"featurize: P {matrix.n_rows}x{len(matrix.columns)} -> {out}")
         return 0
-    m, aug = build_match_matrix(players, matches, ctx)
     if args.variant == "M":
+        m = build_naive_match_matrix(players, matches, ctx)
         save_matrix(m, out / "M.csv")
         print(f"featurize: M {m.n_rows}x{len(m.columns)} -> {out}")
         return 0
+    m, aug = build_match_matrix(players, matches, ctx)
     variants = build_distilled(m, aug, n_variants=args.variants, seed=args.seed)
     lines: dict = {}  # rows the variants share are formatted once
     for i, variant in enumerate(variants):

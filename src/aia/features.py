@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import operator
 import re
 import time
 from dataclasses import dataclass
@@ -18,10 +19,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import InsufficientMatches, SchemaError
-from .ingest import MatchRecord, PlayerRecord
+from .ingest import MatchPlayerSlot, MatchRecord, PlayerRecord
 from .matrix import DISTILL_CAP, Column, FeatureMatrix
 
 LEXICON_CATEGORIES = ("laugh", "slang", "bad_behavior", "good_behavior", "provocative")
@@ -115,41 +114,23 @@ class FeatureContext:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ChatFeatures:
-    category_counts: dict[str, int]            # lexicon category -> occurrences
-    question_only_msgs: int
-    question_marks: int
-    exclamation_marks: int
-    capital_letters: int
-    early_game_msgs: int
-    after_kill_msgs: int
-    wheel_counts: dict[tuple[str, str], int]   # (channel, category) -> count
-    wheel_global_msgs: int
-    wheel_team_msgs: int
-    sound_count: int
-    spray_count: int
-
-    def as_feature_dict(self) -> dict[str, float]:
-        out = {f"chat_{cat}_count": float(self.category_counts[cat])
-               for cat in LEXICON_CATEGORIES}
-        out.update({
-            "chat_question_only_msgs": float(self.question_only_msgs),
-            "chat_question_marks": float(self.question_marks),
-            "chat_exclamation_marks": float(self.exclamation_marks),
-            "chat_capital_letters": float(self.capital_letters),
-            "chat_early_game_msgs": float(self.early_game_msgs),
-            "chat_after_kill_msgs": float(self.after_kill_msgs),
-        })
-        for channel in ("global", "team"):
-            for cat in WHEEL_CATEGORIES:
-                out[f"wheel_{channel}_{cat}"] = float(self.wheel_counts[(channel, cat)])
-        out["wheel_global_msgs"] = float(self.wheel_global_msgs)
-        out["wheel_team_msgs"] = float(self.wheel_team_msgs)
-        out["chat_sound_count"] = float(self.sound_count)
-        out["chat_spray_count"] = float(self.spray_count)
-        return out
-
+# The chat columns, in emission order: extract_chat_features returns their
+# values in this order.
+CHAT_FEATURE_NAMES: tuple[str, ...] = (
+    *(f"chat_{cat}_count" for cat in LEXICON_CATEGORIES),
+    "chat_question_only_msgs",
+    "chat_question_marks",
+    "chat_exclamation_marks",
+    "chat_capital_letters",
+    "chat_early_game_msgs",
+    "chat_after_kill_msgs",
+    *(f"wheel_{channel}_{cat}" for channel in ("global", "team")
+      for cat in WHEEL_CATEGORIES),
+    "wheel_global_msgs",
+    "wheel_team_msgs",
+    "chat_sound_count",
+    "chat_spray_count",
+)
 
 _WHEEL_KINDS = ("chatwheel_general", "chatwheel_hero")
 
@@ -169,8 +150,9 @@ def _token_categories(lexicons: tuple[Lexicon, ...]) -> dict[str, tuple[str, ...
 def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexicon],
                           early_window_s: float = EARLY_WINDOW_S,
                           after_kill_window_s: float = AFTER_KILL_WINDOW_S,
-                          wheel_catalog: dict[str, str] | None = None) -> ChatFeatures:
-    """Chat-derived counts for one slot of one match.
+                          wheel_catalog: dict[str, str] | None = None) -> list[float]:
+    """Chat-derived counts for one slot of one match, as floats in
+    CHAT_FEATURE_NAMES order.
 
     Lexicon categories count token occurrences (case-insensitive) over the
     slot's typed global messages. A message whose trimmed text is only '?'
@@ -225,20 +207,11 @@ def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexi
         elif kind == "spray":
             sprays += 1
 
-    return ChatFeatures(
-        category_counts=category_counts,
-        question_only_msgs=question_only,
-        question_marks=qmarks,
-        exclamation_marks=emarks,
-        capital_letters=capitals,
-        early_game_msgs=early,
-        after_kill_msgs=after_kill,
-        wheel_counts=wheel_counts,
-        wheel_global_msgs=wheel_global,
-        wheel_team_msgs=wheel_team,
-        sound_count=sounds,
-        spray_count=sprays,
-    )
+    return ([float(category_counts[cat]) for cat in LEXICON_CATEGORIES]
+            + [float(question_only), float(qmarks), float(emarks), float(capitals),
+               float(early), float(after_kill)]
+            + [float(n) for n in wheel_counts.values()]
+            + [float(wheel_global), float(wheel_team), float(sounds), float(sprays)])
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +255,8 @@ NAIVE_MATCH_SCHEMA: tuple[tuple[str, str], ...] = (
     ("day_of_week", "categorical"),
 )
 
-_CHAT_FEATURE_NAMES: tuple[str, ...] = tuple(ChatFeatures(
-    category_counts={c: 0 for c in LEXICON_CATEGORIES},
-    question_only_msgs=0, question_marks=0, exclamation_marks=0,
-    capital_letters=0, early_game_msgs=0, after_kill_msgs=0,
-    wheel_counts={(ch, c): 0 for ch in ("global", "team") for c in WHEEL_CATEGORIES},
-    wheel_global_msgs=0, wheel_team_msgs=0, sound_count=0, spray_count=0,
-).as_feature_dict())
-
 EXPERT_MATCH_SCHEMA: tuple[tuple[str, str], ...] = tuple(
-    [(name, "numeric") for name in _CHAT_FEATURE_NAMES]
+    [(name, "numeric") for name in CHAT_FEATURE_NAMES]
     + [
         ("chat_msgs", "numeric"),
         ("chat_rank_in_match", "numeric"),
@@ -310,77 +275,91 @@ def expert_match_columns() -> list[Column]:
     return [Column(n, k) for n, k in EXPERT_MATCH_SCHEMA]
 
 
-def _per_min(value: float, duration_s: float) -> float:
-    return value / max(duration_s / 60.0, 1.0)
+# Position of each per-match column in a build_match_features row.
+MATCH_SCHEMA = NAIVE_MATCH_SCHEMA + EXPERT_MATCH_SCHEMA
+_AT = {name: i for i, (name, _) in enumerate(MATCH_SCHEMA)}
+
+
+def _naive_values(match: MatchRecord, player: MatchPlayerSlot) -> list:
+    """The naive values of one slot's row, in NAIVE_MATCH_SCHEMA order."""
+    slot = player.slot
+    kills, deaths, assists = player.kills, player.deaths, player.assists
+    if player.is_radiant:
+        team_score, enemy_score = match.radiant_score, match.dire_score
+    else:
+        team_score, enemy_score = match.dire_score, match.radiant_score
+    minutes = max(match.duration_s / 60.0, 1.0)
+    tm = time.gmtime(match.start_time)
+    return [
+        match.radiant_win == player.is_radiant,
+        float(match.duration_s),
+        float(kills),
+        float(deaths),
+        float(assists),
+        float(player.denies),
+        float(player.last_hits),
+        (kills + assists) / max(deaths, 1),
+        (kills + assists) / max(team_score, 1),
+        float(team_score),
+        float(enemy_score),
+        kills / minutes,
+        deaths / minutes,
+        assists / minutes,
+        player.denies / minutes,
+        player.last_hits / minutes,
+        float(match.first_blood_time),
+        float(match.comeback or 0.0),
+        float(match.throw or 0.0),
+        float(match.loss or 0.0),
+        float(match.win or 0.0),
+        float(match.human_players),
+        float(tm.tm_hour),
+        float(sum(player.word_counts.values())),
+        float(sum(match.word_counts.values())),
+        float(sum(c["price"] for c in match.cosmetics if c["owner_slot"] == slot)),
+        str(match.game_mode),
+        str(match.lobby_type),
+        str(match.region),
+        str(match.patch),
+        str(match.skill) if match.skill is not None else "unknown",
+        DAY_NAMES[tm.tm_wday],
+    ]
+
+
+def _expert_values(match: MatchRecord, player: MatchPlayerSlot,
+                   ctx: FeatureContext) -> list:
+    """The expert values of one slot's row, in EXPERT_MATCH_SCHEMA order."""
+    slot = player.slot
+    values = extract_chat_features(match, slot, ctx.lexicons,
+                                   wheel_catalog=ctx.wheel_catalog)
+    counts = match.message_counts()
+    typed = counts.get("typed_text", {})
+    # Average rank among the match's slots, rank 1 = most talkative: the
+    # slots that typed more come first, ties share the mean position.
+    mine = typed.get(slot, 0)
+    more = tied = 0
+    for other in {p.slot: None for p in match.players}:
+        n = typed.get(other, 0)
+        if n > mine:
+            more += 1
+        elif n == mine:
+            tied += 1
+    values += [
+        float(mine),
+        (more + more + tied - 1) / 2.0 + 1.0,
+        float(counts.get("chatwheel_hero", {}).get(slot, 0)),
+        hero_gender(ctx.hero_table, player.hero_id),
+        hero_attr(ctx.hero_table, player.hero_id),
+    ]
+    return values
 
 
 def build_match_features(match: MatchRecord, slot: int,
-                         ctx: FeatureContext) -> dict[str, object]:
-    """Full per-match feature row (naive and expert values) for one slot."""
+                         ctx: FeatureContext) -> list:
+    """Full per-match feature row for one slot: its naive then its expert
+    values, in MATCH_SCHEMA order."""
     player = match.slot_record(slot)
-    team_score = match.radiant_score if player.is_radiant else match.dire_score
-    enemy_score = match.dire_score if player.is_radiant else match.radiant_score
-    tm = time.gmtime(match.start_time)
-
-    row: dict[str, object] = {
-        "won": match.radiant_win == player.is_radiant,
-        "duration_s": float(match.duration_s),
-        "kills": float(player.kills),
-        "deaths": float(player.deaths),
-        "assists": float(player.assists),
-        "denies": float(player.denies),
-        "last_hits": float(player.last_hits),
-        "kda": (player.kills + player.assists) / max(player.deaths, 1),
-        "kill_participation": (player.kills + player.assists) / max(team_score, 1),
-        "team_score": float(team_score),
-        "enemy_score": float(enemy_score),
-        "kills_per_min": _per_min(player.kills, match.duration_s),
-        "deaths_per_min": _per_min(player.deaths, match.duration_s),
-        "assists_per_min": _per_min(player.assists, match.duration_s),
-        "denies_per_min": _per_min(player.denies, match.duration_s),
-        "last_hits_per_min": _per_min(player.last_hits, match.duration_s),
-        "first_blood_time": float(match.first_blood_time),
-        "comeback": float(match.comeback or 0.0),
-        "throw": float(match.throw or 0.0),
-        "loss": float(match.loss or 0.0),
-        "win": float(match.win or 0.0),
-        "human_players": float(match.human_players),
-        "start_hour": float(tm.tm_hour),
-        "my_word_total": float(sum(player.word_counts.values())),
-        "all_word_total": float(sum(match.word_counts.values())),
-        "cosmetics_price": float(sum(c["price"] for c in match.cosmetics
-                                     if c["owner_slot"] == slot)),
-        "game_mode": str(match.game_mode),
-        "lobby_type": str(match.lobby_type),
-        "region": str(match.region),
-        "patch": str(match.patch),
-        "skill": str(match.skill) if match.skill is not None else "unknown",
-        "day_of_week": DAY_NAMES[tm.tm_wday],
-    }
-
-    chat = extract_chat_features(match, slot, ctx.lexicons,
-                                 wheel_catalog=ctx.wheel_catalog)
-    row.update(chat.as_feature_dict())
-
-    typed_by_slot = {p.slot: 0 for p in match.players}
-    hero_msgs = 0
-    for msg in match.chat:
-        if msg.kind == "typed_text":
-            if msg.sender_slot in typed_by_slot:
-                typed_by_slot[msg.sender_slot] += 1
-        elif msg.kind == "chatwheel_hero" and msg.sender_slot == slot:
-            hero_msgs += 1
-    # Average rank among the match's slots, rank 1 = most talkative: the
-    # slots that typed more come first, ties share the mean position.
-    mine = typed_by_slot[slot]
-    more = sum(1 for c in typed_by_slot.values() if c > mine)
-    tied = sum(1 for c in typed_by_slot.values() if c == mine)
-    row["chat_msgs"] = float(mine)
-    row["chat_rank_in_match"] = (more + more + tied - 1) / 2.0 + 1.0
-    row["hero_msg_count"] = float(hero_msgs)
-    row["hero_gender"] = hero_gender(ctx.hero_table, player.hero_id)
-    row["hero_attr"] = hero_attr(ctx.hero_table, player.hero_id)
-    return row
+    return _naive_values(match, player) + _expert_values(match, player, ctx)
 
 
 @dataclass
@@ -398,20 +377,17 @@ def _find_slot(match: MatchRecord, handle: int) -> Optional[int]:
     return None
 
 
-def build_match_matrix(players: Sequence[PlayerRecord],
-                       matches: dict[int, MatchRecord],
-                       ctx: FeatureContext) -> tuple[FeatureMatrix, AugmentationTable]:
-    """Per-match matrix (naive columns) plus the aligned expert-column table.
+def build_naive_match_matrix(players: Sequence[PlayerRecord],
+                             matches: dict[int, MatchRecord],
+                             ctx: FeatureContext) -> FeatureMatrix:
+    """Per-match matrix M: the naive columns of every (player, match) pair.
 
     Rows are emitted sorted by (owner, match id), whatever order the
     players and matches come in, so a rebuild agrees byte for byte.
     """
-    naive_cols = naive_match_columns()
-    expert_cols = expert_match_columns()
     rows: list[list] = []
     owners: list[int] = []
     match_ids: list[int] = []
-    aug_values: dict[tuple[int, int], list] = {}
     for player in sorted(players, key=lambda p: p.handle):
         for mid in sorted(player.match_ids):
             match = matches.get(mid)
@@ -420,15 +396,35 @@ def build_match_matrix(players: Sequence[PlayerRecord],
             slot = _find_slot(match, player.handle)
             if slot is None:
                 continue
-            full = build_match_features(match, slot, ctx)
-            rows.append([full[c.name] for c in naive_cols])
+            rows.append(_naive_values(match, match.slot_record(slot)))
             owners.append(player.handle)
             match_ids.append(mid)
-            aug_values[(player.handle, mid)] = [full[c.name] for c in expert_cols]
-    m = FeatureMatrix(variant="M", columns=naive_cols, rows=rows,
-                      row_owner=owners, row_match=match_ids,
-                      config_hash=ctx.config_hash())
-    return m, AugmentationTable(columns=expert_cols, values=aug_values)
+    return FeatureMatrix(variant="M", columns=naive_match_columns(), rows=rows,
+                         row_owner=owners, row_match=match_ids,
+                         config_hash=ctx.config_hash())
+
+
+def build_expert_table(m: FeatureMatrix, matches: dict[int, MatchRecord],
+                       ctx: FeatureContext) -> AugmentationTable:
+    """The expert values of every row of M, keyed by (owner, match id)."""
+    values: dict[tuple[int, int], list] = {}
+    for owner, mid in zip(m.row_owner, m.row_match):
+        match = matches[mid]
+        player = match.slot_record(_find_slot(match, owner))
+        values[(owner, mid)] = _expert_values(match, player, ctx)
+    return AugmentationTable(columns=expert_match_columns(), values=values)
+
+
+def build_match_matrix(players: Sequence[PlayerRecord],
+                       matches: dict[int, MatchRecord],
+                       ctx: FeatureContext) -> tuple[FeatureMatrix, AugmentationTable]:
+    """Per-match matrix M (naive columns) plus the aligned expert-column table
+    that `build_distilled` appends: `build_naive_match_matrix`, then
+    `build_expert_table` on its rows. `featurize --variant M` needs only
+    the first, and builds no expert value.
+    """
+    m = build_naive_match_matrix(players, matches, ctx)
+    return m, build_expert_table(m, matches, ctx)
 
 
 def build_distilled(m: FeatureMatrix, augmentation: AugmentationTable,
@@ -439,6 +435,8 @@ def build_distilled(m: FeatureMatrix, augmentation: AugmentationTable,
     Each variant samples uniformly without replacement (all rows when a
     player is under the cap); variants differ only by their sampling seed.
     """
+    import numpy as np
+
     if m.variant != "M":
         raise SchemaError(f"build_distilled expects variant M, got {m.variant}")
     out = []
@@ -450,10 +448,8 @@ def build_distilled(m: FeatureMatrix, augmentation: AugmentationTable,
                 chosen = rng.choice(len(idx), size=max_per_player, replace=False)
                 idx = [idx[i] for i in sorted(chosen)]
             picked.extend(idx)
-        rows = []
-        for i in picked:
-            key = (m.row_owner[i], m.row_match[i])
-            rows.append(list(m.rows[i]) + list(augmentation.values[key]))
+        aug = augmentation.values
+        rows = [[*m.rows[i], *aug[m.row_owner[i], m.row_match[i]]] for i in picked]
         out.append(FeatureMatrix(
             variant="M_bar",
             columns=list(m.columns) + list(augmentation.columns),
@@ -470,8 +466,8 @@ def build_distilled(m: FeatureMatrix, augmentation: AugmentationTable,
 # Per-player rows
 # ---------------------------------------------------------------------------
 
-_ALL_MATCH_NUMERIC = tuple(n for n, k in NAIVE_MATCH_SCHEMA + EXPERT_MATCH_SCHEMA
-                           if k == "numeric")
+_ALL_MATCH_NUMERIC = tuple(n for n, k in MATCH_SCHEMA if k == "numeric")
+_numeric_values = operator.itemgetter(*(_AT[n] for n in _ALL_MATCH_NUMERIC))
 
 
 def player_columns() -> list[Column]:
@@ -505,7 +501,9 @@ def player_columns() -> list[Column]:
 def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
                           ctx: FeatureContext) -> dict[str, object]:
     """Aggregate one player's matches into the per-player feature row."""
-    usable: list[tuple[MatchRecord, int, dict]] = []
+    import numpy as np
+
+    usable: list[tuple[MatchRecord, int, list]] = []
     for match in matches:
         slot = _find_slot(match, player.handle)
         if slot is not None:
@@ -517,18 +515,18 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
     rows = [full for _, _, full in usable]
 
     out: dict[str, object] = {"matches_count": float(n)}
-    wins = [1.0 if r["won"] else 0.0 for r in rows]
+    won, lobby = _AT["won"], _AT["lobby_type"]
+    wins = [1.0 if r[won] else 0.0 for r in rows]
     ranked_codes = {str(c) for c in RANKED_LOBBY_CODES}
-    ranked = [w for r, w in zip(rows, wins) if r["lobby_type"] in ranked_codes]
-    normal = [w for r, w in zip(rows, wins) if r["lobby_type"] not in ranked_codes]
+    ranked = [w for r, w in zip(rows, wins) if r[lobby] in ranked_codes]
+    normal = [w for r, w in zip(rows, wins) if r[lobby] not in ranked_codes]
     out["win_rate"] = sum(wins) / n
     out["ranked_win_rate"] = sum(ranked) / max(len(ranked), 1)
     out["normal_win_rate"] = sum(normal) / max(len(normal), 1)
 
     # One contiguous row per column: mean/std along it sum pairwise, exactly
     # as the same calls on each column alone do.
-    block = np.array([[r[name] for r in rows] for name in _ALL_MATCH_NUMERIC],
-                     dtype=float)
+    block = np.array(list(map(_numeric_values, rows)), dtype=float).T.copy()
     for name, mean, std in zip(_ALL_MATCH_NUMERIC, block.mean(axis=1).tolist(),
                                block.std(axis=1).tolist()):
         out[f"mean_{name}"] = mean
@@ -536,37 +534,43 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
 
     day_counts = {d: 0 for d in DAY_NAMES}
     hour_counts = {h: 0 for h in range(24)}
+    day, hour = _AT["day_of_week"], _AT["start_hour"]
     for r in rows:
-        day_counts[r["day_of_week"]] += 1
-        hour_counts[int(r["start_hour"])] += 1
+        day_counts[r[day]] += 1
+        hour_counts[int(r[hour])] += 1
     for d in DAY_NAMES:
         out[f"day_frac_{d}"] = day_counts[d] / n
     for h in range(24):
         out[f"hour_frac_{h:02d}"] = hour_counts[h] / n
 
-    out["total_cosmetics_price"] = float(sum(r["cosmetics_price"] for r in rows))
+    price = _AT["cosmetics_price"]
+    out["total_cosmetics_price"] = float(sum(r[price] for r in rows))
     out["rank_tier"] = float(player.rank_tier) if player.rank_tier is not None else -1.0
     out["has_plus"] = bool(player.has_plus)
 
-    my_msgs = sum(r["chat_msgs"] for r in rows)
+    # Typed messages per match come from the counts its row was built from.
+    chat_msgs = _AT["chat_msgs"]
+    my_msgs = sum(r[chat_msgs] for r in rows)
     all_msgs = 0.0
     for match, _, _ in usable:
-        all_msgs += sum(1 for m in match.chat if m.kind == "typed_text")
+        all_msgs += sum(match.message_counts().get("typed_text", {}).values())
     out["chat_msgs_per_match"] = my_msgs / n
     out["ratio_chat_msg"] = my_msgs / max(all_msgs, 1.0)
-    out["chat_rank_mean"] = sum(r["chat_rank_in_match"] for r in rows) / n
+    rank = _AT["chat_rank_in_match"]
+    out["chat_rank_mean"] = sum(r[rank] for r in rows) / n
 
     hero_counts: dict[int, int] = {}
+    gender = _AT["hero_gender"]
     female = 0
-    for match, slot, _ in usable:
+    for match, slot, r in usable:
         hid = match.slot_record(slot).hero_id
         hero_counts[hid] = hero_counts.get(hid, 0) + 1
-        if hero_gender(ctx.hero_table, hid) == "female":
+        if r[gender] == "female":
             female += 1
-    top_hero = min(h for h, c in hero_counts.items()
-                   if c == max(hero_counts.values()))
+    top_count = max(hero_counts.values())
+    top_hero = min(h for h, c in hero_counts.items() if c == top_count)
     out["hero_pool_size"] = float(len(hero_counts))
-    out["top_hero_share"] = max(hero_counts.values()) / n
+    out["top_hero_share"] = top_count / n
     out["hero_gender_ratio"] = female / n
     out["most_played_hero_gender"] = hero_gender(ctx.hero_table, top_hero)
     out["most_played_hero_attr"] = hero_attr(ctx.hero_table, top_hero)

@@ -115,6 +115,21 @@ class MatchRecord:
             held = self._kill_events = (self.objectives, events)
         return held[1]
 
+    def message_counts(self) -> dict[str, dict[int, int]]:
+        """Chat messages per kind and sender slot, {kind: {slot: count}}.
+
+        Computed once per `chat` list and shared like `kill_events`: every
+        row built from the match reads the same counts.
+        """
+        held = self.__dict__.get("_message_counts")
+        if held is None or held[0] is not self.chat:
+            counts: dict[str, dict[int, int]] = {}
+            for msg in self.chat:
+                by_slot = counts.setdefault(msg.kind, {})
+                by_slot[msg.sender_slot] = by_slot.get(msg.sender_slot, 0) + 1
+            held = self._message_counts = (self.chat, counts)
+        return held[1]
+
     def slot_record(self, slot: int) -> MatchPlayerSlot:
         for p in self.players:
             if p.slot == slot:
@@ -158,13 +173,16 @@ def _wrong_type(value, kind: type, path: str) -> SchemaError:
 
 def _array(doc: dict, key: str) -> list:
     value = doc.get(key) or []
-    if not isinstance(value, list):
+    if type(value) is not list and not isinstance(value, list):
         raise _wrong_type(value, list, f"$.{key}")
     return value
 
 
 def _is_number(value) -> bool:
     """A finite JSON number; a boolean is not one."""
+    kind = type(value)
+    if kind is float or kind is int:
+        return math.isfinite(value)
     return not isinstance(value, bool) and isinstance(value, (int, float)) \
         and math.isfinite(value)
 
@@ -182,15 +200,16 @@ def _number(value, path: str):
 def _require(doc: dict, key: str, kind: type, path: str = "$"):
     """A required boolean (kind bool) or integer (kind int) field."""
     value = doc.get(key)
+    if kind is bool:
+        if value is True or value is False:
+            return value
+    elif _is_number(value):
+        return int(value)
     if value is None:
         raise SchemaError(f"missing required field {key!r}", path=f"{path}.{key}")
     if kind is bool:
-        if not isinstance(value, bool):
-            raise _wrong_type(value, bool, f"{path}.{key}")
-        return value
-    if not _is_number(value):
-        raise _not_number(value, f"{path}.{key}")
-    return int(value)
+        raise _wrong_type(value, bool, f"{path}.{key}")
+    raise _not_number(value, f"{path}.{key}")
 
 
 def _optional_num(doc: dict, key: str):
@@ -212,62 +231,93 @@ def _objects(doc: dict, key: str) -> list[dict]:
 
 def _numbers(doc: dict, key: str) -> list[float]:
     values = _array(doc, key)
+    # All floats with a finite sum: every one is finite, since an infinite
+    # or NaN term would leave the sum infinite or NaN.
+    if all(type(v) is float for v in values) and math.isfinite(sum(values)):
+        return values[:]
     for i, value in enumerate(values):
         if not _is_number(value):
             raise _not_number(value, f"$.{key}[{i}]")
     return [float(v) for v in values]
 
 
+# Named tuples built from a tuple of their fields, without the keyword
+# handling of the generated constructor.
+_new_tuple = tuple.__new__
+
+# (source type, channel) -> chat kind, for every pair a document may hold.
+# Typed text is never public on the team channel, so ("chat", "team") is
+# not a key.
+_CHAT_KIND_OF = {(raw, channel): kind
+                 for raw, kind in _CHAT_TYPE_MAP.items()
+                 for channel in CHAT_CHANNELS
+                 if kind != "typed_text" or channel == "global"}
+
+
+def _chat_kind_error(raw_type, channel, index: int) -> SchemaError:
+    """The error for a (type, channel) pair that is not in _CHAT_KIND_OF,
+    checked in the order the fields are read: the type, then the channel.
+    An unhashable type raises TypeError, as the type lookup did."""
+    kind = _CHAT_TYPE_MAP.get(raw_type)
+    if kind is None:
+        return SchemaError(f"unknown chat type {raw_type!r}", path=f"$.chat[{index}]")
+    if channel not in CHAT_CHANNELS:
+        return SchemaError(f"unknown chat channel {channel!r}", path=f"$.chat[{index}]")
+    return SchemaError("typed text must be on the global channel",
+                       path=f"$.chat[{index}]")
+
+
 def _parse_chat_entry(entry: dict, index: int) -> ChatMessage:
     if not isinstance(entry, dict):
         raise _wrong_type(entry, dict, f"$.chat[{index}]")
-    raw_type = entry.get("type", "chat")
-    kind = _CHAT_TYPE_MAP.get(raw_type)
+    get = entry.get
+    raw_type = get("type", "chat")
+    channel = get("channel", "global")
+    try:
+        kind = _CHAT_KIND_OF[raw_type, channel]
+    except (KeyError, TypeError):
+        kind = None
     if kind is None:
-        raise SchemaError(f"unknown chat type {raw_type!r}", path=f"$.chat[{index}]")
-    channel = entry.get("channel", "global")
-    if channel not in CHAT_CHANNELS:
-        raise SchemaError(f"unknown chat channel {channel!r}",
-                          path=f"$.chat[{index}]")
-    if kind == "typed_text" and channel != "global":
-        # Team text is never public; only the global channel can appear.
-        raise SchemaError("typed text must be on the global channel",
-                          path=f"$.chat[{index}]")
-    sender_slot = int(entry.get("slot", 0))
-    time_s = entry.get("time", 0.0)
+        raise _chat_kind_error(raw_type, channel, index)
+    sender_slot = int(get("slot", 0))
+    time_s = get("time", 0.0)
     if not _is_number(time_s):
         raise _not_number(time_s, f"$.chat[{index}].time")
-    return ChatMessage(sender_slot, float(time_s), kind, channel,
-                       str(entry.get("key", "")))
+    return _new_tuple(ChatMessage, (sender_slot, float(time_s), kind, channel,
+                                    str(get("key", ""))))
+
+
+_SLOT_COUNTS = ("kills", "deaths", "assists", "denies", "last_hits")
 
 
 def _parse_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
     if not isinstance(entry, dict):
         raise _wrong_type(entry, dict, f"$.players[{index}]")
-    slot = entry.get("player_slot")
+    get = entry.get
+    slot = get("player_slot")
     if slot is None or not _is_number(slot):
         _require(entry, "player_slot", int, f"$.players[{index}]")  # raises
     slot = int(slot)
     counts = []
-    for key in ("kills", "deaths", "assists", "denies", "last_hits"):
-        value = int(entry.get(key, 0) or 0)
+    for key in _SLOT_COUNTS:
+        value = int(get(key, 0) or 0)
         if value < 0:
             raise SchemaError(f"{key} must be >= 0", path=f"$.players[{index}].{key}")
         counts.append(value)
-    is_radiant = entry.get("isRadiant")
+    is_radiant = get("isRadiant")
     if is_radiant is None:
         is_radiant = slot < 128
-    account = entry.get("account_id")
+    account = get("account_id")
     handle = int(account) if account is not None else None
-    hero_id = int(entry.get("hero_id", 0) or 0)
-    word_counts = entry.get("word_counts") or {}
+    hero_id = int(get("hero_id", 0) or 0)
+    word_counts = get("word_counts") or {}
     if not isinstance(word_counts, dict):
         raise _wrong_type(word_counts, dict, f"$.players[{index}].word_counts")
-    return MatchPlayerSlot(handle, slot, hero_id, *counts, bool(is_radiant),
-                           dict(word_counts))
+    return _new_tuple(MatchPlayerSlot, (handle, slot, hero_id, *counts,
+                                        bool(is_radiant), dict(word_counts)))
 
 
-_MATCH_KNOWN_FIELDS = {
+_MATCH_KNOWN_FIELDS = frozenset({
     "match_id", "duration", "start_time", "game_mode", "lobby_type", "region",
     "patch", "skill", "radiant_win", "radiant_score", "dire_score",
     "tower_status_radiant", "tower_status_dire", "barracks_status_radiant",
@@ -275,7 +325,7 @@ _MATCH_KNOWN_FIELDS = {
     "comeback", "loss", "win", "chat", "cosmetics", "players", "objectives",
     "teamfights", "picks_bans", "draft_timings", "radiant_gold_adv",
     "radiant_xp_adv", "all_word_counts",
-}
+})
 
 
 def parse_match(payload: bytes | str | dict) -> MatchRecord:
@@ -306,14 +356,17 @@ def parse_match(payload: bytes | str | dict) -> MatchRecord:
         # here keeps every record that parses featurizable.
         record.kill_events()
         time.gmtime(record.start_time)
-        for counts in [record.word_counts] + [p.word_counts for p in record.players]:
-            float(sum(counts.values()))
+        float(sum(record.word_counts.values()))
+        for player in record.players:
+            if player.word_counts:
+                float(sum(player.word_counts.values()))
     except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise SchemaError(f"malformed value: {exc}", path="$") from exc
     return record
 
 
 def _match_from_doc(doc: dict) -> MatchRecord:
+    get = doc.get
     duration = _require(doc, "duration", int)
     if duration < 0:
         raise SchemaError("duration must be >= 0", path="$.duration")
@@ -327,9 +380,12 @@ def _match_from_doc(doc: dict) -> MatchRecord:
     if len(seen_handles) != len(set(seen_handles)):
         raise SchemaError("a handle appears in more than one slot", path="$.players")
 
-    for key in ("radiant_score", "dire_score"):
-        if int(doc.get(key, 0) or 0) < 0:
-            raise SchemaError(f"{key} must be >= 0", path=f"$.{key}")
+    radiant_score = int(get("radiant_score", 0) or 0)
+    if radiant_score < 0:
+        raise SchemaError("radiant_score must be >= 0", path="$.radiant_score")
+    dire_score = int(get("dire_score", 0) or 0)
+    if dire_score < 0:
+        raise SchemaError("dire_score must be >= 0", path="$.dire_score")
 
     chat = [_parse_chat_entry(c, i) for i, c in enumerate(_array(doc, "chat"))]
 
@@ -348,26 +404,29 @@ def _match_from_doc(doc: dict) -> MatchRecord:
             "price": float(price),
         })
 
-    extras = {k: doc[k] for k in doc if k not in _MATCH_KNOWN_FIELDS}
+    if doc.keys() <= _MATCH_KNOWN_FIELDS:
+        extras = {}
+    else:
+        extras = {k: doc[k] for k in doc if k not in _MATCH_KNOWN_FIELDS}
 
     return MatchRecord(
         match_id=_require(doc, "match_id", int),
         duration_s=duration,
-        start_time=int(doc.get("start_time", 0) or 0),
-        game_mode=int(doc.get("game_mode", 0) or 0),
-        lobby_type=int(doc.get("lobby_type", 0) or 0),
-        region=int(doc.get("region", 0) or 0),
-        patch=int(doc.get("patch", 0) or 0),
-        skill=int(doc["skill"]) if doc.get("skill") is not None else None,
+        start_time=int(get("start_time", 0) or 0),
+        game_mode=int(get("game_mode", 0) or 0),
+        lobby_type=int(get("lobby_type", 0) or 0),
+        region=int(get("region", 0) or 0),
+        patch=int(get("patch", 0) or 0),
+        skill=int(doc["skill"]) if get("skill") is not None else None,
         radiant_win=_require(doc, "radiant_win", bool),
-        radiant_score=int(doc.get("radiant_score", 0) or 0),
-        dire_score=int(doc.get("dire_score", 0) or 0),
-        tower_status_radiant=int(doc.get("tower_status_radiant", 0) or 0),
-        tower_status_dire=int(doc.get("tower_status_dire", 0) or 0),
-        barracks_status_radiant=int(doc.get("barracks_status_radiant", 0) or 0),
-        barracks_status_dire=int(doc.get("barracks_status_dire", 0) or 0),
-        first_blood_time=int(doc.get("first_blood_time", 0) or 0),
-        human_players=int(doc.get("human_players", len(players)) or len(players)),
+        radiant_score=radiant_score,
+        dire_score=dire_score,
+        tower_status_radiant=int(get("tower_status_radiant", 0) or 0),
+        tower_status_dire=int(get("tower_status_dire", 0) or 0),
+        barracks_status_radiant=int(get("barracks_status_radiant", 0) or 0),
+        barracks_status_dire=int(get("barracks_status_dire", 0) or 0),
+        first_blood_time=int(get("first_blood_time", 0) or 0),
+        human_players=int(get("human_players", len(players)) or len(players)),
         throw=_optional_num(doc, "throw"),
         comeback=_optional_num(doc, "comeback"),
         loss=_optional_num(doc, "loss"),
@@ -381,7 +440,7 @@ def _match_from_doc(doc: dict) -> MatchRecord:
         draft_timings=list(_array(doc, "draft_timings")),
         gold_adv=_numbers(doc, "radiant_gold_adv"),
         xp_adv=_numbers(doc, "radiant_xp_adv"),
-        word_counts=dict(_typed(doc.get("all_word_counts") or {}, dict,
+        word_counts=dict(_typed(get("all_word_counts") or {}, dict,
                                 "$.all_word_counts")),
         extras=extras,
     )
@@ -495,15 +554,18 @@ def atomic_write(path: Path, data: bytes) -> None:
 
 
 def load_cached_match(cache_dir: str | Path, match_id: int) -> MatchRecord:
-    path = match_cache_path(cache_dir, match_id)
+    # A plain string path: featurize opens every match of the corpus, and a
+    # Path per match costs more than reading the file.
+    path = os.path.join(cache_dir, "matches", f"{match_id}.json")
     try:
-        payload = path.read_bytes()
+        with open(path, "rb") as fh:
+            payload = fh.read()
     except (FileNotFoundError, NotADirectoryError):
         raise NotFound(f"match {match_id} not in cache {cache_dir}") from None
     try:
         return parse_match(payload)
     except SchemaError as exc:
-        raise SchemaError(str(exc), path=str(path)) from exc
+        raise SchemaError(str(exc), path=str(Path(path))) from exc
 
 
 def _read_player_doc(path: Path) -> dict:

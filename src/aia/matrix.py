@@ -113,16 +113,18 @@ class FeatureMatrix:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _format_cell(value, kind: str) -> str:
-    if kind == "boolean":
-        return "true" if value else "false"
-    if kind == "numeric":
-        return repr(float(value))
-    return str(value)
+def _format_boolean(value) -> str:
+    return "true" if value else "false"
+
+
+# The cell each kind of column writes, as a value the csv writer formats:
+# a float is written as its repr, anything else as its str.
+_CELL_FORMATTERS = {"boolean": _format_boolean, "numeric": float,
+                    "categorical": str}
 
 
 def _parse_cell(text: str, kind: str):
-    """The value `_format_cell` wrote: ValueError for a boolean other than
+    """The value `save_matrix` wrote: ValueError for a boolean other than
     "true"/"false" and for a number that is not finite."""
     if kind == "boolean":
         if text not in ("true", "false"):
@@ -158,6 +160,7 @@ def save_matrix(matrix: FeatureMatrix, csv_path: str | Path,
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     header = ["_owner"] + (["_match"] if matrix.row_match is not None else [])
     header += [c.name for c in matrix.columns]
+    formatters = [_CELL_FORMATTERS[c.kind] for c in matrix.columns]
     sink = _LastLine()
     writer = csv.writer(sink)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -173,8 +176,7 @@ def save_matrix(matrix: FeatureMatrix, csv_path: str | Path,
             lead = [str(matrix.row_owner[i])]
             if matrix.row_match is not None:
                 lead.append(str(matrix.row_match[i]))
-            writer.writerow(lead + [_format_cell(v, c.kind)
-                                    for v, c in zip(row, matrix.columns)])
+            writer.writerow(lead + [f(v) for f, v in zip(formatters, row)])
             fh.write(sink.text)
             if lines is not None:
                 lines[key] = sink.text

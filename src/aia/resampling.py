@@ -17,6 +17,9 @@ import numpy as np
 # Byte budget of one `_nearest` block: its (rows x n) screen and the
 # exact re-rank of its candidates, (rows x n x (d + 1)) float64 at most.
 _BLOCK_BYTES = 1 << 25
+# Up to this many rows, every other row is a candidate: the screen costs
+# more than re-ranking all pairs exactly.
+_SCREEN_FROM = 17
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
@@ -32,20 +35,29 @@ def _nearest(X: np.ndarray, k: int) -> np.ndarray:
     2 margin of a row's k-th smallest is a candidate: at least k
     candidates are exactly no farther than that bound, and every other row
     is exactly farther. Candidates are ordered by (exact distance, index).
+    Below _SCREEN_FROM rows there is no screen: every other row is a
+    candidate.
     """
     n, d = X.shape
-    norms = (X * X).sum(axis=1)
-    top = norms.max()
+    screened = n >= _SCREEN_FROM
+    if screened:
+        norms = (X * X).sum(axis=1)
+        top = norms.max()
     block = max(1, _BLOCK_BYTES // (8 * n * (d + 1)))
     out = np.empty((n, k), dtype=int)
     for start in range(0, n, block):
         chunk = X[start:start + block]
         b = len(chunk)
-        screen = norms[start:start + b, None] + norms - 2.0 * (chunk @ X.T)
-        screen.ravel()[start::n + 1] = np.inf  # each row's own column
-        bound = np.partition(screen, k - 1, axis=1)[:, k - 1]
-        bound += (norms[start:start + b] + top) * (8 * (d + 4) * _EPS) + 2 * _TINY
-        row, col = np.nonzero(screen <= bound[:, None])
+        if screened:
+            screen = norms[start:start + b, None] + norms - 2.0 * (chunk @ X.T)
+            screen.ravel()[start::n + 1] = np.inf  # each row's own column
+            bound = np.partition(screen, k - 1, axis=1)[:, k - 1]
+            bound += (norms[start:start + b] + top) * (8 * (d + 4) * _EPS) + 2 * _TINY
+            candidate = screen <= bound[:, None]
+        else:
+            candidate = np.ones((b, n), dtype=bool)
+            candidate.ravel()[start::n + 1] = False
+        row, col = np.nonzero(candidate)
         exact = ((chunk[row] - X[col]) ** 2).sum(axis=1)
         order = np.lexsort((exact, row))  # stable: ties stay in column order
         per_row = np.bincount(row, minlength=b)

@@ -174,6 +174,25 @@ def test_labels_command_does_not_import_numpy(pipeline_dirs, tmp_path):
     assert (tmp_path / "labels.csv").exists()
 
 
+def test_featurize_m_does_not_import_numpy(pipeline_dirs, tmp_path):
+    # M holds only the naive columns: no expert value, no numpy.
+    _, cache, labels_csv, features = pipeline_dirs
+    script = ("import sys\n"
+              "from aia.cli import main\n"
+              "code = main(['featurize', '--variant', 'M', '--cache', sys.argv[1],\n"
+              "             '--labels', sys.argv[2], '--out', sys.argv[3]])\n"
+              "assert code == 0, code\n"
+              "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(cache), str(labels_csv), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "M.csv").read_bytes() == (features / "M.csv").read_bytes()
+
+
 def test_correlate_emits_reports(pipeline_dirs):
     root, _, labels_csv, features = pipeline_dirs
     out = root / "correlations"

@@ -3,7 +3,9 @@ import json
 import math
 import re
 import tempfile
+import time
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +16,14 @@ from hypothesis import strategies as st
 from aia.errors import InsufficientMatches, SchemaError, SlotNotFound
 from aia.features import (
     AFTER_KILL_WINDOW_S,
+    CHAT_FEATURE_NAMES,
+    DAY_NAMES,
     EARLY_WINDOW_S,
     EXPERT_MATCH_SCHEMA,
     LEXICON_CATEGORIES,
+    MATCH_SCHEMA,
     NAIVE_MATCH_SCHEMA,
     WHEEL_CATEGORIES,
-    ChatFeatures,
     FeatureContext,
     build_distilled,
     build_match_features,
@@ -59,6 +63,72 @@ KILL_OBJECTIVES = [{"type": "kill", "slot": 0, "time": 300},
                    {"type": "kill", "slot": 4, "time": 600}]
 
 
+@dataclass
+class ChatFeatures:
+    """One slot's chat counts by name: what extract_chat_features returned
+    before it returned its values as a list in CHAT_FEATURE_NAMES order."""
+
+    category_counts: dict[str, int]            # lexicon category -> occurrences
+    question_only_msgs: int
+    question_marks: int
+    exclamation_marks: int
+    capital_letters: int
+    early_game_msgs: int
+    after_kill_msgs: int
+    wheel_counts: dict[tuple[str, str], int]   # (channel, category) -> count
+    wheel_global_msgs: int
+    wheel_team_msgs: int
+    sound_count: int
+    spray_count: int
+
+    def as_feature_dict(self) -> dict[str, float]:
+        out = {f"chat_{cat}_count": float(self.category_counts[cat])
+               for cat in LEXICON_CATEGORIES}
+        out.update({
+            "chat_question_only_msgs": float(self.question_only_msgs),
+            "chat_question_marks": float(self.question_marks),
+            "chat_exclamation_marks": float(self.exclamation_marks),
+            "chat_capital_letters": float(self.capital_letters),
+            "chat_early_game_msgs": float(self.early_game_msgs),
+            "chat_after_kill_msgs": float(self.after_kill_msgs),
+        })
+        for channel in ("global", "team"):
+            for cat in WHEEL_CATEGORIES:
+                out[f"wheel_{channel}_{cat}"] = float(self.wheel_counts[(channel, cat)])
+        out["wheel_global_msgs"] = float(self.wheel_global_msgs)
+        out["wheel_team_msgs"] = float(self.wheel_team_msgs)
+        out["chat_sound_count"] = float(self.sound_count)
+        out["chat_spray_count"] = float(self.spray_count)
+        return out
+
+
+def chat_features(match, slot, lexicons, **kwargs) -> ChatFeatures:
+    """extract_chat_features' values, read back by name."""
+    v = dict(zip(CHAT_FEATURE_NAMES,
+                 extract_chat_features(match, slot, lexicons, **kwargs)))
+    return ChatFeatures(
+        category_counts={cat: v[f"chat_{cat}_count"] for cat in LEXICON_CATEGORIES},
+        question_only_msgs=v["chat_question_only_msgs"],
+        question_marks=v["chat_question_marks"],
+        exclamation_marks=v["chat_exclamation_marks"],
+        capital_letters=v["chat_capital_letters"],
+        early_game_msgs=v["chat_early_game_msgs"],
+        after_kill_msgs=v["chat_after_kill_msgs"],
+        wheel_counts={(ch, cat): v[f"wheel_{ch}_{cat}"]
+                      for ch in ("global", "team") for cat in WHEEL_CATEGORIES},
+        wheel_global_msgs=v["wheel_global_msgs"],
+        wheel_team_msgs=v["wheel_team_msgs"],
+        sound_count=v["chat_sound_count"],
+        spray_count=v["chat_spray_count"],
+    )
+
+
+def match_row(match, slot, ctx) -> dict:
+    """build_match_features' row, keyed by column name."""
+    return dict(zip([name for name, _ in MATCH_SCHEMA],
+                    build_match_features(match, slot, ctx)))
+
+
 @pytest.fixture()
 def chat_match():
     return make_match(chat=HAND_LABELED_CHAT, objectives=KILL_OBJECTIVES,
@@ -66,8 +136,8 @@ def chat_match():
 
 
 def test_chat_features_match_hand_tally(chat_match, feature_ctx):
-    feats = extract_chat_features(chat_match, 0, feature_ctx.lexicons,
-                                  wheel_catalog=feature_ctx.wheel_catalog)
+    feats = chat_features(chat_match, 0, feature_ctx.lexicons,
+                          wheel_catalog=feature_ctx.wheel_catalog)
     assert feats.category_counts == {
         "laugh": 1,          # haha
         "slang": 1,          # mid
@@ -97,14 +167,14 @@ def test_question_only_variants(feature_ctx):
         {"slot": 0, "time": 12, "type": "chat", "channel": "global", "key": "why?"},
     ]
     match = make_match(chat=chat)
-    feats = extract_chat_features(match, 0, feature_ctx.lexicons)
+    feats = chat_features(match, 0, feature_ctx.lexicons)
     assert feats.question_only_msgs == 2
     assert feats.question_marks == 5
 
 
 def test_empty_chat_all_zero(feature_ctx):
     match = make_match()
-    feats = extract_chat_features(match, 0, feature_ctx.lexicons)
+    feats = chat_features(match, 0, feature_ctx.lexicons)
     assert all(v == 0 for v in feats.category_counts.values())
     assert feats.question_only_msgs == 0
     assert feats.wheel_global_msgs == 0
@@ -132,8 +202,8 @@ def test_wheel_channel_split_sums_to_total(feature_ctx):
                          "type": str(kind), "channel": channel,
                          "key": str(rng.choice(wheel_ids))})
         match = make_match(chat=chat)
-        feats = extract_chat_features(match, 0, feature_ctx.lexicons,
-                                      wheel_catalog=feature_ctx.wheel_catalog)
+        feats = chat_features(match, 0, feature_ctx.lexicons,
+                              wheel_catalog=feature_ctx.wheel_catalog)
         assert feats.wheel_global_msgs + feats.wheel_team_msgs == n_wheel
 
 
@@ -149,8 +219,8 @@ def test_chat_slot_not_found(chat_match, feature_ctx):
 
 def test_outcome_follows_side(feature_ctx):
     match = make_match(radiant_win=True)
-    radiant_row = build_match_features(match, 0, feature_ctx)
-    dire_row = build_match_features(match, 128, feature_ctx)
+    radiant_row = match_row(match, 0, feature_ctx)
+    dire_row = match_row(match, 128, feature_ctx)
     assert radiant_row["won"] is True
     assert dire_row["won"] is False
 
@@ -165,8 +235,8 @@ def test_kda_division_guard(feature_ctx):
          "isRadiant": False, "word_counts": {}},
     ]
     match = make_match(players=players)
-    row0 = build_match_features(match, 0, feature_ctx)
-    row1 = build_match_features(match, 128, feature_ctx)
+    row0 = match_row(match, 0, feature_ctx)
+    row1 = match_row(match, 128, feature_ctx)
     assert row0["kda"] == 0.0                  # (0+0)/max(0,1)
     assert row1["kda"] == (4 + 6) / 2
 
@@ -177,13 +247,13 @@ def test_cosmetics_price_sums_own_slot_only(feature_ctx):
         {"item_id": 2, "owner_slot": 0, "price": 1.0},
         {"item_id": 3, "owner_slot": 128, "price": 99.0},
     ])
-    row = build_match_features(match, 0, feature_ctx)
+    row = match_row(match, 0, feature_ctx)
     assert row["cosmetics_price"] == 3.5
 
 
 def test_match_row_golden_values(chat_match, feature_ctx):
     """Frozen spot-check of one full row (values verified by hand)."""
-    row = build_match_features(chat_match, 0, feature_ctx)
+    row = match_row(chat_match, 0, feature_ctx)
     assert row["won"] is True
     assert row["duration_s"] == 1800.0
     assert row["kills"] == 0.0 and row["deaths"] == 1.0 and row["assists"] == 2.0
@@ -214,7 +284,7 @@ def test_chat_rank_averages_ties(feature_ctx):
         {"slot": 0, "time": 2, "type": "chat", "channel": "global", "key": "b"},
         {"slot": 128, "time": 3, "type": "chat", "channel": "global", "key": "c"},
     ])
-    row_quiet = build_match_features(match, 1, feature_ctx)
+    row_quiet = match_row(match, 1, feature_ctx)
     # slots with zero messages share ranks 3..10 -> mean 6.5
     assert row_quiet["chat_rank_in_match"] == 6.5
 
@@ -651,11 +721,121 @@ def test_chat_features_equal_reference_on_every_fixture_slot(
                 early_window_s=EARLY_WINDOW_S,
                 after_kill_window_s=AFTER_KILL_WINDOW_S,
                 wheel_catalog=feature_ctx.wheel_catalog)
-            assert fast.as_feature_dict() == slow.as_feature_dict()
-            row = build_match_features(match, player.slot, feature_ctx)
+            assert fast == list(slow.as_feature_dict().values())
+            row = match_row(match, player.slot, feature_ctx)
             assert row["chat_rank_in_match"] == reference_chat_rank(match, player.slot)
             checked += 1
     assert checked == 10 * len(fixture_population.matches)
+
+
+def reference_match_features(match, slot, ctx):
+    """build_match_features as it was before it returned a list: one dict
+    per row, the chat values through a ChatFeatures record, and a second
+    scan of the chat for the typed and hero-wheel counts."""
+    player = match.slot_record(slot)
+    team_score = match.radiant_score if player.is_radiant else match.dire_score
+    enemy_score = match.dire_score if player.is_radiant else match.radiant_score
+    tm = time.gmtime(match.start_time)
+
+    def per_min(value):
+        return value / max(match.duration_s / 60.0, 1.0)
+
+    row = {
+        "won": match.radiant_win == player.is_radiant,
+        "duration_s": float(match.duration_s),
+        "kills": float(player.kills),
+        "deaths": float(player.deaths),
+        "assists": float(player.assists),
+        "denies": float(player.denies),
+        "last_hits": float(player.last_hits),
+        "kda": (player.kills + player.assists) / max(player.deaths, 1),
+        "kill_participation": (player.kills + player.assists) / max(team_score, 1),
+        "team_score": float(team_score),
+        "enemy_score": float(enemy_score),
+        "kills_per_min": per_min(player.kills),
+        "deaths_per_min": per_min(player.deaths),
+        "assists_per_min": per_min(player.assists),
+        "denies_per_min": per_min(player.denies),
+        "last_hits_per_min": per_min(player.last_hits),
+        "first_blood_time": float(match.first_blood_time),
+        "comeback": float(match.comeback or 0.0),
+        "throw": float(match.throw or 0.0),
+        "loss": float(match.loss or 0.0),
+        "win": float(match.win or 0.0),
+        "human_players": float(match.human_players),
+        "start_hour": float(tm.tm_hour),
+        "my_word_total": float(sum(player.word_counts.values())),
+        "all_word_total": float(sum(match.word_counts.values())),
+        "cosmetics_price": float(sum(c["price"] for c in match.cosmetics
+                                     if c["owner_slot"] == slot)),
+        "game_mode": str(match.game_mode),
+        "lobby_type": str(match.lobby_type),
+        "region": str(match.region),
+        "patch": str(match.patch),
+        "skill": str(match.skill) if match.skill is not None else "unknown",
+        "day_of_week": DAY_NAMES[tm.tm_wday],
+    }
+    row.update(reference_chat_features(
+        match, slot, ctx.lexicons, wheel_catalog=ctx.wheel_catalog).as_feature_dict())
+    typed_by_slot = {p.slot: 0 for p in match.players}
+    hero_msgs = 0
+    for msg in match.chat:
+        if msg.kind == "typed_text":
+            if msg.sender_slot in typed_by_slot:
+                typed_by_slot[msg.sender_slot] += 1
+        elif msg.kind == "chatwheel_hero" and msg.sender_slot == slot:
+            hero_msgs += 1
+    mine = typed_by_slot[slot]
+    more = sum(1 for c in typed_by_slot.values() if c > mine)
+    tied = sum(1 for c in typed_by_slot.values() if c == mine)
+    row["chat_msgs"] = float(mine)
+    row["chat_rank_in_match"] = (more + more + tied - 1) / 2.0 + 1.0
+    row["hero_msg_count"] = float(hero_msgs)
+    hero = ctx.hero_table.get(player.hero_id, {})
+    row["hero_gender"] = hero.get("gender", "unknown")
+    row["hero_attr"] = hero.get("attr", "unknown")
+    return row
+
+
+def _same_values(row: dict, reference: dict) -> bool:
+    """Equal names, values and value types, in column order."""
+    return (list(row) == list(reference)
+            and [(type(v), repr(v)) for v in row.values()]
+            == [(type(v), repr(v)) for v in reference.values()])
+
+
+def test_match_rows_equal_reference_on_every_fixture_slot(fixture_population,
+                                                          feature_ctx):
+    checked = 0
+    for match in fixture_population.matches.values():
+        for player in match.players:
+            row = match_row(match, player.slot, feature_ctx)
+            reference = reference_match_features(match, player.slot, feature_ctx)
+            assert list(reference) == [name for name, _ in MATCH_SCHEMA]
+            assert _same_values(row, reference)
+            checked += 1
+    assert checked == 10 * len(fixture_population.matches)
+
+
+@settings(max_examples=200, deadline=None)
+@given(senders=st.lists(st.sampled_from([0, 1, 2, 128, 129, 7]), max_size=12),
+       kinds=st.lists(st.sampled_from(["chat", "chatwheel", "chatwheel_hero",
+                                       "sound", "spray"]), min_size=12, max_size=12),
+       slots=st.lists(st.sampled_from([0, 1, 2, 128, 129]), min_size=1, max_size=6))
+def test_match_rows_equal_reference_on_any_chat_and_slots(feature_ctx, senders,
+                                                          kinds, slots):
+    # Senders outside the slots, repeated slot numbers and every chat kind:
+    # the typed and hero-wheel counts read from Match.message_counts must
+    # give the reference's ranks and counts.
+    players = [{"player_slot": s, "hero_id": 1 + i, "account_id": 100 + i,
+                "isRadiant": s < 128} for i, s in enumerate(slots)]
+    chat = [{"slot": s, "time": float(i), "type": kind,
+             "channel": "global", "key": "gg"}
+            for i, (s, kind) in enumerate(zip(senders, kinds))]
+    match = make_match(players=players, chat=chat)
+    for slot in slots:
+        assert _same_values(match_row(match, slot, feature_ctx),
+                            reference_match_features(match, slot, feature_ctx))
 
 
 def test_stacked_mean_std_equal_per_column_calls_bit_for_bit():
@@ -687,7 +867,7 @@ def test_player_features_equal_per_column_reference(fixture_population,
                                  replace=False))
         block = [matches[i] for i in keep]
         out = build_player_features(player, block, feature_ctx)
-        rows = [build_match_features(
+        rows = [match_row(
                     m, next(p.slot for p in m.players if p.handle == player.handle),
                     feature_ctx) for m in block]
         for name, kind in NAIVE_MATCH_SCHEMA + EXPERT_MATCH_SCHEMA:

@@ -1,6 +1,9 @@
 import itertools
 import json
+import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,11 @@ from conftest import build_match_doc
 from aia.attributes import AttributeLabels
 from aia.errors import NotFound, RateLimited, SchemaError, SlotNotFound
 from aia.features import build_match_features
+from aia import ingest
 from aia.ingest import (
+    ChatMessage,
+    MatchPlayerSlot,
+    MatchRecord,
     PlayerRecord,
     TelemetryClient,
     TokenBucket,
@@ -244,6 +251,291 @@ def test_parse_match_is_total(feature_ctx, key, value, depth, data):
         return
     for player in record.players:
         build_match_features(record, player.slot, feature_ctx)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the parser before its per-field costs were cut
+# ---------------------------------------------------------------------------
+
+
+def _ref_is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and math.isfinite(value)
+
+
+def _ref_require(doc, key, kind, path="$"):
+    value = doc.get(key)
+    if value is None:
+        raise SchemaError(f"missing required field {key!r}", path=f"{path}.{key}")
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ingest._wrong_type(value, bool, f"{path}.{key}")
+        return value
+    if not _ref_is_number(value):
+        raise ingest._not_number(value, f"{path}.{key}")
+    return int(value)
+
+
+def _ref_array(doc, key):
+    value = doc.get(key) or []
+    if not isinstance(value, list):
+        raise ingest._wrong_type(value, list, f"$.{key}")
+    return value
+
+
+def _ref_optional_num(doc, key):
+    value = doc.get(key)
+    if value is None:
+        return None
+    if not _ref_is_number(value):
+        raise ingest._not_number(value, f"$.{key}")
+    return float(value)
+
+
+def _ref_objects(doc, key):
+    values = _ref_array(doc, key)
+    for i, value in enumerate(values):
+        if not isinstance(value, dict):
+            raise ingest._wrong_type(value, dict, f"$.{key}[{i}]")
+    return list(values)
+
+
+def _ref_numbers(doc, key):
+    values = _ref_array(doc, key)
+    for i, value in enumerate(values):
+        if not _ref_is_number(value):
+            raise ingest._not_number(value, f"$.{key}[{i}]")
+    return [float(v) for v in values]
+
+
+_REF_CHAT_TYPES = {"chat": "typed_text", "chatwheel": "chatwheel_general",
+                   "chatwheel_hero": "chatwheel_hero", "sound": "sound",
+                   "spray": "spray"}
+
+
+def _ref_parse_chat_entry(entry, index):
+    if not isinstance(entry, dict):
+        raise ingest._wrong_type(entry, dict, f"$.chat[{index}]")
+    raw_type = entry.get("type", "chat")
+    kind = _REF_CHAT_TYPES.get(raw_type)
+    if kind is None:
+        raise SchemaError(f"unknown chat type {raw_type!r}", path=f"$.chat[{index}]")
+    channel = entry.get("channel", "global")
+    if channel not in ("global", "team"):
+        raise SchemaError(f"unknown chat channel {channel!r}",
+                          path=f"$.chat[{index}]")
+    if kind == "typed_text" and channel != "global":
+        raise SchemaError("typed text must be on the global channel",
+                          path=f"$.chat[{index}]")
+    sender_slot = int(entry.get("slot", 0))
+    time_s = entry.get("time", 0.0)
+    if not _ref_is_number(time_s):
+        raise ingest._not_number(time_s, f"$.chat[{index}].time")
+    return ChatMessage(sender_slot, float(time_s), kind, channel,
+                       str(entry.get("key", "")))
+
+
+def _ref_parse_player_slot(entry, index):
+    if not isinstance(entry, dict):
+        raise ingest._wrong_type(entry, dict, f"$.players[{index}]")
+    slot = entry.get("player_slot")
+    if slot is None or not _ref_is_number(slot):
+        _ref_require(entry, "player_slot", int, f"$.players[{index}]")  # raises
+    slot = int(slot)
+    counts = []
+    for key in ("kills", "deaths", "assists", "denies", "last_hits"):
+        value = int(entry.get(key, 0) or 0)
+        if value < 0:
+            raise SchemaError(f"{key} must be >= 0", path=f"$.players[{index}].{key}")
+        counts.append(value)
+    is_radiant = entry.get("isRadiant")
+    if is_radiant is None:
+        is_radiant = slot < 128
+    account = entry.get("account_id")
+    handle = int(account) if account is not None else None
+    hero_id = int(entry.get("hero_id", 0) or 0)
+    word_counts = entry.get("word_counts") or {}
+    if not isinstance(word_counts, dict):
+        raise ingest._wrong_type(word_counts, dict, f"$.players[{index}].word_counts")
+    return MatchPlayerSlot(handle, slot, hero_id, *counts, bool(is_radiant),
+                           dict(word_counts))
+
+
+def _ref_match_from_doc(doc):
+    duration = _ref_require(doc, "duration", int)
+    if duration < 0:
+        raise SchemaError("duration must be >= 0", path="$.duration")
+    players_raw = _ref_array(doc, "players")
+    if not 1 <= len(players_raw) <= 10:
+        raise SchemaError(f"expected 1..10 players, got {len(players_raw)}",
+                          path="$.players")
+    players = [_ref_parse_player_slot(p, i) for i, p in enumerate(players_raw)]
+    seen_handles = [p.handle for p in players if p.handle is not None]
+    if len(seen_handles) != len(set(seen_handles)):
+        raise SchemaError("a handle appears in more than one slot", path="$.players")
+    for key in ("radiant_score", "dire_score"):
+        if int(doc.get(key, 0) or 0) < 0:
+            raise SchemaError(f"{key} must be >= 0", path=f"$.{key}")
+    chat = [_ref_parse_chat_entry(c, i) for i, c in enumerate(_ref_array(doc, "chat"))]
+    cosmetics = []
+    for i, item in enumerate(_ref_array(doc, "cosmetics")):
+        if not isinstance(item, dict):
+            raise ingest._wrong_type(item, dict, f"$.cosmetics[{i}]")
+        price = item.get("price", 0.0) or 0.0
+        if not _ref_is_number(price):
+            raise ingest._not_number(price, f"$.cosmetics[{i}].price")
+        if price < 0:
+            raise SchemaError("price must be >= 0", path=f"$.cosmetics[{i}].price")
+        cosmetics.append({
+            "item_id": int(item.get("item_id", 0) or 0),
+            "owner_slot": int(item.get("owner_slot", 0) or 0),
+            "price": float(price),
+        })
+    extras = {k: doc[k] for k in doc if k not in ingest._MATCH_KNOWN_FIELDS}
+    return MatchRecord(
+        match_id=_ref_require(doc, "match_id", int),
+        duration_s=duration,
+        start_time=int(doc.get("start_time", 0) or 0),
+        game_mode=int(doc.get("game_mode", 0) or 0),
+        lobby_type=int(doc.get("lobby_type", 0) or 0),
+        region=int(doc.get("region", 0) or 0),
+        patch=int(doc.get("patch", 0) or 0),
+        skill=int(doc["skill"]) if doc.get("skill") is not None else None,
+        radiant_win=_ref_require(doc, "radiant_win", bool),
+        radiant_score=int(doc.get("radiant_score", 0) or 0),
+        dire_score=int(doc.get("dire_score", 0) or 0),
+        tower_status_radiant=int(doc.get("tower_status_radiant", 0) or 0),
+        tower_status_dire=int(doc.get("tower_status_dire", 0) or 0),
+        barracks_status_radiant=int(doc.get("barracks_status_radiant", 0) or 0),
+        barracks_status_dire=int(doc.get("barracks_status_dire", 0) or 0),
+        first_blood_time=int(doc.get("first_blood_time", 0) or 0),
+        human_players=int(doc.get("human_players", len(players)) or len(players)),
+        throw=_ref_optional_num(doc, "throw"),
+        comeback=_ref_optional_num(doc, "comeback"),
+        loss=_ref_optional_num(doc, "loss"),
+        win=_ref_optional_num(doc, "win"),
+        chat=chat,
+        cosmetics=cosmetics,
+        players=players,
+        objectives=_ref_objects(doc, "objectives"),
+        teamfights=list(_ref_array(doc, "teamfights")),
+        picks_bans=list(_ref_array(doc, "picks_bans")),
+        draft_timings=list(_ref_array(doc, "draft_timings")),
+        gold_adv=_ref_numbers(doc, "radiant_gold_adv"),
+        xp_adv=_ref_numbers(doc, "radiant_xp_adv"),
+        word_counts=dict(ingest._typed(doc.get("all_word_counts") or {}, dict,
+                                       "$.all_word_counts")),
+        extras=extras,
+    )
+
+
+def reference_parse_match(doc: dict) -> MatchRecord:
+    """parse_match on a decoded document, as it was before its per-field
+    costs were cut."""
+    try:
+        record = _ref_match_from_doc(doc)
+        record.kill_events()
+        time.gmtime(record.start_time)
+        for counts in [record.word_counts] + [p.word_counts for p in record.players]:
+            float(sum(counts.values()))
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
+        raise SchemaError(f"malformed value: {exc}", path="$") from exc
+    return record
+
+
+def _parse_outcome(parse, doc):
+    """The record's repr (field values with their types), or the error's
+    type, message and path."""
+    try:
+        return repr(parse(doc))
+    except Exception as exc:  # noqa: BLE001 - any escape must match too
+        return type(exc).__name__, str(exc), getattr(exc, "path", None)
+
+
+# Every field the parser reads, with values: typed text, a team wheel and a
+# hero wheel, advantage curves, outcome numbers and an unknown field.
+_ORACLE_DOC = build_match_doc(
+    chat=[{"slot": 1, "time": 5.0, "type": "chat", "channel": "global", "key": "gg"},
+          {"slot": 128, "time": 9, "type": "chatwheel", "channel": "team", "key": "w"},
+          {"slot": 2, "time": 12.5, "type": "chatwheel_hero", "channel": "global",
+           "key": "hw"}],
+    cosmetics=[{"item_id": 1, "owner_slot": 2, "price": 3.0}],
+    objectives=[{"type": "CHAT_MESSAGE_KILL", "slot": 1, "time": 3.0}],
+    all_word_counts={"gg": 2},
+    radiant_gold_adv=[1.5, -2.0, 0.0], radiant_xp_adv=[3, 4.5],
+    throw=1.5, comeback=2, loss=0.5, win=3.25, mystery={"a": 1})
+_ORACLE_DOC["players"][1]["word_counts"] = {"gg": 2}
+_ORACLE_TEXT = json.dumps(_ORACLE_DOC)
+
+
+def _containers(node, path=()):
+    """The path of every object and array inside `node`, itself included."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child, path + (key,))
+
+
+# A decoded document may hold what JSON cannot: synth hands parse_match
+# dicts, so numpy scalars can reach any field.
+_NUMPY_SCALARS = (st.floats().map(np.float64)
+                  | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+_EDGE_VALUES = st.sampled_from([
+    math.inf, -math.inf, math.nan, -1, -0.5, 0, 0.0, 2 ** 64, 10 ** 400, "1", "x",
+    "global", "team", "chat", "chatwheel", "chatwheel_hero", "sound", None, [], {}])
+_MUTANT_VALUES = _JSON_VALUES | st.booleans() | _NUMPY_SCALARS | _EDGE_VALUES
+
+
+@settings(max_examples=500, deadline=None)
+@given(where=st.sampled_from(list(_containers(_ORACLE_DOC))), data=st.data())
+def test_parse_match_equals_reference_parser(where, data):
+    # Up to three fields of one object or array of the document replaced
+    # (or an unknown field added): today's parser and the reference give
+    # the same record, or the same error with the same message and path.
+    doc = json.loads(_ORACLE_TEXT)
+    node = doc
+    for key in where:
+        node = node[key]
+    keys = (sorted(node) + ["mystery"] if isinstance(node, dict)
+            else list(range(len(node))))
+    for key, value in data.draw(st.lists(st.tuples(st.sampled_from(keys), _MUTANT_VALUES),
+                                         min_size=1, max_size=3)):
+        node[key] = value
+    assert _parse_outcome(parse_match, doc) == _parse_outcome(reference_parse_match, doc)
+
+
+def test_parse_match_reports_the_reference_error_for_any_two_bad_fields():
+    # Which error a document reports depends on the order fields are read:
+    # every pair of fields of every object, each given a bad value, must
+    # report what the reference reports.
+    bad = ("x", -1, math.inf, None, True)
+    checked = 0
+    for where in _containers(_ORACLE_DOC):
+        node = _ORACLE_DOC
+        for key in where:
+            node = node[key]
+        if not isinstance(node, dict):
+            continue
+        for a, b in itertools.combinations(sorted(node), 2):
+            for va, vb in itertools.product(bad, bad):
+                doc = json.loads(_ORACLE_TEXT)
+                target = doc
+                for key in where:
+                    target = target[key]
+                target[a], target[b] = va, vb
+                assert _parse_outcome(parse_match, doc) == _parse_outcome(
+                    reference_parse_match, doc), (where, a, va, b, vb)
+                checked += 1
+    assert checked > 10_000
+
+
+def test_parse_match_equals_reference_parser_on_the_fixture(fixture_population):
+    for match in fixture_population.matches.values():
+        doc = json.loads(serialize_match(match))
+        assert _parse_outcome(parse_match, doc) == _parse_outcome(
+            reference_parse_match, doc)
 
 
 def test_unknown_fields_preserved_and_counted():
