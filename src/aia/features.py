@@ -185,14 +185,17 @@ def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexi
             for token in _TOKEN_RE.findall(text.lower()):
                 for cat in categories.get(token, ()):
                     category_counts[cat] += 1
-            if _QUESTION_ONLY_RE.match(text.strip()):
+            marks = text.count("?")
+            if marks and _QUESTION_ONLY_RE.match(text.strip()):
                 question_only += 1
-            qmarks += text.count("?")
+            qmarks += marks
             emarks += text.count("!")
-            capitals += sum(map(str.isupper, text))
+            if not text.islower():  # all-lowercase text has no capital
+                capitals += sum(map(str.isupper, text))
             if msg.time_s < early_window_s:
                 early += 1
-            if any(0.0 <= msg.time_s - kt <= after_kill_window_s for kt in kills):
+            if kills and any(0.0 <= msg.time_s - kt <= after_kill_window_s
+                             for kt in kills):
                 after_kill += 1
         elif kind in _WHEEL_KINDS:
             if msg.channel == "global":
@@ -275,7 +278,8 @@ def expert_match_columns() -> list[Column]:
     return [Column(n, k) for n, k in EXPERT_MATCH_SCHEMA]
 
 
-# Position of each per-match column in a build_match_features row.
+# Every per-match column, in the order of a build_match_features row, and
+# the position of each in that row.
 MATCH_SCHEMA = NAIVE_MATCH_SCHEMA + EXPERT_MATCH_SCHEMA
 _AT = {name: i for i, (name, _) in enumerate(MATCH_SCHEMA)}
 

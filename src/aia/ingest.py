@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import threading
 import time
@@ -173,7 +174,7 @@ def _wrong_type(value, kind: type, path: str) -> SchemaError:
 
 def _array(doc: dict, key: str) -> list:
     value = doc.get(key) or []
-    if type(value) is not list and not isinstance(value, list):
+    if not isinstance(value, list):
         raise _wrong_type(value, list, f"$.{key}")
     return value
 
@@ -288,9 +289,35 @@ def _parse_chat_entry(entry: dict, index: int) -> ChatMessage:
 
 
 _SLOT_COUNTS = ("kills", "deaths", "assists", "denies", "last_hits")
+_SLOT_FIELDS = operator.itemgetter("player_slot", *_SLOT_COUNTS, "hero_id",
+                                   "account_id", "isRadiant", "word_counts")
 
 
 def _parse_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
+    """One slot entry. An object holding every field with its plain JSON
+    type (integers, a non-negative slot below 256 and counts, an integer or
+    null account, a boolean side, an object of word counts) is read in one
+    call; any other entry is read field by field, which raises its first
+    error."""
+    if type(entry) is dict:
+        try:
+            (slot, kills, deaths, assists, denies, last_hits, hero_id, account,
+             is_radiant, word_counts) = _SLOT_FIELDS(entry)
+        except KeyError:
+            return _checked_player_slot(entry, index)
+        if (type(slot) is int and type(kills) is int and type(deaths) is int
+                and type(assists) is int and type(denies) is int
+                and type(last_hits) is int and type(hero_id) is int
+                and 0 <= slot < 256 and (kills | deaths | assists | denies | last_hits) >= 0
+                and (account is None or type(account) is int)
+                and type(is_radiant) is bool and type(word_counts) is dict):
+            return _new_tuple(MatchPlayerSlot, (
+                account, slot, hero_id, kills, deaths, assists, denies, last_hits,
+                is_radiant, dict(word_counts)))
+    return _checked_player_slot(entry, index)
+
+
+def _checked_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
     if not isinstance(entry, dict):
         raise _wrong_type(entry, dict, f"$.players[{index}]")
     get = entry.get
