@@ -176,12 +176,10 @@ def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexi
     wheel_team = 0
     sounds = 0
     sprays = 0
-    for msg in match.chat:
-        if msg.sender_slot != slot:
+    for sender, time_s, kind, channel, text in match.chat:
+        if sender != slot:
             continue
-        kind = msg.kind
         if kind == "typed_text":
-            text = msg.text_or_id
             for token in _TOKEN_RE.findall(text.lower()):
                 for cat in categories.get(token, ()):
                     category_counts[cat] += 1
@@ -192,19 +190,20 @@ def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexi
             emarks += text.count("!")
             if not text.islower():  # all-lowercase text has no capital
                 capitals += sum(map(str.isupper, text))
-            if msg.time_s < early_window_s:
+            if time_s < early_window_s:
                 early += 1
-            if kills and any(0.0 <= msg.time_s - kt <= after_kill_window_s
-                             for kt in kills):
-                after_kill += 1
+            for kt in kills:
+                if 0.0 <= time_s - kt <= after_kill_window_s:
+                    after_kill += 1
+                    break
         elif kind in _WHEEL_KINDS:
-            if msg.channel == "global":
+            if channel == "global":
                 wheel_global += 1
             else:
                 wheel_team += 1
-            cat = wheel_catalog.get(msg.text_or_id)
+            cat = wheel_catalog.get(text)
             if cat in WHEEL_CATEGORIES:
-                wheel_counts[(msg.channel, cat)] += 1
+                wheel_counts[(channel, cat)] += 1
         elif kind == "sound":
             sounds += 1
         elif kind == "spray":

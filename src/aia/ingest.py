@@ -255,37 +255,47 @@ _CHAT_KIND_OF = {(raw, channel): kind
                  if kind != "typed_text" or channel == "global"}
 
 
-def _chat_kind_error(raw_type, channel, index: int) -> SchemaError:
-    """The error for a (type, channel) pair that is not in _CHAT_KIND_OF,
-    checked in the order the fields are read: the type, then the channel.
-    An unhashable type raises TypeError, as the type lookup did."""
-    kind = _CHAT_TYPE_MAP.get(raw_type)
-    if kind is None:
-        return SchemaError(f"unknown chat type {raw_type!r}", path=f"$.chat[{index}]")
-    if channel not in CHAT_CHANNELS:
-        return SchemaError(f"unknown chat channel {channel!r}", path=f"$.chat[{index}]")
-    return SchemaError("typed text must be on the global channel",
-                       path=f"$.chat[{index}]")
+_CHAT_FIELDS = operator.itemgetter("type", "channel", "slot", "time", "key")
 
 
 def _parse_chat_entry(entry: dict, index: int) -> ChatMessage:
+    """One chat entry. An object holding every field, with a (type, channel)
+    pair of _CHAT_KIND_OF, an integer slot, a finite float time and a string
+    key, is read in one call; any other entry is read field by field, which
+    raises its first error."""
+    if type(entry) is dict:
+        try:
+            raw_type, channel, slot, time_s, key = _CHAT_FIELDS(entry)
+            kind = _CHAT_KIND_OF[raw_type, channel]
+        except (KeyError, TypeError):  # a field missing, a pair unknown or unhashable
+            return _checked_chat_entry(entry, index)
+        if (type(slot) is int and type(time_s) is float and math.isfinite(time_s)
+                and type(key) is str):
+            return _new_tuple(ChatMessage, (slot, time_s, kind, channel, key))
+    return _checked_chat_entry(entry, index)
+
+
+def _checked_chat_entry(entry: dict, index: int) -> ChatMessage:
     if not isinstance(entry, dict):
         raise _wrong_type(entry, dict, f"$.chat[{index}]")
-    get = entry.get
-    raw_type = get("type", "chat")
-    channel = get("channel", "global")
-    try:
-        kind = _CHAT_KIND_OF[raw_type, channel]
-    except (KeyError, TypeError):
-        kind = None
+    raw_type = entry.get("type", "chat")
+    kind = _CHAT_TYPE_MAP.get(raw_type)
     if kind is None:
-        raise _chat_kind_error(raw_type, channel, index)
-    sender_slot = int(get("slot", 0))
-    time_s = get("time", 0.0)
+        raise SchemaError(f"unknown chat type {raw_type!r}", path=f"$.chat[{index}]")
+    channel = entry.get("channel", "global")
+    if channel not in CHAT_CHANNELS:
+        raise SchemaError(f"unknown chat channel {channel!r}",
+                          path=f"$.chat[{index}]")
+    if kind == "typed_text" and channel != "global":
+        # Team text is never public; only the global channel can appear.
+        raise SchemaError("typed text must be on the global channel",
+                          path=f"$.chat[{index}]")
+    sender_slot = int(entry.get("slot", 0))
+    time_s = entry.get("time", 0.0)
     if not _is_number(time_s):
         raise _not_number(time_s, f"$.chat[{index}].time")
-    return _new_tuple(ChatMessage, (sender_slot, float(time_s), kind, channel,
-                                    str(get("key", ""))))
+    return ChatMessage(sender_slot, float(time_s), kind, channel,
+                       str(entry.get("key", "")))
 
 
 _SLOT_COUNTS = ("kills", "deaths", "assists", "denies", "last_hits")
@@ -320,28 +330,27 @@ def _parse_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
 def _checked_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
     if not isinstance(entry, dict):
         raise _wrong_type(entry, dict, f"$.players[{index}]")
-    get = entry.get
-    slot = get("player_slot")
+    slot = entry.get("player_slot")
     if slot is None or not _is_number(slot):
         _require(entry, "player_slot", int, f"$.players[{index}]")  # raises
     slot = int(slot)
     counts = []
     for key in _SLOT_COUNTS:
-        value = int(get(key, 0) or 0)
+        value = int(entry.get(key, 0) or 0)
         if value < 0:
             raise SchemaError(f"{key} must be >= 0", path=f"$.players[{index}].{key}")
         counts.append(value)
-    is_radiant = get("isRadiant")
+    is_radiant = entry.get("isRadiant")
     if is_radiant is None:
         is_radiant = slot < 128
-    account = get("account_id")
+    account = entry.get("account_id")
     handle = int(account) if account is not None else None
-    hero_id = int(get("hero_id", 0) or 0)
-    word_counts = get("word_counts") or {}
+    hero_id = int(entry.get("hero_id", 0) or 0)
+    word_counts = entry.get("word_counts") or {}
     if not isinstance(word_counts, dict):
         raise _wrong_type(word_counts, dict, f"$.players[{index}].word_counts")
-    return _new_tuple(MatchPlayerSlot, (handle, slot, hero_id, *counts,
-                                        bool(is_radiant), dict(word_counts)))
+    return MatchPlayerSlot(handle, slot, hero_id, *counts, bool(is_radiant),
+                           dict(word_counts))
 
 
 _MATCH_KNOWN_FIELDS = frozenset({
