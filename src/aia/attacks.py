@@ -22,7 +22,7 @@ import numpy as np
 
 from . import models as m
 from .attributes import ATTRIBUTE_SCHEMA, AttributeLabels
-from .errors import AttributeArity, NoPositives, OutOfRange, PlayerOverlap
+from .errors import AttributeArity, NoPositives, OutOfRange, PlayerOverlap, SchemaError
 from .matrix import FeatureMatrix
 from .metrics import binary_precision_recall, metrics
 
@@ -194,7 +194,7 @@ def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
     search, and resampling on training rows only.
     """
     if P.variant != "P":
-        raise ValueError(f"simple_aia expects variant P, got {P.variant}")
+        raise SchemaError(f"simple_aia expects variant P, got {P.variant}")
     grids = grids or DESK_GRIDS
     attrs = list(attributes) if attributes is not None else list(ATTRIBUTE_SCHEMA)
     report = AttackReport(protocol="simple", config={
@@ -267,27 +267,21 @@ class OneMatchRun:
         return self.splits[attribute][0]
 
 
-def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
+def one_match_aia(variants: Sequence[FeatureMatrix],
                   labels: dict[int, AttributeLabels],
                   algorithms: Sequence[str] = DEFAULT_ALGORITHMS, seed: int = 0,
-                  n_repeats: int | None = None, grids: dict | None = None,
+                  grids: dict | None = None,
                   resample: bool = True,
                   keep_models: str | None = None,
                   attributes: Sequence[str] | None = None
                   ) -> tuple[AttackReport, list[OneMatchRun]]:
     """80:20 split on unique players, 10% of the remainder for validation.
 
-    Pass the distilled variants as a list (one run each) or a single
-    per-match matrix with `n_repeats` reseeded splits. `keep_models` names
-    the algorithm whose per-attribute models are kept for the
-    post-processing protocols.
+    One run per matrix of `variants`, its split seeded by its position:
+    the distilled variants, or one per-match matrix repeated for reseeded
+    splits. `keep_models` names the algorithm whose per-attribute models
+    are kept for the post-processing protocols.
     """
-    if isinstance(variants, FeatureMatrix):
-        variants = [variants]
-    if len(variants) == 1 and (n_repeats or 1) > 1:
-        runs_spec = [(r, variants[0]) for r in range(n_repeats)]
-    else:
-        runs_spec = list(enumerate(variants))
     grids = grids or DESK_GRIDS
     attrs = list(attributes) if attributes is not None else list(ATTRIBUTE_SCHEMA)
 
@@ -295,13 +289,13 @@ def one_match_aia(variants: Sequence[FeatureMatrix] | FeatureMatrix,
         "seed": seed, "test_fraction": TEST_FRACTION,
         "val_fraction": VAL_FRACTION, "grids": grids,
         "max_features": MAX_FEATURES, "resample": resample,
-        "algorithms": list(algorithms), "n_runs": len(runs_spec),
-        "variant_seeds": [v.variant_seed for _, v in runs_spec],
+        "algorithms": list(algorithms), "n_runs": len(variants),
+        "variant_seeds": [v.variant_seed for v in variants],
     })
 
     scores = {a: {alg: [] for alg in algorithms} for a in attrs}
     artifacts: list[OneMatchRun] = []
-    for ri, matrix in runs_spec:
+    for ri, matrix in enumerate(variants):
         kept_models: dict[str, m.TrainedModel] = {}
         kept_splits: dict[str, tuple[list[int], list[int], list[int]]] = {}
         players = matrix.owners()

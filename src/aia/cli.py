@@ -285,18 +285,26 @@ def _metric_tables_csv(path: Path, tables: dict) -> None:
                     writer.writerow([attribute, model, repr(cell), "", ""])
 
 
-def _load_mbar_variants(features_dir: Path):
+def _load_variant(path: Path, variant: str):
+    """The matrix saved at `path`, which must be of `variant`."""
     from .matrix import load_matrix
 
+    matrix = load_matrix(path)
+    if matrix.variant != variant:
+        raise SchemaError(f"holds variant {matrix.variant}, expected {variant}",
+                          path=str(path))
+    return matrix
+
+
+def _load_mbar_variants(features_dir: Path):
     paths = sorted(features_dir.glob("Mbar_*.csv"))
     if not paths:
         raise AiaError(f"no Mbar_*.csv variants under {features_dir}")
-    return [load_matrix(p) for p in paths]
+    return [_load_variant(p, "M_bar") for p in paths]
 
 
 def _cmd_attack(args) -> int:
     from . import attacks
-    from .matrix import load_matrix
 
     n_sweep = tuple(range(args.sweep_start, args.sweep_stop + 1))
     # Bad averaging input exits before anything is loaded or trained.
@@ -304,7 +312,7 @@ def _cmd_attack(args) -> int:
         attacks.check_averaging([args.sweep_stop], args.draws)
     elif args.protocol in ("sophisticated", "targeted"):
         attacks.check_averaging(n_sweep, args.draws)
-    if args.protocol == "targeted" and args.repeats < 1:
+    if args.protocol in ("one-match", "targeted") and args.repeats < 1:
         raise AiaError(f"--repeats must be at least 1, got {args.repeats}")
     features_dir = Path(args.features)
     labels = read_labels_csv(args.labels)
@@ -313,18 +321,18 @@ def _cmd_attack(args) -> int:
     out = Path(args.out)
 
     if args.protocol == "simple":
-        matrix = load_matrix(features_dir / "P.csv")
+        matrix = _load_variant(features_dir / "P.csv", "P")
         _check_labelled([matrix], labels, args.labels)
         report = attacks.simple_aia(matrix, labels, algorithms=algorithms,
                                     seed=args.seed)
     elif args.protocol == "one-match":
         # One run per Mbar variant, or `--repeats` reseeded splits of M.
         data = _load_mbar_variants(features_dir) if args.expert else \
-            load_matrix(features_dir / "M.csv")
-        _check_labelled(data if args.expert else [data], labels, args.labels)
+            [_load_variant(features_dir / "M.csv", "M")]
+        _check_labelled(data, labels, args.labels)
         report, _ = attacks.one_match_aia(
-            data, labels, algorithms=algorithms, seed=args.seed,
-            n_repeats=None if args.expert else args.repeats)
+            data if args.expert else data * args.repeats, labels,
+            algorithms=algorithms, seed=args.seed)
     elif args.protocol in ("sophisticated", "indiscriminate"):
         variants = _load_mbar_variants(features_dir)
         _check_labelled(variants, labels, args.labels)

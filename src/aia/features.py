@@ -96,6 +96,17 @@ class FeatureContext:
     def default(cls) -> "FeatureContext":
         return cls(load_lexicons(), load_hero_table(), load_wheel_catalog())
 
+    @functools.cached_property
+    def token_categories(self) -> dict[str, tuple[str, ...]]:
+        """token -> the lexicon categories that list it (a later lexicon of the
+        same category replaces an earlier one). Callers must not modify it."""
+        by_category = {lx.category: lx.words for lx in self.lexicons}
+        lookup: dict[str, tuple[str, ...]] = {}
+        for cat, words in by_category.items():
+            for word in set(words):
+                lookup[word] = lookup.get(word, ()) + (cat,)
+        return lookup
+
     def config_hash(self) -> str:
         blob = json.dumps({
             "early_window_s": EARLY_WINDOW_S,
@@ -135,22 +146,8 @@ CHAT_FEATURE_NAMES: tuple[str, ...] = (
 _WHEEL_KINDS = ("chatwheel_general", "chatwheel_hero")
 
 
-@functools.lru_cache(maxsize=8)
-def _token_categories(lexicons: tuple[Lexicon, ...]) -> dict[str, tuple[str, ...]]:
-    """token -> the lexicon categories that list it (a later lexicon of the
-    same category replaces an earlier one). Callers must not modify it."""
-    by_category = {lx.category: lx.words for lx in lexicons}
-    lookup: dict[str, tuple[str, ...]] = {}
-    for cat, words in by_category.items():
-        for word in set(words):
-            lookup[word] = lookup.get(word, ()) + (cat,)
-    return lookup
-
-
-def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexicon],
-                          early_window_s: float = EARLY_WINDOW_S,
-                          after_kill_window_s: float = AFTER_KILL_WINDOW_S,
-                          wheel_catalog: dict[str, str] | None = None) -> list[float]:
+def extract_chat_features(match: MatchRecord, slot: int,
+                          ctx: FeatureContext) -> list[float]:
     """Chat-derived counts for one slot of one match, as floats in
     CHAT_FEATURE_NAMES order.
 
@@ -160,8 +157,8 @@ def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexi
     window right after a kill objective involving the slot.
     """
     match.slot_record(slot)  # raises SlotNotFound for an absent slot
-    wheel_catalog = wheel_catalog or {}
-    categories = _token_categories(tuple(lexicons))
+    categories = ctx.token_categories
+    wheel_catalog = ctx.wheel_catalog
     kills = sorted(t for who, t in match.kill_events() if who == slot)
 
     category_counts = {cat: 0 for cat in LEXICON_CATEGORIES}
@@ -190,10 +187,10 @@ def extract_chat_features(match: MatchRecord, slot: int, lexicons: Sequence[Lexi
             emarks += text.count("!")
             if not text.islower():  # all-lowercase text has no capital
                 capitals += sum(map(str.isupper, text))
-            if time_s < early_window_s:
+            if time_s < EARLY_WINDOW_S:
                 early += 1
             for kt in kills:
-                if 0.0 <= time_s - kt <= after_kill_window_s:
+                if 0.0 <= time_s - kt <= AFTER_KILL_WINDOW_S:
                     after_kill += 1
                     break
         elif kind in _WHEEL_KINDS:
@@ -269,14 +266,6 @@ EXPERT_MATCH_SCHEMA: tuple[tuple[str, str], ...] = tuple(
 )
 
 
-def naive_match_columns() -> list[Column]:
-    return [Column(n, k) for n, k in NAIVE_MATCH_SCHEMA]
-
-
-def expert_match_columns() -> list[Column]:
-    return [Column(n, k) for n, k in EXPERT_MATCH_SCHEMA]
-
-
 # Every per-match column, in the order of a build_match_features row, and
 # the position of each in that row.
 MATCH_SCHEMA = NAIVE_MATCH_SCHEMA + EXPERT_MATCH_SCHEMA
@@ -333,16 +322,15 @@ def _expert_values(match: MatchRecord, player: MatchPlayerSlot,
                    ctx: FeatureContext) -> list:
     """The expert values of one slot's row, in EXPERT_MATCH_SCHEMA order."""
     slot = player.slot
-    values = extract_chat_features(match, slot, ctx.lexicons,
-                                   wheel_catalog=ctx.wheel_catalog)
+    values = extract_chat_features(match, slot, ctx)
     counts = match.message_counts()
     typed = counts.get("typed_text", {})
     # Average rank among the match's slots, rank 1 = most talkative: the
     # slots that typed more come first, ties share the mean position.
     mine = typed.get(slot, 0)
     more = tied = 0
-    for other in {p.slot: None for p in match.players}:
-        n = typed.get(other, 0)
+    for other in match.players:
+        n = typed.get(other.slot, 0)
         if n > mine:
             more += 1
         elif n == mine:
@@ -365,18 +353,11 @@ def build_match_features(match: MatchRecord, slot: int,
     return _naive_values(match, player) + _expert_values(match, player, ctx)
 
 
-@dataclass
-class AugmentationTable:
-    """Expert column values keyed by (owner, match_id), aligned with M."""
-
-    columns: list[Column]
-    values: dict[tuple[int, int], list]
-
-
-def _find_slot(match: MatchRecord, handle: int) -> Optional[int]:
+def _slot_of(match: MatchRecord, handle: int) -> Optional[MatchPlayerSlot]:
+    """The handle's slot entry in the match, or None when it did not play."""
     for p in match.players:
         if p.handle == handle:
-            return p.slot
+            return p
     return None
 
 
@@ -396,44 +377,38 @@ def build_naive_match_matrix(players: Sequence[PlayerRecord],
             match = matches.get(mid)
             if match is None:
                 continue
-            slot = _find_slot(match, player.handle)
-            if slot is None:
+            entry = _slot_of(match, player.handle)
+            if entry is None:
                 continue
-            rows.append(_naive_values(match, match.slot_record(slot)))
+            rows.append(_naive_values(match, entry))
             owners.append(player.handle)
             match_ids.append(mid)
-    return FeatureMatrix(variant="M", columns=naive_match_columns(), rows=rows,
-                         row_owner=owners, row_match=match_ids,
-                         config_hash=ctx.config_hash())
-
-
-def build_expert_table(m: FeatureMatrix, matches: dict[int, MatchRecord],
-                       ctx: FeatureContext) -> AugmentationTable:
-    """The expert values of every row of M, keyed by (owner, match id)."""
-    values: dict[tuple[int, int], list] = {}
-    for owner, mid in zip(m.row_owner, m.row_match):
-        match = matches[mid]
-        player = match.slot_record(_find_slot(match, owner))
-        values[(owner, mid)] = _expert_values(match, player, ctx)
-    return AugmentationTable(columns=expert_match_columns(), values=values)
+    columns = [Column(n, k) for n, k in NAIVE_MATCH_SCHEMA]
+    return FeatureMatrix(variant="M", columns=columns, rows=rows, row_owner=owners,
+                         row_match=match_ids, config_hash=ctx.config_hash())
 
 
 def build_match_matrix(players: Sequence[PlayerRecord],
                        matches: dict[int, MatchRecord],
-                       ctx: FeatureContext) -> tuple[FeatureMatrix, AugmentationTable]:
-    """Per-match matrix M (naive columns) plus the aligned expert-column table
-    that `build_distilled` appends: `build_naive_match_matrix`, then
-    `build_expert_table` on its rows. `featurize --variant M` needs only
-    the first, and builds no expert value.
+                       ctx: FeatureContext) -> tuple[FeatureMatrix, list[list]]:
+    """Per-match matrix M (naive columns) and the expert values of each of
+    its rows, in EXPERT_MATCH_SCHEMA order, for `build_distilled` to append.
+    `featurize --variant M` needs only `build_naive_match_matrix`, and builds
+    no expert value.
     """
     m = build_naive_match_matrix(players, matches, ctx)
-    return m, build_expert_table(m, matches, ctx)
+    expert_rows = []
+    for owner, mid in zip(m.row_owner, m.row_match):
+        match = matches[mid]
+        expert_rows.append(_expert_values(match, _slot_of(match, owner), ctx))
+    return m, expert_rows
 
 
-def build_distilled(m: FeatureMatrix, augmentation: AugmentationTable,
+def build_distilled(m: FeatureMatrix, expert_rows: Sequence[list],
                     max_per_player: int = DISTILL_CAP, n_variants: int = 20,
                     seed: int = 0) -> list[FeatureMatrix]:
-    """Distilled per-match variants: capped rows per owner, expert columns added.
+    """Distilled per-match variants: capped rows per owner, with the expert
+    values of row i of M (`expert_rows[i]`) appended to it.
 
     Each variant samples uniformly without replacement (all rows when a
     player is under the cap); variants differ only by their sampling seed.
@@ -442,6 +417,10 @@ def build_distilled(m: FeatureMatrix, augmentation: AugmentationTable,
 
     if m.variant != "M":
         raise SchemaError(f"build_distilled expects variant M, got {m.variant}")
+    if len(expert_rows) != m.n_rows:
+        raise SchemaError(f"build_distilled got {len(expert_rows)} expert rows "
+                          f"for the {m.n_rows} rows of M")
+    expert_columns = [Column(n, k) for n, k in EXPERT_MATCH_SCHEMA]
     out = []
     for v in range(n_variants):
         rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
@@ -451,12 +430,10 @@ def build_distilled(m: FeatureMatrix, augmentation: AugmentationTable,
                 chosen = rng.choice(len(idx), size=max_per_player, replace=False)
                 idx = [idx[i] for i in sorted(chosen)]
             picked.extend(idx)
-        aug = augmentation.values
-        rows = [[*m.rows[i], *aug[m.row_owner[i], m.row_match[i]]] for i in picked]
         out.append(FeatureMatrix(
             variant="M_bar",
-            columns=list(m.columns) + list(augmentation.columns),
-            rows=rows,
+            columns=list(m.columns) + expert_columns,
+            rows=[[*m.rows[i], *expert_rows[i]] for i in picked],
             row_owner=[m.row_owner[i] for i in picked],
             row_match=[m.row_match[i] for i in picked],
             variant_seed=v,
@@ -506,11 +483,11 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
     """Aggregate one player's matches into the per-player feature row."""
     import numpy as np
 
-    usable: list[tuple[MatchRecord, int, list]] = []
+    usable: list[tuple[MatchRecord, MatchPlayerSlot, list]] = []
     for match in matches:
-        slot = _find_slot(match, player.handle)
-        if slot is not None:
-            usable.append((match, slot, build_match_features(match, slot, ctx)))
+        entry = _slot_of(match, player.handle)
+        if entry is not None:
+            usable.append((match, entry, build_match_features(match, entry.slot, ctx)))
     if len(usable) < 5:
         raise InsufficientMatches(
             f"player {player.handle} has {len(usable)} usable matches, need 5")
@@ -565,8 +542,8 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
     hero_counts: dict[int, int] = {}
     gender = _AT["hero_gender"]
     female = 0
-    for match, slot, r in usable:
-        hid = match.slot_record(slot).hero_id
+    for _, entry, r in usable:
+        hid = entry.hero_id
         hero_counts[hid] = hero_counts.get(hid, 0) + 1
         if r[gender] == "female":
             female += 1

@@ -299,6 +299,9 @@ def _checked_chat_entry(entry: dict, index: int) -> ChatMessage:
 
 
 _SLOT_COUNTS = ("kills", "deaths", "assists", "denies", "last_hits")
+# Counts at or past this are refused, so that every count, and every sum of
+# counts that feature extraction forms, converts to a float.
+_COUNT_LIMIT = 2 ** 53
 _SLOT_FIELDS = operator.itemgetter("player_slot", *_SLOT_COUNTS, "hero_id",
                                    "account_id", "isRadiant", "word_counts")
 
@@ -318,7 +321,8 @@ def _parse_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
         if (type(slot) is int and type(kills) is int and type(deaths) is int
                 and type(assists) is int and type(denies) is int
                 and type(last_hits) is int and type(hero_id) is int
-                and 0 <= slot < 256 and (kills | deaths | assists | denies | last_hits) >= 0
+                and 0 <= slot < 256
+                and 0 <= (kills | deaths | assists | denies | last_hits) < _COUNT_LIMIT
                 and (account is None or type(account) is int)
                 and type(is_radiant) is bool and type(word_counts) is dict):
             return _new_tuple(MatchPlayerSlot, (
@@ -339,6 +343,9 @@ def _checked_player_slot(entry: dict, index: int) -> MatchPlayerSlot:
         value = int(entry.get(key, 0) or 0)
         if value < 0:
             raise SchemaError(f"{key} must be >= 0", path=f"$.players[{index}].{key}")
+        if value >= _COUNT_LIMIT:
+            raise SchemaError(f"{key} must be below 2**53",
+                              path=f"$.players[{index}].{key}")
         counts.append(value)
     is_radiant = entry.get("isRadiant")
     if is_radiant is None:
@@ -382,7 +389,9 @@ def parse_match(payload: bytes | str | dict) -> MatchRecord:
     else:
         try:
             doc = json.loads(payload)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        # ValueError also covers an integer of more digits than the
+        # interpreter converts, which is not a JSONDecodeError.
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"not a JSON document: {exc}", path="$") from exc
         if not isinstance(doc, dict):
             raise _wrong_type(doc, dict, "$")
@@ -392,6 +401,8 @@ def parse_match(payload: bytes | str | dict) -> MatchRecord:
         # here keeps every record that parses featurizable.
         record.kill_events()
         time.gmtime(record.start_time)
+        float(record.duration_s + record.radiant_score + record.dire_score
+              + abs(record.first_blood_time) + abs(record.human_players))
         float(sum(record.word_counts.values()))
         for player in record.players:
             if player.word_counts:
@@ -415,6 +426,9 @@ def _match_from_doc(doc: dict) -> MatchRecord:
     seen_handles = [p.handle for p in players if p.handle is not None]
     if len(seen_handles) != len(set(seen_handles)):
         raise SchemaError("a handle appears in more than one slot", path="$.players")
+    if len({p.slot for p in players}) != len(players):
+        raise SchemaError("a slot number appears in more than one entry",
+                          path="$.players")
 
     radiant_score = int(get("radiant_score", 0) or 0)
     if radiant_score < 0:

@@ -280,7 +280,7 @@ def test_criterion_6c_planted_signal_beats_dummy(fixture_assets):
         assert margins[attribute] >= 0.10
 
     naive, _ = attacks.one_match_aia(
-        M, pop.labels, algorithms=("random_forest",), seed=5, n_repeats=4,
+        [M] * 4, pop.labels, algorithms=("random_forest",), seed=5,
         grids=attacks.DESK_GRIDS, attributes=("occupation",))
     expert, _ = attacks.one_match_aia(
         variants, pop.labels, algorithms=("random_forest",), seed=5,

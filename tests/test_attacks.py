@@ -147,8 +147,8 @@ def test_one_match_split_is_player_disjoint(fixture_corpus):
 
 def test_one_match_expert_beats_naive_on_aug_only_signal(fixture_corpus):
     pop, _, M, _, variants = fixture_corpus
-    naive, _ = one_match_aia(M, pop.labels, algorithms=("random_forest",),
-                             seed=5, n_repeats=3, grids=FAST_GRIDS,
+    naive, _ = one_match_aia([M] * 3, pop.labels, algorithms=("random_forest",),
+                             seed=5, grids=FAST_GRIDS,
                              attributes=("occupation",))
     expert, _ = one_match_aia(variants, pop.labels,
                               algorithms=("random_forest",), seed=5,
@@ -160,8 +160,8 @@ def test_one_match_expert_beats_naive_on_aug_only_signal(fixture_corpus):
 
 def test_one_match_single_matrix_repeats(fixture_corpus):
     pop, _, M, _, _ = fixture_corpus
-    report, _ = one_match_aia(M, pop.labels, algorithms=("dummy_stratified",),
-                              seed=6, n_repeats=4, grids=FAST_GRIDS,
+    report, _ = one_match_aia([M] * 4, pop.labels, algorithms=("dummy_stratified",),
+                              seed=6, grids=FAST_GRIDS,
                               attributes=("age_bin",))
     assert report.metric_tables["age_bin"]["dummy_stratified"]["n_runs"] == 4
     # The fixed settings, recorded under the keys they had as options.

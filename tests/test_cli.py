@@ -490,6 +490,7 @@ def test_per_match_reports_keep_their_bytes(pipeline_dirs, tmp_path, protocol):
     ("sophisticated", ["--draws", "0"]),
     ("sophisticated", ["--sweep-start", "0"]),
     ("targeted", ["--repeats", "0"]),
+    ("one-match", ["--repeats", "0"]),
 ])
 def test_attack_rejects_bad_averaging_input(pipeline_dirs, tmp_path, capsys,
                                             protocol, flags):
@@ -510,9 +511,10 @@ def test_attack_rejects_bad_averaging_input(pipeline_dirs, tmp_path, capsys,
     ("indiscriminate", ["--sweep-stop", "0"]),
     ("targeted", ["--repeats", "0"]),
     ("targeted", ["--sweep-start", "5", "--sweep-stop", "3"]),
+    ("one-match", ["--repeats", "0"]),
 ], ids=["sophisticated no draws", "sophisticated n=0", "sophisticated empty sweep",
         "indiscriminate no draws", "indiscriminate n=0", "targeted no repeats",
-        "targeted empty sweep"])
+        "targeted empty sweep", "one-match no repeats"])
 def test_attack_rejects_bad_averaging_input_before_any_work(
         monkeypatch, tmp_path, capsys, protocol, flags):
     from aia import attacks, matrix
@@ -531,6 +533,29 @@ def test_attack_rejects_bad_averaging_input_before_any_work(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("protocol, source, target", [
+    ("simple", "M.csv", "P.csv"),
+    ("one-match", "P.csv", "M.csv"),
+    ("sophisticated", "P.csv", "Mbar_00.csv"),
+])
+def test_attack_on_a_matrix_of_the_wrong_variant_exits_1(pipeline_dirs, tmp_path,
+                                                         capsys, protocol, source,
+                                                         target):
+    _, _, labels_csv, features = pipeline_dirs
+    wrong = tmp_path / "features"
+    wrong.mkdir()
+    for suffix in ("", ".schema.json"):
+        shutil.copy(features / (source + suffix), wrong / (target + suffix))
+    out = tmp_path / "out" / "report.json"
+    assert main(["attack", "--protocol", protocol, "--features", str(wrong),
+                 "--labels", str(labels_csv), "--out", str(out),
+                 "--algorithms", "dummy_stratified"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(wrong / target) in err
+    assert not out.parent.exists()
 
 
 def test_validate_and_reproduce_table8(capsys, tmp_path):

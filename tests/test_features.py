@@ -102,10 +102,9 @@ class ChatFeatures:
         return out
 
 
-def chat_features(match, slot, lexicons, **kwargs) -> ChatFeatures:
+def chat_features(match, slot, ctx) -> ChatFeatures:
     """extract_chat_features' values, read back by name."""
-    v = dict(zip(CHAT_FEATURE_NAMES,
-                 extract_chat_features(match, slot, lexicons, **kwargs)))
+    v = dict(zip(CHAT_FEATURE_NAMES, extract_chat_features(match, slot, ctx)))
     return ChatFeatures(
         category_counts={cat: v[f"chat_{cat}_count"] for cat in LEXICON_CATEGORIES},
         question_only_msgs=v["chat_question_only_msgs"],
@@ -136,8 +135,7 @@ def chat_match():
 
 
 def test_chat_features_match_hand_tally(chat_match, feature_ctx):
-    feats = chat_features(chat_match, 0, feature_ctx.lexicons,
-                          wheel_catalog=feature_ctx.wheel_catalog)
+    feats = chat_features(chat_match, 0, feature_ctx)
     assert feats.category_counts == {
         "laugh": 1,          # haha
         "slang": 1,          # mid
@@ -167,14 +165,14 @@ def test_question_only_variants(feature_ctx):
         {"slot": 0, "time": 12, "type": "chat", "channel": "global", "key": "why?"},
     ]
     match = make_match(chat=chat)
-    feats = chat_features(match, 0, feature_ctx.lexicons)
+    feats = chat_features(match, 0, feature_ctx)
     assert feats.question_only_msgs == 2
     assert feats.question_marks == 5
 
 
 def test_empty_chat_all_zero(feature_ctx):
     match = make_match()
-    feats = chat_features(match, 0, feature_ctx.lexicons)
+    feats = chat_features(match, 0, feature_ctx)
     assert all(v == 0 for v in feats.category_counts.values())
     assert feats.question_only_msgs == 0
     assert feats.wheel_global_msgs == 0
@@ -202,14 +200,13 @@ def test_wheel_channel_split_sums_to_total(feature_ctx):
                          "type": str(kind), "channel": channel,
                          "key": str(rng.choice(wheel_ids))})
         match = make_match(chat=chat)
-        feats = chat_features(match, 0, feature_ctx.lexicons,
-                              wheel_catalog=feature_ctx.wheel_catalog)
+        feats = chat_features(match, 0, feature_ctx)
         assert feats.wheel_global_msgs + feats.wheel_team_msgs == n_wheel
 
 
 def test_chat_slot_not_found(chat_match, feature_ctx):
     with pytest.raises(SlotNotFound):
-        extract_chat_features(chat_match, 42, feature_ctx.lexicons)
+        extract_chat_features(chat_match, 42, feature_ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +399,13 @@ def test_match_matrix_shape_and_owner_alignment(feature_ctx):
     assert m.variant == "M"
     assert m.n_rows == 6 * 8
     assert set(m.row_owner) == {p.handle for p in players}
-    assert len(aug.values) == m.n_rows
+    assert len(aug) == m.n_rows
+    assert all(len(row) == len(EXPERT_MATCH_SCHEMA) for row in aug)
     naive_names = {c.name for c in m.columns}
     assert "chat_slang_count" not in naive_names  # expert columns stay out of M
+    # Expert rows join M's rows by position: a short list does not line up.
+    with pytest.raises(SchemaError):
+        build_distilled(m, aug[:-1])
 
 
 def test_distilled_under_cap_keeps_all_rows(feature_ctx):
@@ -711,11 +712,7 @@ def test_chat_features_equal_reference_on_every_fixture_slot(
     checked = 0
     for match in fixture_population.matches.values():
         for player in match.players:
-            fast = extract_chat_features(
-                match, player.slot, feature_ctx.lexicons,
-                early_window_s=EARLY_WINDOW_S,
-                after_kill_window_s=AFTER_KILL_WINDOW_S,
-                wheel_catalog=feature_ctx.wheel_catalog)
+            fast = extract_chat_features(match, player.slot, feature_ctx)
             slow = reference_chat_features(
                 match, player.slot, feature_ctx.lexicons,
                 early_window_s=EARLY_WINDOW_S,
@@ -821,10 +818,11 @@ def test_match_rows_equal_reference_on_every_fixture_slot(fixture_population,
 @given(senders=st.lists(st.sampled_from([0, 1, 2, 128, 129, 7]), max_size=12),
        kinds=st.lists(st.sampled_from(["chat", "chatwheel", "chatwheel_hero",
                                        "sound", "spray"]), min_size=12, max_size=12),
-       slots=st.lists(st.sampled_from([0, 1, 2, 128, 129]), min_size=1, max_size=6))
+       slots=st.lists(st.sampled_from([0, 1, 2, 128, 129]), min_size=1, max_size=5,
+                      unique=True))
 def test_match_rows_equal_reference_on_any_chat_and_slots(feature_ctx, senders,
                                                           kinds, slots):
-    # Senders outside the slots, repeated slot numbers and every chat kind:
+    # Senders outside the slots, any set of slot numbers and every chat kind:
     # the typed and hero-wheel counts read from Match.message_counts must
     # give the reference's ranks and counts.
     players = [{"player_slot": s, "hero_id": 1 + i, "account_id": 100 + i,

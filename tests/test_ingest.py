@@ -148,6 +148,11 @@ MALFORMED_MATCHES = {
                               "expected a finite number, got -inf"),
     "negative kills": (_with_first_player(kills=-1),
                        "$.players[0].kills", "kills must be >= 0"),
+    "assists past the float range": (_with_first_player(assists=10 ** 400),
+                                     "$.players[0].assists",
+                                     "assists must be below 2**53"),
+    "first blood past the float range": (build_match_doc(first_blood_time=10 ** 400),
+                                         "$", "malformed value: "),
     "negative price": (build_match_doc(
         cosmetics=[{"item_id": 1, "owner_slot": 2, "price": -1.0}]),
         "$.cosmetics[0].price", "price must be >= 0"),
@@ -216,27 +221,46 @@ def test_too_deeply_nested_document_is_schema_error():
         parse_match(b"[" * 100_000)
 
 
+def test_integer_past_the_digit_limit_is_schema_error():
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer of more digits than the interpreter converts.
+    with pytest.raises(SchemaError):
+        parse_match(b'{"match_id": ' + b"1" * 5000 + b"}")
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda children: (st.lists(children, max_size=3)
                       | st.dictionaries(st.text(max_size=4), children, max_size=3)),
     max_leaves=8)
-_FULL_DOC = build_match_doc(
-    chat=[{"slot": 1, "time": 5.0, "type": "chat", "key": "gg"}],
+
+
+# Every field the parser reads, with values: typed text, a team wheel and a
+# hero wheel, advantage curves, outcome numbers and an unknown field.
+_ORACLE_DOC = build_match_doc(
+    chat=[{"slot": 1, "time": 5.0, "type": "chat", "channel": "global", "key": "gg"},
+          {"slot": 128, "time": 9, "type": "chatwheel", "channel": "team", "key": "w"},
+          {"slot": 2, "time": 12.5, "type": "chatwheel_hero", "channel": "global",
+           "key": "hw"}],
     cosmetics=[{"item_id": 1, "owner_slot": 2, "price": 3.0}],
     objectives=[{"type": "CHAT_MESSAGE_KILL", "slot": 1, "time": 3.0}],
-    all_word_counts={"gg": 2})
+    all_word_counts={"gg": 2},
+    radiant_gold_adv=[1.5, -2.0, 0.0], radiant_xp_adv=[3, 4.5],
+    throw=1.5, comeback=2, loss=0.5, win=3.25, mystery={"a": 1})
+_ORACLE_DOC["players"][1]["word_counts"] = {"gg": 2}
+_ORACLE_TEXT = json.dumps(_ORACLE_DOC)
 
 
 @settings(max_examples=300, deadline=None)
-@given(key=st.sampled_from(sorted(_FULL_DOC)), value=_JSON_VALUES,
+@given(key=st.sampled_from(sorted(_ORACLE_DOC)),
+       value=_JSON_VALUES | st.sampled_from([2 ** 53, 10 ** 400, -10 ** 400]),
        depth=st.integers(0, 2), data=st.data())
 def test_parse_match_is_total(feature_ctx, key, value, depth, data):
     # Any JSON value in place of a field, or of a field up to two levels
     # inside it (the first entry of a list, any key of an object), either
     # raises SchemaError or parses into a record whose every slot goes
     # through feature extraction; nothing else escapes.
-    doc = json.loads(json.dumps(_FULL_DOC))
+    doc = json.loads(_ORACLE_TEXT)
     parent, field = doc, key
     for _ in range(depth):
         inner = parent[field]
@@ -347,6 +371,9 @@ def _ref_parse_player_slot(entry, index):
         value = int(entry.get(key, 0) or 0)
         if value < 0:
             raise SchemaError(f"{key} must be >= 0", path=f"$.players[{index}].{key}")
+        if value >= 2 ** 53:
+            raise SchemaError(f"{key} must be below 2**53",
+                              path=f"$.players[{index}].{key}")
         counts.append(value)
     is_radiant = entry.get("isRadiant")
     if is_radiant is None:
@@ -373,6 +400,9 @@ def _ref_match_from_doc(doc):
     seen_handles = [p.handle for p in players if p.handle is not None]
     if len(seen_handles) != len(set(seen_handles)):
         raise SchemaError("a handle appears in more than one slot", path="$.players")
+    if len({p.slot for p in players}) != len(players):
+        raise SchemaError("a slot number appears in more than one entry",
+                          path="$.players")
     for key in ("radiant_score", "dire_score"):
         if int(doc.get(key, 0) or 0) < 0:
             raise SchemaError(f"{key} must be >= 0", path=f"$.{key}")
@@ -436,6 +466,8 @@ def reference_parse_match(doc: dict) -> MatchRecord:
         record = _ref_match_from_doc(doc)
         record.kill_events()
         time.gmtime(record.start_time)
+        float(record.duration_s + record.radiant_score + record.dire_score
+              + abs(record.first_blood_time) + abs(record.human_players))
         for counts in [record.word_counts] + [p.word_counts for p in record.players]:
             float(sum(counts.values()))
     except (TypeError, ValueError, OverflowError, OSError) as exc:
@@ -450,22 +482,6 @@ def _parse_outcome(parse, doc):
         return repr(parse(doc))
     except Exception as exc:  # noqa: BLE001 - any escape must match too
         return type(exc).__name__, str(exc), getattr(exc, "path", None)
-
-
-# Every field the parser reads, with values: typed text, a team wheel and a
-# hero wheel, advantage curves, outcome numbers and an unknown field.
-_ORACLE_DOC = build_match_doc(
-    chat=[{"slot": 1, "time": 5.0, "type": "chat", "channel": "global", "key": "gg"},
-          {"slot": 128, "time": 9, "type": "chatwheel", "channel": "team", "key": "w"},
-          {"slot": 2, "time": 12.5, "type": "chatwheel_hero", "channel": "global",
-           "key": "hw"}],
-    cosmetics=[{"item_id": 1, "owner_slot": 2, "price": 3.0}],
-    objectives=[{"type": "CHAT_MESSAGE_KILL", "slot": 1, "time": 3.0}],
-    all_word_counts={"gg": 2},
-    radiant_gold_adv=[1.5, -2.0, 0.0], radiant_xp_adv=[3, 4.5],
-    throw=1.5, comeback=2, loss=0.5, win=3.25, mystery={"a": 1})
-_ORACLE_DOC["players"][1]["word_counts"] = {"gg": 2}
-_ORACLE_TEXT = json.dumps(_ORACLE_DOC)
 
 
 def _containers(node, path=()):
@@ -594,9 +610,12 @@ def test_player_count_bounds():
         parse_match(json.dumps(doc).encode())
 
 
-def test_duplicate_handle_rejected():
+@pytest.mark.parametrize("field", ["account_id", "player_slot"])
+def test_duplicate_handle_rejected(field):
+    # Chat, kills and cosmetics are keyed by slot number, and rows by handle:
+    # either one held by two entries is rejected.
     doc = minimal_match()
-    doc["players"][1]["account_id"] = doc["players"][0]["account_id"]
+    doc["players"][1][field] = doc["players"][0][field]
     with pytest.raises(SchemaError):
         parse_match(json.dumps(doc).encode())
 
