@@ -24,10 +24,7 @@ from . import models as m
 from .attributes import ATTRIBUTE_SCHEMA, AttributeLabels
 from .errors import AttributeArity, NoPositives, OutOfRange, PlayerOverlap, SchemaError
 from .matrix import FeatureMatrix
-from .metrics import binary_precision_recall, metrics
-
-DEFAULT_ALGORITHMS = ("logistic_regression", "decision_tree", "random_forest",
-                      "mlp", "dummy_stratified")
+from .metrics import metrics
 
 # Compact grids keep desk-scale runs inside their time budgets; every
 # report records the grids it ran.
@@ -184,7 +181,7 @@ def _stratified_player_split(players: Sequence[int], y_by_player: dict[int, str]
 
 
 def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
-               algorithms: Sequence[str] = DEFAULT_ALGORITHMS, seed: int = 0,
+               algorithms: Sequence[str] = m.ALGORITHMS, seed: int = 0,
                outer_folds: int = 10, inner_folds: int = 3,
                grids: dict | None = None, resample: bool = True,
                attributes: Sequence[str] | None = None) -> AttackReport:
@@ -269,7 +266,7 @@ class OneMatchRun:
 
 def one_match_aia(variants: Sequence[FeatureMatrix],
                   labels: dict[int, AttributeLabels],
-                  algorithms: Sequence[str] = DEFAULT_ALGORITHMS, seed: int = 0,
+                  algorithms: Sequence[str] = m.ALGORITHMS, seed: int = 0,
                   grids: dict | None = None,
                   resample: bool = True,
                   keep_models: str | None = None,
@@ -493,6 +490,17 @@ BUILTIN_TARGETS: dict[str, TargetSpec] = {
 _THRESHOLDS = tuple(np.round(np.arange(0.10, 0.96, 0.05), 2))
 
 
+def _precision_recall(called: np.ndarray, positive: np.ndarray):
+    """Precision and recall of boolean positive calls, players along axis 0,
+    against each player's truth `positive`; precision is 0 where nothing is
+    called. Every split holds a positive, so recall is always defined."""
+    hits = called[positive].sum(axis=0)
+    n_called = called.sum(axis=0)
+    precision = np.divide(hits, n_called, out=np.zeros(hits.shape),
+                          where=n_called > 0)
+    return precision, hits / positive.sum()
+
+
 def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                  labels: dict[int, AttributeLabels],
                  n_sweep: Sequence[int] = tuple(range(1, 31)),
@@ -544,22 +552,19 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                                      MAX_FEATURES, classes)
         prepared = m.prepare(matrix, train_rows, y_train, classes, selected,
                              resample=True)
-        y_val = [y_by_player[p] for p in val_p]
+        val_positive = np.array([y_by_player[p] == "positive" for p in val_p])
 
         def val_score(models: list[m.TrainedModel]):
             """Best (precision, recall) of full-history averages, and its
             threshold; None when no threshold predicts a positive."""
-            pos_proba = {p: float(block.mean(axis=0)[1]) for p, block
-                         in _prob_blocks(models[0], matrix, val_p).items()}
-            scored: list[tuple[float, float, float]] = []
-            for threshold in thresholds:
-                y_pred = ["positive" if pos_proba[p] >= threshold
-                          else "negative" for p in val_p]
-                if not any(v == "positive" for v in y_pred):
-                    continue
-                precision, recall = binary_precision_recall(
-                    y_val, y_pred, "positive")
-                scored.append((precision, recall, float(threshold)))
+            pos_proba = np.array([block.mean(axis=0)[1] for block in
+                                  _prob_blocks(models[0], matrix, val_p).values()])
+            # (player, threshold) positive calls.
+            called = pos_proba[:, None] >= np.asarray(thresholds)
+            precision, recall = _precision_recall(called, val_positive)
+            scored = [(p, r, float(t)) for p, r, t, any_called in zip(
+                precision.tolist(), recall.tolist(), thresholds,
+                called.any(axis=0)) if any_called]
             if not scored:
                 return None
             top = max(s[:2] for s in scored)
@@ -588,12 +593,8 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         called = np.array([_draw_means(block, n_sweep, draws, rng)[..., 1]
                            >= threshold for block in
                            _prob_blocks(model, matrix, test_p).values()])
-        positive = np.array([y_by_player[p] == "positive" for p in test_p])
-        hits = called[positive].sum(axis=0)
-        n_called = called.sum(axis=0)
-        precision = np.divide(hits, n_called, out=np.zeros(hits.shape),
-                              where=n_called > 0)
-        recall = hits / positive.sum()
+        precision, recall = _precision_recall(called, np.array(
+            [y_by_player[p] == "positive" for p in test_p]))
         for j, n in enumerate(n_sweep):
             precisions[n].extend(precision[:, j])
             recalls[n].extend(recall[:, j])

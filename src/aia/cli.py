@@ -2,7 +2,8 @@
 
 Subcommands mirror the pipeline: synth / ingest / labels produce inputs,
 featurize builds the three dataset shapes, correlate / attack / validate
-produce reports, and reproduce-table8 replays the published-values ledger.
+produce reports, and reproduce-table8 (validate with its defaults) replays
+the published-values ledger.
 Usage errors exit 2; data errors exit 1 with a structured message. Reports
 embed the config hash, seed, and tool version, and re-running a command
 with identical inputs overwrites outputs with identical bytes. Each
@@ -24,7 +25,8 @@ from pathlib import Path
 
 from . import __version__
 from .attributes import bin_survey, read_labels_csv, read_survey_csv, write_labels_csv
-from .errors import AiaError, ConfigError, MissingLabels, SchemaError
+from .errors import (AiaError, ConfigError, MissingLabels, NotFound, RateLimited,
+                     SchemaError)
 
 
 def _config_hash(doc: dict) -> str:
@@ -55,8 +57,9 @@ def _load_corpus(cache_dir: Path, labels_path: Path, min_matches: int,
         record = load_cached_player(cache_dir, handle)
         pairs.append((record, labels.get(handle)))
     kept, report = filter_players(pairs, min_matches=min_matches)
+    players = [record for record, _ in kept]
     matches = {}
-    for record, _ in kept:
+    for record in players:
         for mid in record.match_ids:
             if mid not in matches:
                 match = load_cached_match(cache_dir, mid)
@@ -64,9 +67,7 @@ def _load_corpus(cache_dir: Path, labels_path: Path, min_matches: int,
                 # exists because the source data does not settle the question.
                 if match.human_players >= min_human_players:
                     matches[mid] = match
-    players = [record for record, _ in kept]
-    labels_kept = {record.handle: lab for record, lab in kept}
-    return players, matches, labels_kept, report
+    return players, matches, report
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +108,26 @@ def _cmd_ingest(args) -> int:
     for number, line in enumerate(lines, 1):
         if line.strip():
             try:
-                handles.append(int(line))
+                handle = int(line)
             except ValueError:
+                handle = 0
+            if handle <= 0:
                 raise SchemaError(f"line {number}: not an account id: "
-                                  f"{line.strip()!r}", path=args.handles) from None
+                                  f"{line.strip()!r}", path=args.handles)
+            handles.append(handle)
     client = TelemetryClient(args.cache, base_url=args.base_url,
                              rate_per_s=args.rate, offline=args.offline)
     fetched_players = 0
     fetched_matches = 0
-    missing = []
+    missing = 0
     for handle in handles:
+        # A handle without public data, or still rate limited after the
+        # retries, is skipped; a malformed cached or fetched document is an
+        # error.
         try:
             record = client.fetch_player(handle, window_days=args.window_days)
-        except AiaError as exc:
-            missing.append({"handle": handle, "reason": str(exc)})
+        except (NotFound, RateLimited):
+            missing += 1
             continue
         fetched_players += 1
         for mid in record.match_ids:
@@ -129,7 +136,7 @@ def _cmd_ingest(args) -> int:
     print(f"ingest: {fetched_players}/{len(handles)} players, "
           f"{fetched_matches} matches cached under {args.cache}")
     if missing:
-        print(f"ingest: {len(missing)} handles without public data",
+        print(f"ingest: {missing} handles without public data",
               file=sys.stderr)
     return 0
 
@@ -172,7 +179,7 @@ def _featurize(args) -> int:
 
     cache = Path(args.cache)
     out = Path(args.out)
-    players, matches, labels, freport = _load_corpus(
+    players, matches, freport = _load_corpus(
         cache, Path(args.labels), args.min_matches, args.min_human_players)
     ctx = FeatureContext.default()
     _write_json(out / "filter_report.json", {
@@ -305,6 +312,7 @@ def _load_mbar_variants(features_dir: Path):
 
 def _cmd_attack(args) -> int:
     from . import attacks
+    from .models import ALGORITHMS
 
     n_sweep = tuple(range(args.sweep_start, args.sweep_stop + 1))
     # Bad averaging input exits before anything is loaded or trained.
@@ -317,7 +325,7 @@ def _cmd_attack(args) -> int:
     features_dir = Path(args.features)
     labels = read_labels_csv(args.labels)
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms else \
-        attacks.DEFAULT_ALGORITHMS
+        ALGORITHMS
     out = Path(args.out)
 
     if args.protocol == "simple":
@@ -403,15 +411,6 @@ def _cmd_validate(args) -> int:
                 writer.writerow([row["family"], row["pair"],
                                  repr(row["t_statistic"]), repr(row["p_value"]),
                                  row["alpha"], row["rejected"], row["flagged"]])
-    for family, (rejected, total) in ledger.counts().items():
-        print(f"{family}: reject {rejected}/{total}")
-    return 0
-
-
-def _cmd_reproduce_table8(args) -> int:
-    from . import validation
-
-    ledger = validation.hypothesis_table(alpha=0.05)
     for family, (rejected, total) in ledger.counts().items():
         print(f"{family}: reject {rejected}/{total}")
     return 0
@@ -509,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-table8",
                        help="replay the published-values rejection ledger")
-    p.set_defaults(fn=_cmd_reproduce_table8)
+    p.set_defaults(fn=_cmd_validate, pairs=None, alpha=0.05, welch=False, out=None)
 
     p = sub.add_parser("sample-size", help="finite-population sample size")
     p.add_argument("--confidence", type=float, default=0.95)

@@ -192,10 +192,16 @@ def _not_number(value, path: str) -> SchemaError:
     return SchemaError(f"expected a finite number, got {value!r}", path=path)
 
 
-def _number(value, path: str):
-    if not _is_number(value):
+def _integer(value, path: str) -> int:
+    """int() of a finite JSON number; an integer past the float range is
+    refused too, as in a match document."""
+    try:
+        finite = _is_number(value)
+    except OverflowError:
+        raise SchemaError("integer past the float range", path=path) from None
+    if not finite:
         raise _not_number(value, path)
-    return value
+    return int(value)
 
 
 def _require(doc: dict, key: str, kind: type, path: str = "$"):
@@ -562,14 +568,14 @@ def parse_player(doc: dict, handle: int) -> PlayerRecord:
         path = f"$.matches[{i}]"
         if "match_id" not in _typed(entry, dict, path):
             raise SchemaError("match entry lacks match_id", path=path)
-        mid = int(_number(entry["match_id"], f"{path}.match_id"))
+        mid = _integer(entry["match_id"], f"{path}.match_id")
         if mid not in seen:
             seen.append(mid)
     rank_tier = profile.get("rank_tier")
     return PlayerRecord(
         handle=handle,
         rank_tier=None if rank_tier is None
-        else int(_number(rank_tier, "$.profile.rank_tier")),
+        else _integer(rank_tier, "$.profile.rank_tier"),
         has_plus=bool(profile.get("plus", False)),
         match_ids=tuple(seen),
     )
@@ -811,7 +817,7 @@ class TelemetryClient:
             raise SchemaError("match id must be > 0", path="$.match_id")
         path = match_cache_path(self.cache_dir, match_id)
         if path.exists():
-            return parse_match(path.read_bytes())
+            return load_cached_match(self.cache_dir, match_id)
         if self.offline:
             raise NotFound(f"match {match_id} not cached and client is offline")
         raw = self._get(f"matches/{match_id}")

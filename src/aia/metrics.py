@@ -54,15 +54,3 @@ def metrics(y_true: Sequence, y_pred: Sequence,
         "macro_recall": float(np.mean(recalls)) if recalls else 0.0,
     }
 
-
-def binary_precision_recall(y_true: Sequence, y_pred: Sequence,
-                            positive) -> tuple[float, float]:
-    """Precision and recall of one designated positive class."""
-    if len(y_true) != len(y_pred):
-        raise LengthMismatch(f"{len(y_true)} true vs {len(y_pred)} predicted")
-    tp = sum(1 for t, p in zip(y_true, y_pred) if t == positive and p == positive)
-    fp = sum(1 for t, p in zip(y_true, y_pred) if t != positive and p == positive)
-    fn = sum(1 for t, p in zip(y_true, y_pred) if t == positive and p != positive)
-    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
-    recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
-    return precision, recall

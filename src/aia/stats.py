@@ -11,10 +11,11 @@ once (`centered_ranks`), then take each column's rho with 1-D sums and
 dots (`rank_correlations`), so a column's rho has the same bits whichever
 block it was ranked in.
 
-Distribution functions (normal quantile, chi-square and Student-t tail
-probabilities) are implemented with the classic series / continued-fraction
-expansions so results are reproducible without a heavyweight dependency;
-they are validated against independent oracles in the test suite.
+The normal quantile is the standard library's (`statistics.NormalDist`).
+The chi-square and Student-t tail probabilities are implemented with the
+classic series / continued-fraction expansions so results are reproducible
+without a heavyweight dependency; they are validated against independent
+oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -40,54 +41,13 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-# Acklam's rational approximation for the normal quantile; refined below.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, |error| well below 1e-10.
-
-    Acklam's approximation gives ~1e-9; two Halley refinement steps against
-    the erfc-based CDF push it to machine precision. The upper half maps to
-    the lower by symmetry (1 - p is exact there), keeping the refinement in
-    the regime where erfc carries full relative precision.
-    """
+    """Inverse standard normal CDF (the standard library's Wichura AS 241)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile requires 0 < p < 1, got {p}")
-    if p > 0.5:
-        return -normal_quantile(1.0 - p)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        a, b = _ACKLAM_A, _ACKLAM_B
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        c, d = _ACKLAM_C, _ACKLAM_D
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    for _ in range(2):
-        err = normal_cdf(x) - p
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf <= 0.0:
-            break
-        u = err / pdf
-        x -= u / (1.0 + x * u / 2.0)
-    return x
+    from statistics import NormalDist  # only the sample-size calculator needs it
+
+    return NormalDist().inv_cdf(p)
 
 
 def _gamma_series(a: float, x: float) -> float:
@@ -129,17 +89,6 @@ def _gamma_cf(a: float, x: float) -> float:
     else:
         raise DomainError("incomplete gamma continued fraction failed to converge")
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def gamma_lower_reg(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0 or x < 0.0:
-        raise DomainError(f"gamma_lower_reg domain violated: a={a}, x={x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
 
 
 def chi2_sf(x: float, df: float) -> float:

@@ -127,6 +127,17 @@ def _n_runs(table: dict, name: str) -> int:
         raise ValueError(f"{name}.n_runs: expected an integer, got {value!r}") from exc
 
 
+# (family, table, baseline column, opponent column); a row of the simple
+# table names its opponent, the best model, in its "best" field.
+_FAMILIES = (
+    ("dummy_vs_best_model", "simple", "dummy", None),
+    ("dummy_vs_naive", "one_match", "dummy", "naive"),
+    ("dummy_vs_expert", "one_match", "dummy", "expert"),
+    ("sophisticated_vs_indiscriminate", "indiscriminate", "sophisticated",
+     "indiscriminate"),
+)
+
+
 def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,
                      welch: bool = False) -> HypothesisLedger:
     """Build the four-family rejection ledger from summary tables.
@@ -138,44 +149,21 @@ def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,
     """
     tables = tables if tables is not None else load_published_results()
     families: list[LedgerFamily] = []
-
-    simple = tables["simple"]
-    results = []
-    for attr, row in simple["attributes"].items():
-        best = row.get("best")
-        if best is None or best not in row or "dummy" not in row:
-            raise MissingPair(f"simple table row {attr!r} lacks best/dummy stats")
-        n = _n_runs(simple, "simple")
-        results.append(two_sample_ttest(
-            _stat(f"{attr}:dummy", row["dummy"], n),
-            _stat(f"{attr}:{best}", row[best], n), alpha=alpha, welch=welch))
-    families.append(LedgerFamily("dummy_vs_best_model", results))
-
-    one_match = tables["one_match"]
-    for opponent in ("naive", "expert"):
+    for family, name, baseline, opponent in _FAMILIES:
+        table = tables[name]
         results = []
-        for attr, row in one_match["attributes"].items():
-            if opponent not in row or "dummy" not in row:
-                raise MissingPair(f"one-match row {attr!r} lacks {opponent}/dummy stats")
-            n = _n_runs(one_match, "one_match")
+        for attr, row in table["attributes"].items():
+            other = row.get("best") if opponent is None else opponent
+            for column in (baseline, other):
+                if column is None or column not in row:
+                    raise MissingPair(
+                        f"{name} table row {attr!r} lacks "
+                        f"{'best' if column is None else column!r} stats")
+            n = _n_runs(table, name)
             results.append(two_sample_ttest(
-                _stat(f"{attr}:dummy", row["dummy"], n),
-                _stat(f"{attr}:{opponent}", row[opponent], n),
-                alpha=alpha, welch=welch))
-        families.append(LedgerFamily(f"dummy_vs_{opponent}", results))
-
-    indis = tables["indiscriminate"]
-    results = []
-    for attr, row in indis["attributes"].items():
-        if "sophisticated" not in row or "indiscriminate" not in row:
-            raise MissingPair(f"indiscriminate row {attr!r} lacks a pair")
-        n = _n_runs(indis, "indiscriminate")
-        results.append(two_sample_ttest(
-            _stat(f"{attr}:sophisticated", row["sophisticated"], n),
-            _stat(f"{attr}:indiscriminate", row["indiscriminate"], n),
-            alpha=alpha, welch=welch))
-    families.append(LedgerFamily("sophisticated_vs_indiscriminate", results))
-
+                _stat(f"{attr}:{baseline}", row[baseline], n),
+                _stat(f"{attr}:{other}", row[other], n), alpha=alpha, welch=welch))
+        families.append(LedgerFamily(family, results))
     return HypothesisLedger(alpha=alpha, families=families)
 
 

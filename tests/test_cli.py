@@ -156,6 +156,29 @@ def test_featurize_on_stray_player_file_exits_1(pipeline_dirs, tmp_path, capsys)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["rank_tier", "match_id"])
+def test_player_integer_past_the_float_range_exits_1(pipeline_dirs, tmp_path,
+                                                     capsys, field):
+    _, cache, labels_csv, _ = pipeline_dirs
+    broken = tmp_path / "cache"
+    shutil.copytree(cache, broken)
+    path = next((broken / "players").glob("*.json"))
+    doc = json.loads(path.read_text())
+    if field == "rank_tier":
+        doc.setdefault("profile", {})["rank_tier"] = 10**400
+    else:
+        doc["matches"][0]["match_id"] = 10**400
+    path.write_text(json.dumps(doc))
+    _exits_1_naming(["featurize", "--variant", "P", "--cache", str(broken),
+                     "--labels", str(labels_csv), "--out", str(tmp_path / "out")],
+                    capsys, str(path), field)
+    handles = tmp_path / "handles.txt"
+    handles.write_text(f"{path.stem}\n")
+    _exits_1_naming(["ingest", "--handles", str(handles), "--cache", str(broken),
+                     "--offline", "--window-days", str(doc["window_days"])],
+                    capsys, str(path), field)
+
+
 def test_labels_command_does_not_import_numpy(pipeline_dirs, tmp_path):
     _, cache, _, _ = pipeline_dirs
     script = ("import sys\n"
@@ -294,6 +317,15 @@ def test_ingest_on_a_non_integer_handle_exits_1(tmp_path, capsys):
     _exits_1_naming(["ingest", "--handles", str(handles), "--cache",
                      str(tmp_path / "cache"), "--offline"],
                     capsys, str(handles), "line 2", "'abc'")
+
+
+@pytest.mark.parametrize("handle", ["0", "-5"])
+def test_ingest_on_a_non_positive_handle_exits_1(tmp_path, capsys, handle):
+    handles = tmp_path / "handles.txt"
+    handles.write_text(f"7\n{handle}\n")
+    _exits_1_naming(["ingest", "--handles", str(handles), "--cache",
+                     str(tmp_path / "cache"), "--offline"],
+                    capsys, str(handles), "line 2", repr(handle))
 
 
 def test_synth_on_a_non_numeric_config_field_exits_1(tmp_path, capsys):
@@ -571,6 +603,13 @@ def test_validate_and_reproduce_table8(capsys, tmp_path):
     assert ledger_csv.exists()
     header = ledger_csv.read_text().splitlines()[0]
     assert header.startswith("family,pair,t_statistic")
+
+
+def test_reproduce_table8_is_validate_with_its_defaults(capsys):
+    assert main(["validate"]) == 0
+    validate = capsys.readouterr().out
+    assert main(["reproduce-table8"]) == 0
+    assert capsys.readouterr().out == validate
 
 
 def test_sample_size_command(capsys):

@@ -659,8 +659,11 @@ def test_parse_player_dedupes_match_ids():
     {"matches": [{"match_id": "x"}]},
     {"profile": {"rank_tier": "gold"}},
     {"profile": 3},
+    {"profile": {"rank_tier": 10**400}, "matches": []},
+    {"profile": {}, "matches": [{"match_id": 10**400}]},
 ], ids=["match entry not an object", "non-numeric match id",
-        "non-numeric rank tier", "profile not an object"])
+        "non-numeric rank tier", "profile not an object",
+        "rank tier past the float range", "match id past the float range"])
 def test_malformed_player_is_schema_error(doc):
     with pytest.raises(SchemaError):
         parse_player(doc, handle=77)
@@ -752,6 +755,18 @@ def test_offline_mode_never_touches_network(tmp_path):
     with pytest.raises(NotFound):
         offline.fetch_match(901)
     assert boom.calls == []
+
+
+def test_offline_fetch_match_names_a_malformed_cached_match(tmp_path):
+    path = match_cache_path(tmp_path, 900)
+    path.parent.mkdir(parents=True)
+    path.write_text("{}")
+    client = TelemetryClient(tmp_path, offline=True, transport=FakeTransport({}),
+                             sleep=lambda s: None)
+    with pytest.raises(SchemaError) as err:
+        client.fetch_match(900)
+    assert str(err.value) == \
+        f"{path}: $.duration: missing required field 'duration'"
 
 
 @pytest.mark.parametrize("payload", [b"[1]", b'"7"', b"null", b"{not json",
