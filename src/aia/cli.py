@@ -25,8 +25,8 @@ from pathlib import Path
 
 from . import __version__
 from .attributes import bin_survey, read_labels_csv, read_survey_csv, write_labels_csv
-from .errors import (AiaError, ConfigError, MissingLabels, NotFound, RateLimited,
-                     SchemaError)
+from .errors import (AiaError, ConfigError, DomainError, MissingLabels, MissingPair,
+                     NotFound, RateLimited, SchemaError)
 
 
 def _config_hash(doc: dict) -> str:
@@ -396,7 +396,7 @@ def _cmd_validate(args) -> int:
                                                  welch=args.welch)
         except KeyError as exc:
             raise SchemaError(f"missing field {exc}", path=args.pairs) from exc
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, MissingPair, DomainError) as exc:
             raise SchemaError(f"not a summary-tables document: {exc}",
                               path=args.pairs) from exc
     rows = validation.ledger_rows(ledger)

@@ -48,10 +48,6 @@ class MissingLabels(AiaError):
     """A feature row's owner has no row in the labels file."""
 
 
-class SlotNotFound(AiaError):
-    """Requested player slot is not present in the match."""
-
-
 class InsufficientMatches(AiaError):
     """Player has too few matches for per-player aggregation."""
 

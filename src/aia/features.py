@@ -4,6 +4,9 @@ Builds the three dataset shapes: the per-player aggregate table ("P"), the
 per-match table ("M"), and the distilled per-match table ("M_bar") which
 caps rows per player and appends the domain-knowledge columns (chat and
 hero expertise) that the plain per-match table does not carry.
+
+A player's slot entry in a match is found once, by handle (`_slot_of`),
+and the per-match extractors take that entry, not a slot number.
 """
 
 from __future__ import annotations
@@ -146,20 +149,20 @@ CHAT_FEATURE_NAMES: tuple[str, ...] = (
 _WHEEL_KINDS = ("chatwheel_general", "chatwheel_hero")
 
 
-def extract_chat_features(match: MatchRecord, slot: int,
+def extract_chat_features(match: MatchRecord, entry: MatchPlayerSlot,
                           ctx: FeatureContext) -> list[float]:
     """Chat-derived counts for one slot of one match, as floats in
-    CHAT_FEATURE_NAMES order.
+    CHAT_FEATURE_NAMES order; `entry` is the slot's entry in the match.
 
     Lexicon categories count token occurrences (case-insensitive) over the
     slot's typed global messages. A message whose trimmed text is only '?'
     characters counts as question-only. After-kill messages fall within the
     window right after a kill objective involving the slot.
     """
-    match.slot_record(slot)  # raises SlotNotFound for an absent slot
+    slot = entry.slot
     categories = ctx.token_categories
     wheel_catalog = ctx.wheel_catalog
-    kills = sorted(t for who, t in match.kill_events() if who == slot)
+    kills = sorted(t for who, t in match.kill_events if who == slot)
 
     category_counts = {cat: 0 for cat in LEXICON_CATEGORIES}
     question_only = 0
@@ -322,8 +325,8 @@ def _expert_values(match: MatchRecord, player: MatchPlayerSlot,
                    ctx: FeatureContext) -> list:
     """The expert values of one slot's row, in EXPERT_MATCH_SCHEMA order."""
     slot = player.slot
-    values = extract_chat_features(match, slot, ctx)
-    counts = match.message_counts()
+    values = extract_chat_features(match, player, ctx)
+    counts = match.message_counts
     typed = counts.get("typed_text", {})
     # Average rank among the match's slots, rank 1 = most talkative: the
     # slots that typed more come first, ties share the mean position.
@@ -345,12 +348,11 @@ def _expert_values(match: MatchRecord, player: MatchPlayerSlot,
     return values
 
 
-def build_match_features(match: MatchRecord, slot: int,
+def build_match_features(match: MatchRecord, entry: MatchPlayerSlot,
                          ctx: FeatureContext) -> list:
-    """Full per-match feature row for one slot: its naive then its expert
-    values, in MATCH_SCHEMA order."""
-    player = match.slot_record(slot)
-    return _naive_values(match, player) + _expert_values(match, player, ctx)
+    """Full per-match feature row for one slot, given its entry in the
+    match: its naive then its expert values, in MATCH_SCHEMA order."""
+    return _naive_values(match, entry) + _expert_values(match, entry, ctx)
 
 
 def _slot_of(match: MatchRecord, handle: int) -> Optional[MatchPlayerSlot]:
@@ -487,7 +489,7 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
     for match in matches:
         entry = _slot_of(match, player.handle)
         if entry is not None:
-            usable.append((match, entry, build_match_features(match, entry.slot, ctx)))
+            usable.append((match, entry, build_match_features(match, entry, ctx)))
     if len(usable) < 5:
         raise InsufficientMatches(
             f"player {player.handle} has {len(usable)} usable matches, need 5")
@@ -533,7 +535,7 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
     my_msgs = sum(r[chat_msgs] for r in rows)
     all_msgs = 0.0
     for match, _, _ in usable:
-        all_msgs += sum(match.message_counts().get("typed_text", {}).values())
+        all_msgs += sum(match.message_counts.get("typed_text", {}).values())
     out["chat_msgs_per_match"] = my_msgs / n
     out["ratio_chat_msg"] = my_msgs / max(all_msgs, 1.0)
     rank = _AT["chat_rank_in_match"]

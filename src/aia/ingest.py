@@ -7,6 +7,7 @@ committed fixtures; the synthetic generator emits the same layout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -99,45 +100,33 @@ class MatchRecord:
     word_counts: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)  # unknown source fields, preserved
 
+    @functools.cached_property
     def kill_events(self) -> list[tuple[int, float]]:
         """(slot, time) of every kill objective that names a slot.
 
-        Computed once per `objectives` list (parse_match computes it to
-        validate the record) and shared by later calls, which must not
-        modify it; records are not edited in place after parsing.
+        Computed once per record (parse_match computes it to validate the
+        record) and shared by later reads, which must not modify it;
+        records are not edited in place after parsing.
         """
-        held = self.__dict__.get("_kill_events")
-        if held is None or held[0] is not self.objectives:
-            events = []
-            for obj in self.objectives:
-                who = obj.get("slot", obj.get("player_slot"))
-                if "kill" in str(obj.get("type", "")).lower() and who is not None:
-                    events.append((int(who), float(obj.get("time", 0.0))))
-            held = self._kill_events = (self.objectives, events)
-        return held[1]
+        events = []
+        for obj in self.objectives:
+            who = obj.get("slot", obj.get("player_slot"))
+            if "kill" in str(obj.get("type", "")).lower() and who is not None:
+                events.append((int(who), float(obj.get("time", 0.0))))
+        return events
 
+    @functools.cached_property
     def message_counts(self) -> dict[str, dict[int, int]]:
         """Chat messages per kind and sender slot, {kind: {slot: count}}.
 
-        Computed once per `chat` list and shared like `kill_events`: every
-        row built from the match reads the same counts.
+        Computed once per record and shared like `kill_events`: every row
+        built from the match reads the same counts.
         """
-        held = self.__dict__.get("_message_counts")
-        if held is None or held[0] is not self.chat:
-            counts: dict[str, dict[int, int]] = {}
-            for msg in self.chat:
-                by_slot = counts.setdefault(msg.kind, {})
-                by_slot[msg.sender_slot] = by_slot.get(msg.sender_slot, 0) + 1
-            held = self._message_counts = (self.chat, counts)
-        return held[1]
-
-    def slot_record(self, slot: int) -> MatchPlayerSlot:
-        for p in self.players:
-            if p.slot == slot:
-                return p
-        from .errors import SlotNotFound
-
-        raise SlotNotFound(f"slot {slot} not in match {self.match_id}")
+        counts: dict[str, dict[int, int]] = {}
+        for msg in self.chat:
+            by_slot = counts.setdefault(msg.kind, {})
+            by_slot[msg.sender_slot] = by_slot.get(msg.sender_slot, 0) + 1
+        return counts
 
 
 @dataclass(frozen=True)
@@ -405,7 +394,7 @@ def parse_match(payload: bytes | str | dict) -> MatchRecord:
         record = _match_from_doc(doc)
         # Feature extraction converts these values again; converting them
         # here keeps every record that parses featurizable.
-        record.kill_events()
+        record.kill_events
         time.gmtime(record.start_time)
         float(record.duration_s + record.radiant_score + record.dire_score
               + abs(record.first_blood_time) + abs(record.human_players))

@@ -21,7 +21,7 @@ def confusion_matrix(y_true: Sequence, y_pred: Sequence,
 
 
 def metrics(y_true: Sequence, y_pred: Sequence,
-            classes: Sequence | None = None) -> dict[str, float]:
+            classes: Sequence) -> dict[str, float]:
     """Accuracy plus macro-averaged F1, precision, and recall.
 
     The macro average runs over schema classes that appear in either the
@@ -29,8 +29,6 @@ def metrics(y_true: Sequence, y_pred: Sequence,
     """
     if len(y_true) != len(y_pred):
         raise LengthMismatch(f"{len(y_true)} true vs {len(y_pred)} predicted")
-    if classes is None:
-        classes = sorted(set(y_true) | set(y_pred), key=str)
     present = [c for c in classes if c in set(y_true) | set(y_pred)]
     table = confusion_matrix(y_true, y_pred, present)
     correct = int(np.trace(table))

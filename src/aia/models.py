@@ -22,6 +22,11 @@ bootstrap and then, per level, its nodes' feature samples from its own
 generator, so a forest does not depend on how its growth is scheduled.
 One traversal predicts a whole forest: all (tree, row) pairs walk the
 forest's node arrays together.
+
+Every training and scoring function takes the caller's class list: the
+attribute's schema order (ordinal for the Big Five, low/medium/high). It
+codes the labels and orders the folds, SMOTE draws, ENN vote ties and the
+Spearman feature scores, so no function infers an order of its own.
 """
 
 from __future__ import annotations
@@ -492,11 +497,13 @@ class PreparedFold:
 
 
 def prepare(matrix: FeatureMatrix, row_idx: Sequence[int], y: Sequence[str],
-            classes: Sequence[str] | None = None,
+            classes: Sequence[str],
             selected: Sequence[str] | None = None,
             resample: bool = False) -> PreparedFold:
-    """The data step of training: recipe, encoding and, with `resample`, ENN."""
-    class_list = list(classes) if classes is not None else sorted(set(y), key=str)
+    """The data step of training: recipe, encoding and, with `resample`, ENN.
+    `classes` is the attribute's class list, in the order that codes the
+    labels and breaks ENN's vote ties."""
+    class_list = list(classes)
     recipe = fit_recipe(matrix, row_idx, selected)
     X = transform(matrix, row_idx, recipe)
     y_arr = np.array(y, dtype=object)
@@ -594,10 +601,11 @@ def predict(model: TrainedModel, matrix: FeatureMatrix,
 
 def select_features(matrix: FeatureMatrix, row_idx: Sequence[int],
                     y: Sequence[str], max_features: int,
-                    classes: Sequence[str] | None = None) -> list[str]:
+                    classes: Sequence[str]) -> list[str]:
     """Univariate association filter, computed on the given rows only.
 
     Numeric and boolean columns score |Spearman rho| against class codes
+    (positions in `classes`, the attribute's ordered class list)
     through the one rank kernel: their training rows form one block
     (`FeatureMatrix.float_columns`), ranked once, and the codes are ranked
     once (`stats.centered_ranks`, `stats.rank_correlations`). Categorical
@@ -609,8 +617,7 @@ def select_features(matrix: FeatureMatrix, row_idx: Sequence[int],
     rows = list(row_idx)
     if len(rows) != len(y):
         raise LengthMismatch(f"paired vectors differ in length: {len(rows)} vs {len(y)}")
-    class_list = list(classes) if classes is not None else sorted(set(y), key=str)
-    codes = [class_list.index(v) for v in y]
+    codes = [classes.index(v) for v in y]
     scored: list[tuple[float, int]] = []
     positions, block = matrix.float_columns
     if positions:
@@ -631,9 +638,7 @@ def select_features(matrix: FeatureMatrix, row_idx: Sequence[int],
     return [matrix.columns[order].name for _, order in scored[:max_features]]
 
 
-def _expand_grid(grid: dict[str, list] | list[dict]) -> list[dict]:
-    if isinstance(grid, list):
-        return [dict(g) for g in grid]
+def _expand_grid(grid: dict[str, list]) -> list[dict]:
     if not grid:
         return [{}]
     keys = list(grid)
@@ -642,12 +647,12 @@ def _expand_grid(grid: dict[str, list] | list[dict]) -> list[dict]:
 
 
 def stratified_folds(y: Sequence[str], n_folds: int, rng: np.random.Generator,
-                     classes: Sequence[str] | None = None) -> list[list[int]]:
-    """Positions 0..len(y)-1 dealt round-robin per class after a shuffle."""
-    class_list = list(classes) if classes is not None else sorted(set(y), key=str)
+                     classes: Sequence[str]) -> list[list[int]]:
+    """Positions 0..len(y)-1 dealt round-robin per class, in `classes`
+    order, after a shuffle."""
     folds: list[list[int]] = [[] for _ in range(n_folds)]
     cursor = 0
-    for cls in class_list:
+    for cls in classes:
         members = [i for i, v in enumerate(y) if v == cls]
         members = [members[i] for i in rng.permutation(len(members))]
         for member in members:
@@ -685,10 +690,9 @@ def select_best(candidates: Sequence[tuple[str, dict, int]],
     return None if best is None else best[1:]
 
 
-def grid_search(algorithm: str, grid: dict[str, list] | list[dict],
+def grid_search(algorithm: str, grid: dict[str, list],
                 matrix: FeatureMatrix, row_idx: Sequence[int], y: Sequence[str],
-                inner_folds: int = 3, seed: int = 0,
-                classes: Sequence[str] | None = None,
+                classes: Sequence[str], inner_folds: int = 3, seed: int = 0,
                 selected: Sequence[str] | None = None,
                 resample: bool = True) -> dict:
     """Exhaustive grid evaluation by stratified inner CV, scored by macro F1.
@@ -702,19 +706,18 @@ def grid_search(algorithm: str, grid: dict[str, list] | list[dict],
     if len(candidates) == 1:
         return candidates[0]
     row_idx = list(row_idx)
-    class_list = list(classes) if classes is not None else sorted(set(y), key=str)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 15485863]))
     n_folds = min(inner_folds, max(2, min(
-        sum(1 for v in y if v == c) for c in class_list if c in set(y))))
+        sum(1 for v in y if v == c) for c in classes if c in set(y))))
     prepared: list[PreparedFold] = []
     held_out: list[list[int]] = []
-    for fold in stratified_folds(y, n_folds, rng, class_list):
+    for fold in stratified_folds(y, n_folds, rng, classes):
         val_pos = set(fold)
         train_pos = [i for i in range(len(row_idx)) if i not in val_pos]
         if not fold or not train_pos or len({y[i] for i in train_pos}) < 2:
             continue
         prepared.append(prepare(matrix, [row_idx[i] for i in train_pos],
-                                [y[i] for i in train_pos], class_list,
+                                [y[i] for i in train_pos], classes,
                                 selected, resample))
         held_out.append(fold)
     if not prepared:
@@ -724,7 +727,7 @@ def grid_search(algorithm: str, grid: dict[str, list] | list[dict],
         return float(np.mean([
             metrics([y[i] for i in fold],
                     predict(model, matrix, [row_idx[i] for i in fold]),
-                    class_list)["macro_f1"]
+                    classes)["macro_f1"]
             for model, fold in zip(fold_models, held_out)])), None
 
     best = select_best([(algorithm, c, seed) for c in candidates], prepared, score)

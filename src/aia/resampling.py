@@ -66,9 +66,10 @@ def _nearest(X: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def smote_oversample(X: np.ndarray, y: Sequence, k: int = 5, seed: int = 0,
-                     classes: Sequence | None = None):
-    """Balance all classes up to the majority count with synthetic rows.
+def smote_oversample(X: np.ndarray, y: Sequence, classes: Sequence,
+                     k: int = 5, seed: int = 0):
+    """Balance all classes up to the majority count with synthetic rows,
+    drawn class by class in `classes` order.
 
     Each synthetic row lies on the segment between a minority row and one of
     its k nearest same-class neighbors (uniform interpolation coefficient).
@@ -81,9 +82,8 @@ def smote_oversample(X: np.ndarray, y: Sequence, k: int = 5, seed: int = 0,
         from .errors import EmptyInput
 
         raise EmptyInput("smote_oversample needs at least one row")
-    class_list = list(classes) if classes is not None else sorted(set(y_arr), key=str)
-    counts = {c: int((y_arr == c).sum()) for c in class_list}
-    observed = [c for c in class_list if counts[c] > 0]
+    counts = {c: int((y_arr == c).sum()) for c in classes}
+    observed = [c for c in classes if counts[c] > 0]
     majority = max(counts[c] for c in observed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2654435]))
     new_rows: list[np.ndarray] = []
@@ -117,8 +117,7 @@ def smote_oversample(X: np.ndarray, y: Sequence, k: int = 5, seed: int = 0,
     return X_out, y_out
 
 
-def enn_undersample(X: np.ndarray, y: Sequence, k: int = 3,
-                    classes: Sequence | None = None):
+def enn_undersample(X: np.ndarray, y: Sequence, classes: Sequence, k: int = 3):
     """Wilson editing: drop rows whose k nearest neighbors outvote their label.
 
     All removal decisions are made against the original set. Neighbor ties
@@ -129,13 +128,11 @@ def enn_undersample(X: np.ndarray, y: Sequence, k: int = 3,
         raise ValueError("k must be >= 1")
     X = np.asarray(X, dtype=float)
     y_arr = np.asarray(list(y), dtype=object)
-    n = len(y_arr)
-    class_list = list(classes) if classes is not None else sorted(set(y_arr), key=str)
-    if n <= k:
+    if len(y_arr) <= k:
         return X.copy(), y_arr.copy()
-    code = {c: i for i, c in enumerate(class_list)}
+    code = {c: i for i, c in enumerate(classes)}
     y_codes = np.array([code[v] for v in y_arr])
     neighbor_codes = y_codes[_nearest(X, k)]
-    votes = (neighbor_codes[:, :, None] == np.arange(len(class_list))).sum(axis=1)
+    votes = (neighbor_codes[:, :, None] == np.arange(len(classes))).sum(axis=1)
     keep = votes.argmax(axis=1) == y_codes  # vote tie -> earliest class
     return X[keep].copy(), y_arr[keep].copy()

@@ -119,6 +119,12 @@ def _stat(label: str, pair: Iterable[float], n: int) -> SummaryStat:
         raise ValueError(f"{label}: expected [mean, std], got {pair!r}") from exc
 
 
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{field}: expected an object, got {type(value).__name__}")
+    return value
+
+
 def _n_runs(table: dict, name: str) -> int:
     value = table["n_runs"]
     try:
@@ -147,13 +153,17 @@ def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,
     (top-2 protocol). `tables` defaults to the shipped published values and
     accepts any document with the same shape.
     """
-    tables = tables if tables is not None else load_published_results()
+    tables = _object(tables if tables is not None else load_published_results(), "$")
     families: list[LedgerFamily] = []
     for family, name, baseline, opponent in _FAMILIES:
-        table = tables[name]
+        table = _object(tables[name], name)
         results = []
-        for attr, row in table["attributes"].items():
+        for attr, row in _object(table["attributes"], f"{name}.attributes").items():
+            row = _object(row, f"{name}.attributes.{attr}")
             other = row.get("best") if opponent is None else opponent
+            if other is not None and not isinstance(other, str):
+                raise ValueError(f"{name}.attributes.{attr}.best: expected a "
+                                 f"column name, got {other!r}")
             for column in (baseline, other):
                 if column is None or column not in row:
                     raise MissingPair(

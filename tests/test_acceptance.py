@@ -339,7 +339,7 @@ def test_criterion_7_resampler_invariants():
     majority = rng.normal(loc=5.0, size=(48, 3))
     X = np.vstack([majority, minority])
     y = ["maj"] * 48 + ["min"] * 12
-    X_out, y_out = smote_oversample(X, y, k=5, seed=4)
+    X_out, y_out = smote_oversample(X, y, k=5, seed=4, classes=["maj", "min"])
     assert sum(1 for v in y_out if v == "min") == 48
     assert sum(1 for v in y_out if v == "maj") == 48
     synth = X_out[60:]

@@ -225,7 +225,7 @@ def _toy_model_and_matrix():
                            rows=rows, row_owner=[1] * 20,
                            row_match=list(range(20)))
     model = models.fit_prepared("decision_tree",
-                                models.prepare(matrix, range(20), y),
+                                models.prepare(matrix, range(20), y, ["a", "b"]),
                                 {"max_depth": 2, "min_leaf": 2})
     return model, matrix
 

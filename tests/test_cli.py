@@ -357,6 +357,13 @@ def test_validate_on_a_document_without_tables_exits_1(tmp_path, capsys):
                     "'simple'")
 
 
+def test_validate_on_a_document_that_is_not_an_object_exits_1(tmp_path, capsys):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text("[]")
+    _exits_1_naming(["validate", "--pairs", str(pairs)], capsys, str(pairs),
+                    "$: expected an object, got list")
+
+
 def test_validate_on_a_non_integer_run_count_names_its_field(tmp_path, capsys):
     from aia.validation import load_published_results
 
@@ -366,6 +373,34 @@ def test_validate_on_a_non_integer_run_count_names_its_field(tmp_path, capsys):
     pairs.write_text(json.dumps(doc))
     _exits_1_naming(["validate", "--pairs", str(pairs)], capsys, str(pairs),
                     "simple.n_runs", "'x'")
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda doc: doc["simple"]["attributes"]["gender"].update(best=["x"]),
+     ["simple.attributes.gender.best", "['x']"]),
+    (lambda doc: doc["simple"]["attributes"]["gender"].update(best=5),
+     ["simple.attributes.gender.best", "got 5"]),
+    (lambda doc: doc.update(simple=[]), ["simple: expected an object"]),
+    (lambda doc: doc["one_match"].update(attributes=[]),
+     ["one_match.attributes: expected an object"]),
+    (lambda doc: doc["one_match"]["attributes"].update(gender=[]),
+     ["one_match.attributes.gender: expected an object"]),
+    (lambda doc: doc["simple"]["attributes"]["gender"].pop("dummy"),
+     ["'gender'", "'dummy'"]),
+    (lambda doc: doc["simple"]["attributes"]["gender"].update(dummy=[50.0, -1.0]),
+     ["'gender:dummy'", "negative std"]),
+    (lambda doc: doc["one_match"].update(n_runs=1), ["'gender:dummy'", "n >= 2"]),
+], ids=["list best", "number best", "list table", "list attributes", "list row",
+        "no dummy column", "negative std", "one run"])
+def test_validate_on_a_malformed_table_names_file_and_field(tmp_path, capsys, edit,
+                                                            words):
+    from aia.validation import load_published_results
+
+    doc = load_published_results()
+    edit(doc)
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps(doc))
+    _exits_1_naming(["validate", "--pairs", str(pairs)], capsys, str(pairs), *words)
 
 
 @pytest.mark.parametrize("command", [

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aia.errors import InsufficientMatches, SchemaError, SlotNotFound
+from aia.errors import InsufficientMatches, SchemaError
 from aia.features import (
     AFTER_KILL_WINDOW_S,
     CHAT_FEATURE_NAMES,
@@ -102,9 +102,15 @@ class ChatFeatures:
         return out
 
 
+def slot_entry(match, slot):
+    """The match's entry for a slot number."""
+    return next(p for p in match.players if p.slot == slot)
+
+
 def chat_features(match, slot, ctx) -> ChatFeatures:
-    """extract_chat_features' values, read back by name."""
-    v = dict(zip(CHAT_FEATURE_NAMES, extract_chat_features(match, slot, ctx)))
+    """extract_chat_features' values for a slot number, read back by name."""
+    v = dict(zip(CHAT_FEATURE_NAMES,
+                 extract_chat_features(match, slot_entry(match, slot), ctx)))
     return ChatFeatures(
         category_counts={cat: v[f"chat_{cat}_count"] for cat in LEXICON_CATEGORIES},
         question_only_msgs=v["chat_question_only_msgs"],
@@ -123,9 +129,9 @@ def chat_features(match, slot, ctx) -> ChatFeatures:
 
 
 def match_row(match, slot, ctx) -> dict:
-    """build_match_features' row, keyed by column name."""
+    """build_match_features' row for a slot number, keyed by column name."""
     return dict(zip([name for name, _ in MATCH_SCHEMA],
-                    build_match_features(match, slot, ctx)))
+                    build_match_features(match, slot_entry(match, slot), ctx)))
 
 
 @pytest.fixture()
@@ -202,11 +208,6 @@ def test_wheel_channel_split_sums_to_total(feature_ctx):
         match = make_match(chat=chat)
         feats = chat_features(match, 0, feature_ctx)
         assert feats.wheel_global_msgs + feats.wheel_team_msgs == n_wheel
-
-
-def test_chat_slot_not_found(chat_match, feature_ctx):
-    with pytest.raises(SlotNotFound):
-        extract_chat_features(chat_match, 42, feature_ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +653,10 @@ def reference_chat_features(match, slot, lexicons, early_window_s=90.0,
                             after_kill_window_s=10.0, wheel_catalog=None):
     """extract_chat_features as first written: one scan per lexicon
     category, kill events and lexicon sets rebuilt on every call."""
-    match.slot_record(slot)
     wheel_catalog = wheel_catalog or {}
     typed = [m for m in match.chat
              if m.sender_slot == slot and m.kind == "typed_text"]
-    kills = sorted(t for who, t in match.kill_events() if who == slot)
+    kills = sorted(t for who, t in match.kill_events if who == slot)
     category_counts = {cat: 0 for cat in LEXICON_CATEGORIES}
     lexicon_sets = {lx.category: set(lx.words) for lx in lexicons}
     question_only = qmarks = emarks = capitals = early = after_kill = 0
@@ -712,7 +712,7 @@ def test_chat_features_equal_reference_on_every_fixture_slot(
     checked = 0
     for match in fixture_population.matches.values():
         for player in match.players:
-            fast = extract_chat_features(match, player.slot, feature_ctx)
+            fast = extract_chat_features(match, player, feature_ctx)
             slow = reference_chat_features(
                 match, player.slot, feature_ctx.lexicons,
                 early_window_s=EARLY_WINDOW_S,
@@ -729,7 +729,7 @@ def reference_match_features(match, slot, ctx):
     """build_match_features as it was before it returned a list: one dict
     per row, the chat values through a ChatFeatures record, and a second
     scan of the chat for the typed and hero-wheel counts."""
-    player = match.slot_record(slot)
+    player = slot_entry(match, slot)
     team_score = match.radiant_score if player.is_radiant else match.dire_score
     enemy_score = match.dire_score if player.is_radiant else match.radiant_score
     tm = time.gmtime(match.start_time)

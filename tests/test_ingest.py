@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import build_match_doc
 from aia.attributes import AttributeLabels
-from aia.errors import NotFound, RateLimited, SchemaError, SlotNotFound
+from aia.errors import NotFound, RateLimited, SchemaError
 from aia.features import build_match_features
 from aia import ingest
 from aia.ingest import (
@@ -274,7 +274,7 @@ def test_parse_match_is_total(feature_ctx, key, value, depth, data):
     except SchemaError:
         return
     for player in record.players:
-        build_match_features(record, player.slot, feature_ctx)
+        build_match_features(record, player, feature_ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,7 @@ def reference_parse_match(doc: dict) -> MatchRecord:
     costs were cut."""
     try:
         record = _ref_match_from_doc(doc)
-        record.kill_events()
+        record.kill_events
         time.gmtime(record.start_time)
         float(record.duration_s + record.radiant_score + record.dire_score
               + abs(record.first_blood_time) + abs(record.human_players))
@@ -636,13 +636,6 @@ def test_atomic_write_creates_a_missing_directory(tmp_path):
     atomic_write(path, b"two")
     assert path.read_bytes() == b"two"
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["1.json"]
-
-
-def test_slot_lookup():
-    record = parse_match(json.dumps(minimal_match()).encode())
-    assert record.slot_record(0).handle == 100
-    with pytest.raises(SlotNotFound):
-        record.slot_record(42)
 
 
 def test_parse_player_dedupes_match_ids():

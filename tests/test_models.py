@@ -34,7 +34,7 @@ def separable(n=40, seed=0):
 def test_logistic_separable_perfect_training_accuracy():
     m, y = separable()
     model = models.fit_prepared("logistic_regression",
-                                models.prepare(m, range(40), y), seed=1)
+                                models.prepare(m, range(40), y, ["a", "b"]), seed=1)
     pred = models.predict(model, m, range(40))
     assert pred == y
     assert "not_converged" not in model.flags
@@ -42,7 +42,7 @@ def test_logistic_separable_perfect_training_accuracy():
 
 def test_depth_one_tree_on_threshold_data():
     m, y = separable()
-    model = models.fit_prepared("decision_tree", models.prepare(m, range(40), y),
+    model = models.fit_prepared("decision_tree", models.prepare(m, range(40), y, ["a", "b"]),
                                 {"max_depth": 1, "min_leaf": 1})
     assert models.predict(model, m, range(40)) == y
 
@@ -56,7 +56,7 @@ def test_tree_split_survives_adjacent_float_values():
     rows = [[lo], [lo], [lo], [hi], [hi], [hi]]
     m = table(rows)
     y = ["a", "a", "a", "b", "b", "b"]
-    model = models.fit_prepared("decision_tree", models.prepare(m, range(6), y),
+    model = models.fit_prepared("decision_tree", models.prepare(m, range(6), y, ["a", "b"]),
                                 {"max_depth": 3, "min_leaf": 1})
     probs = models.predict_proba(model, m, range(6))
     assert np.isfinite(probs).all()
@@ -386,16 +386,16 @@ def test_forest_traversal_equals_the_mean_of_row_by_row_walks():
 def test_forest_of_identical_trees_equals_single_tree():
     m, y = separable()
     hp = {"max_depth": 1, "min_leaf": 1}
-    forest = models.fit_prepared("random_forest", models.prepare(m, range(40), y),
+    forest = models.fit_prepared("random_forest", models.prepare(m, range(40), y, ["a", "b"]),
                                  dict(hp, n_trees=25), seed=3)
-    tree = models.fit_prepared("decision_tree", models.prepare(m, range(40), y), hp)
+    tree = models.fit_prepared("decision_tree", models.prepare(m, range(40), y, ["a", "b"]), hp)
     assert np.allclose(models.predict_proba(forest, m, range(40)),
                        models.predict_proba(tree, m, range(40)))
 
 
 def test_mlp_learns_separable_data():
     m, y = separable()
-    model = models.fit_prepared("mlp", models.prepare(m, range(40), y),
+    model = models.fit_prepared("mlp", models.prepare(m, range(40), y, ["a", "b"]),
                                 {"hidden": 32, "lr": 1e-2}, seed=2)
     assert models.predict(model, m, range(40)) == y
 
@@ -403,7 +403,7 @@ def test_mlp_learns_separable_data():
 def test_dummy_proba_is_exact_prior_vector():
     m, y = separable()
     y = ["a"] * 28 + ["b"] * 12  # 70/30
-    model = models.fit_prepared("dummy_stratified", models.prepare(m, range(40), y),
+    model = models.fit_prepared("dummy_stratified", models.prepare(m, range(40), y, ["a", "b"]),
                                 seed=0)
     probs = models.predict_proba(model, m, range(40))
     assert np.allclose(probs, np.tile([0.7, 0.3], (40, 1)))
@@ -415,7 +415,7 @@ def test_dummy_predictions_follow_priors():
     rows = [[float(v)] for v in rng.normal(size=n)]
     m = table(rows)
     y = ["a"] * 7000 + ["b"] * 3000
-    model = models.fit_prepared("dummy_stratified", models.prepare(m, range(n), y),
+    model = models.fit_prepared("dummy_stratified", models.prepare(m, range(n), y, ["a", "b"]),
                                 seed=5)
     pred = models.predict(model, m, range(n))
     share_a = sum(1 for p in pred if p == "a") / n
@@ -428,7 +428,7 @@ def test_all_probability_outputs_live_on_simplex():
     y = [str(v) for v in rng.integers(0, 3, 60)]
     m = table(rows)
     for algorithm in models.ALGORITHMS:
-        model = models.fit_prepared(algorithm, models.prepare(m, range(60), y),
+        model = models.fit_prepared(algorithm, models.prepare(m, range(60), y, ["0", "1", "2"]),
                                     seed=4)
         probs = models.predict_proba(model, m, range(60))
         assert probs.shape == (60, 3)
@@ -439,7 +439,7 @@ def test_all_probability_outputs_live_on_simplex():
 def test_binary_logistic_probabilities_complement():
     m, y = separable()
     model = models.fit_prepared("logistic_regression",
-                                models.prepare(m, range(40), y), seed=1)
+                                models.prepare(m, range(40), y, ["a", "b"]), seed=1)
     probs = models.predict_proba(model, m, range(40))
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
 
@@ -524,7 +524,7 @@ def test_logistic_converges_where_gradient_descent_hit_its_cap(fixture_players,
 
 def test_argmax_invariant_under_monotone_rescale():
     m, y = separable()
-    model = models.fit_prepared("random_forest", models.prepare(m, range(40), y),
+    model = models.fit_prepared("random_forest", models.prepare(m, range(40), y, ["a", "b"]),
                                 {"n_trees": 10, "max_depth": 3, "min_leaf": 1},
                                 seed=8)
     probs = models.predict_proba(model, m, range(40))
@@ -539,8 +539,8 @@ def test_determinism_same_seed_same_everything():
     y = [str(v) for v in rng.integers(0, 2, 50)]
     m = table(rows)
     for algorithm in ("random_forest", "mlp", "dummy_stratified"):
-        one = models.fit_prepared(algorithm, models.prepare(m, range(50), y), seed=7)
-        two = models.fit_prepared(algorithm, models.prepare(m, range(50), y), seed=7)
+        one = models.fit_prepared(algorithm, models.prepare(m, range(50), y, ["0", "1"]), seed=7)
+        two = models.fit_prepared(algorithm, models.prepare(m, range(50), y, ["0", "1"]), seed=7)
         assert np.array_equal(models.predict_proba(one, m, range(50)),
                               models.predict_proba(two, m, range(50)))
         assert models.predict(one, m, range(50)) == models.predict(two, m, range(50))
@@ -568,7 +568,7 @@ def test_unseen_category_encodes_to_zeros():
 
 def test_predict_rejects_wrong_matrix():
     m, y = separable()
-    model = models.fit_prepared("decision_tree", models.prepare(m, range(40), y))
+    model = models.fit_prepared("decision_tree", models.prepare(m, range(40), y, ["a", "b"]))
     other = table([[1.0, 2.0]], names=["g0", "g1"])
     with pytest.raises(SchemaMismatch):
         models.predict_proba(model, other, [0])
@@ -594,20 +594,21 @@ def planted_table(n=120, seed=1):
 
 def test_select_features_finds_planted_signal():
     m, y = planted_table()
-    selected = models.select_features(m, range(m.n_rows), y, 2)
+    selected = models.select_features(m, range(m.n_rows), y, 2, ["0", "1"])
     assert selected[0] == "signal"
 
 
 def test_select_features_identity_when_budget_large():
     m, y = planted_table()
-    selected = models.select_features(m, range(m.n_rows), y, 100)
+    selected = models.select_features(m, range(m.n_rows), y, 100, ["0", "1"])
     assert set(selected) == {"noise1", "signal", "noise2"}  # constant excluded
 
 
 def test_select_features_never_picks_constant():
     m, y = planted_table()
     for budget in (1, 2, 3, 4):
-        assert "constant" not in models.select_features(m, range(m.n_rows), y, budget)
+        assert "constant" not in models.select_features(m, range(m.n_rows), y, budget,
+                                                     ["0", "1"])
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +619,7 @@ def test_select_features_never_picks_constant():
 def test_grid_search_single_point():
     m, y = separable()
     best = models.grid_search("decision_tree", {"max_depth": [2], "min_leaf": [5]},
-                              m, range(40), y, inner_folds=2)
+                              m, range(40), y, ["a", "b"], inner_folds=2)
     assert best == {"max_depth": 2, "min_leaf": 5}
 
 
@@ -634,7 +635,7 @@ def test_grid_search_recovers_generating_depth():
         m = table([[float(v)] for v in x])
         best = models.grid_search(
             "decision_tree", {"max_depth": [1, 8], "min_leaf": [1]},
-            m, range(80), y, inner_folds=3, seed=seed, resample=False)
+            m, range(80), y, ["a", "b"], inner_folds=3, seed=seed, resample=False)
         if best["max_depth"] == 1:
             hits += 1
     assert hits >= 8
@@ -655,7 +656,8 @@ def test_grid_search_cleans_each_inner_fold_once(monkeypatch):
     monkeypatch.setattr(resampling, "enn_undersample", counted)
     m, y = separable(n=60)
     models.grid_search("decision_tree", {"max_depth": [1, 3], "min_leaf": [1, 5]},
-                       m, range(60), y, inner_folds=3, seed=0, resample=True)
+                       m, range(60), y, ["a", "b"], inner_folds=3, seed=0,
+                       resample=True)
     assert len(calls) == 3
 
 
@@ -667,7 +669,7 @@ def test_grid_metric_changes_selection_on_imbalanced_fixture():
     y = ["a"] * len(xa) + ["b"] * len(xb)
     grid = {"l2": [0.01, 1.0]}
     by_f1 = models.grid_search("logistic_regression", grid, m, range(len(y)), y,
-                               inner_folds=2, seed=0, resample=False)
+                               ["a", "b"], inner_folds=2, seed=0, resample=False)
     assert by_f1 == {"l2": 0.01}
 
 
@@ -758,11 +760,11 @@ def test_select_features_keeps_the_error_of_a_bad_sample():
 
     m, y = planted_table()
     with pytest.raises(DomainError):
-        models.select_features(m, [0, 1], y[:2], 2)
+        models.select_features(m, [0, 1], y[:2], 2, ["0", "1"])
     with pytest.raises(LengthMismatch):
-        models.select_features(m, range(10), y[:9], 2)
+        models.select_features(m, range(10), y[:9], 2, ["0", "1"])
     rows = [list(r) for r in m.rows]
     rows[5][0] = float("nan")
     with pytest.raises(DomainError):
         models.select_features(table(rows, names=[c.name for c in m.columns]),
-                               range(len(rows)), y, 2)
+                               range(len(rows)), y, 2, ["0", "1"])

@@ -26,7 +26,7 @@ def test_smote_synthetic_points_stay_on_segment_k1():
     b = np.array([1.0, 2.0])
     X = np.vstack([a, b] + [[10.0 + i, 10.0] for i in range(8)])
     y = ["min", "min"] + ["maj"] * 8
-    X_out, y_out = smote_oversample(X, y, k=1, seed=3)
+    X_out, y_out = smote_oversample(X, y, k=1, seed=3, classes=["maj", "min"])
     synth = X_out[10:]
     assert len(synth) == 6  # minority 2 -> 8
     direction = b - a
@@ -41,7 +41,7 @@ def test_smote_balances_90_10():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(100, 3))
     y = ["maj"] * 90 + ["min"] * 10
-    X_out, y_out = smote_oversample(X, y, k=5, seed=1)
+    X_out, y_out = smote_oversample(X, y, k=5, seed=1, classes=["maj", "min"])
     assert counts(y_out) == {"maj": 90, "min": 90}
     assert X_out.shape == (180, 3)
 
@@ -50,7 +50,7 @@ def test_smote_keeps_originals_as_prefix():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(30, 2))
     y = ["maj"] * 25 + ["min"] * 5
-    X_out, y_out = smote_oversample(X, y, seed=9)
+    X_out, y_out = smote_oversample(X, y, seed=9, classes=["maj", "min"])
     assert np.array_equal(X_out[:30], X)
     assert list(y_out[:30]) == y
 
@@ -61,7 +61,7 @@ def test_smote_preserves_minority_mean():
     majority = rng.normal(loc=-2.0, scale=0.5, size=(400, 2))
     X = np.vstack([majority, minority])
     y = ["maj"] * 400 + ["min"] * 40
-    X_out, y_out = smote_oversample(X, y, k=5, seed=2)
+    X_out, y_out = smote_oversample(X, y, k=5, seed=2, classes=["maj", "min"])
     new_min = X_out[np.asarray(y_out) == "min"]
     assert np.allclose(new_min.mean(axis=0), minority.mean(axis=0), atol=0.1)
 
@@ -70,7 +70,7 @@ def test_smote_single_member_falls_back_to_duplication():
     X = np.array([[0.0], [5.0], [6.0], [7.0]])
     y = ["min", "maj", "maj", "maj"]
     with pytest.warns(RuntimeWarning):
-        X_out, y_out = smote_oversample(X, y, seed=0)
+        X_out, y_out = smote_oversample(X, y, seed=0, classes=["maj", "min"])
     assert counts(y_out) == {"min": 3, "maj": 3}
     assert np.allclose(X_out[np.asarray(y_out) == "min"], 0.0)
 
@@ -87,8 +87,8 @@ def test_smote_deterministic():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(50, 3))
     y = ["maj"] * 40 + ["min"] * 10
-    X1, y1 = smote_oversample(X, y, seed=13)
-    X2, y2 = smote_oversample(X, y, seed=13)
+    X1, y1 = smote_oversample(X, y, seed=13, classes=["maj", "min"])
+    X2, y2 = smote_oversample(X, y, seed=13, classes=["maj", "min"])
     assert np.array_equal(X1, X2)
     assert list(y1) == list(y2)
 
@@ -123,7 +123,7 @@ def test_enn_keeps_separated_clusters():
     b = rng.normal(loc=10.0, scale=0.2, size=(20, 2))
     X = np.vstack([a, b])
     y = ["a"] * 20 + ["b"] * 20
-    X_out, y_out = enn_undersample(X, y, k=3)
+    X_out, y_out = enn_undersample(X, y, k=3, classes=["a", "b"])
     assert len(y_out) == 40
 
 
@@ -133,7 +133,7 @@ def test_enn_removes_single_mislabeled_point():
     b = rng.normal(loc=10.0, scale=0.2, size=(20, 2))
     X = np.vstack([a, b, [[10.1, 10.1]]])
     y = ["a"] * 20 + ["b"] * 20 + ["a"]  # intruder inside cluster b
-    X_out, y_out = enn_undersample(X, y, k=3)
+    X_out, y_out = enn_undersample(X, y, k=3, classes=["a", "b"])
     assert len(y_out) == 40
     assert counts(y_out) == {"a": 20, "b": 20}
 
