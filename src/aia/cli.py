@@ -16,11 +16,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import gc
 import hashlib
 import json
+import operator
 import os
+import pickle
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -46,10 +50,9 @@ def _write_json(path: Path, doc: dict) -> None:
                     encoding="utf-8")
 
 
-def _load_corpus(cache_dir: Path, labels_path: Path, min_matches: int,
-                 min_human_players: int = 0):
-    from .ingest import (filter_players, iter_cached_players, load_cached_match,
-                         load_cached_player)
+def _load_players(cache_dir: Path, labels_path: Path, min_matches: int):
+    """The kept players, sorted by handle, and the filter report."""
+    from .ingest import filter_players, iter_cached_players, load_cached_player
 
     labels = read_labels_csv(labels_path)
     pairs = []
@@ -57,7 +60,13 @@ def _load_corpus(cache_dir: Path, labels_path: Path, min_matches: int,
         record = load_cached_player(cache_dir, handle)
         pairs.append((record, labels.get(handle)))
     kept, report = filter_players(pairs, min_matches=min_matches)
-    players = [record for record, _ in kept]
+    return [record for record, _ in kept], report
+
+
+def _load_matches(cache_dir: Path, players, min_human_players: int) -> dict:
+    """Every match of these players, decoded and validated, by match id."""
+    from .ingest import load_cached_match
+
     matches = {}
     for record in players:
         for mid in record.match_ids:
@@ -67,7 +76,100 @@ def _load_corpus(cache_dir: Path, labels_path: Path, min_matches: int,
                 # exists because the source data does not settle the question.
                 if match.human_players >= min_human_players:
                     matches[mid] = match
-    return players, matches, report
+    return matches
+
+
+# The errors main() reports as a data error (exit 1).
+_DATA_ERRORS = (AiaError, OSError, json.JSONDecodeError)
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def _shards(players: list, n: int) -> list[list]:
+    """At most `n` contiguous runs of `players`, in order, each holding
+    about the same number of matches; one empty run when there are none."""
+    left = sum(len(p.match_ids) for p in players)  # not in a closed run
+    shards: list[list] = [[]]
+    size = 0
+    for record in players:
+        # Close the open run once it holds its share of what is left.
+        if shards[-1] and len(shards) < n and size * (n - len(shards) + 1) >= left:
+            left -= size
+            shards.append([])
+            size = 0
+        shards[-1].append(record)
+        size += len(record.match_ids)
+    return shards
+
+
+def _run_forked(fn, jobs: list) -> list:
+    """fn(job) for each job, in job order. Each job runs in a child forked
+    from this process and pickles its result back through its own pipe; a
+    single job runs here. A child that exits without a result (it printed
+    its traceback) raises AiaError."""
+    if len(jobs) == 1:
+        return [fn(jobs[0])]
+    pids, readers = [], []
+    try:
+        for job in jobs:
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:  # pragma: no cover - the child, which never returns
+                    _report_to_parent(fn, job, read_fd, write_fd)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        results = [reader.read() for reader in readers]
+    finally:
+        # A child blocked on a full pipe sees it closed, so every wait ends.
+        for reader in readers:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, code in zip(pids, codes):
+        if code != 0:
+            raise AiaError(f"worker process {pid} failed (exit status {code})")
+    return [pickle.loads(data) for data in results]
+
+
+def _report_to_parent(fn, job, read_fd: int, write_fd: int) -> None:  # pragma: no cover
+    """In a forked child: write pickle(fn(job)) to the pipe's `write_fd` and
+    exit, with status 1 and the traceback on stderr when that fails."""
+    status = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as out:
+            pickle.dump(fn(job), out, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(status)
+
+
+def _featurize_shard(cache: Path, variant: str, min_human_players: int, ctx,
+                     players: list) -> tuple:
+    """Load and featurize one shard of players, as (stage, value): (0, error)
+    when a match fails to load, (1, error) when a row fails to build, else
+    (2, (owners, lines)) from `build_shard_lines`. The stage ranks errors
+    across shards: a whole-corpus command loads every match before it builds
+    any row."""
+    from .features import build_shard_lines
+
+    try:
+        matches = _load_matches(cache, players, min_human_players)
+    except _DATA_ERRORS as exc:
+        return 0, exc
+    try:
+        return 2, build_shard_lines(variant, players, matches, ctx)
+    except _DATA_ERRORS as exc:
+        return 1, exc
 
 
 # ---------------------------------------------------------------------------
@@ -173,38 +275,48 @@ def _cmd_featurize(args) -> int:
 
 
 def _featurize(args) -> int:
-    from .features import (FeatureContext, build_distilled, build_match_matrix,
-                           build_naive_match_matrix, build_player_matrix)
-    from .matrix import save_matrix
+    from .features import FeatureContext, distill_picks, variant_columns
+    from .matrix import write_lines
 
     cache = Path(args.cache)
     out = Path(args.out)
-    players, matches, freport = _load_corpus(
-        cache, Path(args.labels), args.min_matches, args.min_human_players)
+    players, freport = _load_players(cache, Path(args.labels), args.min_matches)
     ctx = FeatureContext.default()
+    variant = "M_bar" if args.variant == "Mbar" else args.variant
+    # One shard of players per CPU, each loaded and featurized by its own
+    # worker; the rows come back as finished CSV lines, in handle order.
+    outcomes = _run_forked(
+        functools.partial(_featurize_shard, cache, variant,
+                          args.min_human_players, ctx),
+        _shards(players, _worker_count()))
+    failed = [outcome for outcome in outcomes if outcome[0] < 2]
+    if failed:
+        raise min(failed, key=operator.itemgetter(0))[1]
+    owners: list[int] = []
+    lines: list[str] = []
+    for _, (shard_owners, shard_lines) in outcomes:
+        owners += shard_owners
+        lines += shard_lines
     _write_json(out / "filter_report.json", {
         "invalid_labels": freport.invalid_labels,
         "not_visible": freport.not_visible,
         "inactive": freport.inactive,
         "retained": freport.retained,
     })
-    if args.variant == "P":
-        matrix = build_player_matrix(players, matches, ctx)
-        save_matrix(matrix, out / "P.csv")
-        print(f"featurize: P {matrix.n_rows}x{len(matrix.columns)} -> {out}")
+    columns = variant_columns(variant)
+    config_hash = ctx.config_hash()
+    if variant != "M_bar":
+        write_lines(out / f"{variant}.csv", variant, columns, lines,
+                    has_match_ids=variant == "M", config_hash=config_hash)
+        print(f"featurize: {variant} {len(lines)}x{len(columns)} -> {out}")
         return 0
-    if args.variant == "M":
-        m = build_naive_match_matrix(players, matches, ctx)
-        save_matrix(m, out / "M.csv")
-        print(f"featurize: M {m.n_rows}x{len(m.columns)} -> {out}")
-        return 0
-    m, aug = build_match_matrix(players, matches, ctx)
-    variants = build_distilled(m, aug, n_variants=args.variants, seed=args.seed)
-    lines: dict = {}  # rows the variants share are formatted once
-    for i, variant in enumerate(variants):
-        save_matrix(variant, out / f"Mbar_{i:02d}.csv", lines)
-    print(f"featurize: {len(variants)} Mbar variants "
-          f"({variants[0].n_rows}x{len(variants[0].columns)}) -> {out}")
+    picks = distill_picks(owners, args.variants, args.seed)
+    for v, picked in enumerate(picks):
+        write_lines(out / f"Mbar_{v:02d}.csv", variant, columns,
+                    (lines[i] for i in picked), has_match_ids=True,
+                    variant_seed=v, config_hash=config_hash)
+    print(f"featurize: {len(picks)} Mbar variants "
+          f"({len(picks[0])}x{len(columns)}) -> {out}")
     return 0
 
 
@@ -540,7 +652,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (AiaError, OSError, json.JSONDecodeError) as exc:
+    except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+Every error pickles to an equal one (same message and attributes), so a
+featurize worker process can hand its error to the parent.
+"""
 
 
 class AiaError(Exception):
@@ -13,7 +17,11 @@ class SchemaError(AiaError):
 
     def __init__(self, message: str, path: str = "$"):
         super().__init__(f"{path}: {message}")
+        self.message = message
         self.path = path
+
+    def __reduce__(self):
+        return type(self), (self.message, self.path)
 
 
 class NotFound(AiaError):

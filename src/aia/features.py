@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import InsufficientMatches, SchemaError
 from .ingest import MatchPlayerSlot, MatchRecord, PlayerRecord
-from .matrix import DISTILL_CAP, Column, FeatureMatrix
+from .matrix import DISTILL_CAP, Column, FeatureMatrix, format_lines
 
 LEXICON_CATEGORIES = ("laugh", "slang", "bad_behavior", "good_behavior", "provocative")
 WHEEL_CATEGORIES = ("tactical", "laugh", "deny", "good_behavior")
@@ -275,6 +275,14 @@ MATCH_SCHEMA = NAIVE_MATCH_SCHEMA + EXPERT_MATCH_SCHEMA
 _AT = {name: i for i, (name, _) in enumerate(MATCH_SCHEMA)}
 
 
+def variant_columns(variant: str) -> list[Column]:
+    """The columns of a "P", "M" or "M_bar" matrix."""
+    if variant == "P":
+        return player_columns()
+    return [Column(n, k) for n, k in
+            (NAIVE_MATCH_SCHEMA if variant == "M" else MATCH_SCHEMA)]
+
+
 def _naive_values(match: MatchRecord, player: MatchPlayerSlot) -> list:
     """The naive values of one slot's row, in NAIVE_MATCH_SCHEMA order."""
     slot = player.slot
@@ -385,9 +393,9 @@ def build_naive_match_matrix(players: Sequence[PlayerRecord],
             rows.append(_naive_values(match, entry))
             owners.append(player.handle)
             match_ids.append(mid)
-    columns = [Column(n, k) for n, k in NAIVE_MATCH_SCHEMA]
-    return FeatureMatrix(variant="M", columns=columns, rows=rows, row_owner=owners,
-                         row_match=match_ids, config_hash=ctx.config_hash())
+    return FeatureMatrix(variant="M", columns=variant_columns("M"), rows=rows,
+                         row_owner=owners, row_match=match_ids,
+                         config_hash=ctx.config_hash())
 
 
 def build_match_matrix(players: Sequence[PlayerRecord],
@@ -406,42 +414,74 @@ def build_match_matrix(players: Sequence[PlayerRecord],
     return m, expert_rows
 
 
-def build_distilled(m: FeatureMatrix, expert_rows: Sequence[list],
-                    max_per_player: int = DISTILL_CAP, n_variants: int = 20,
-                    seed: int = 0) -> list[FeatureMatrix]:
-    """Distilled per-match variants: capped rows per owner, with the expert
-    values of row i of M (`expert_rows[i]`) appended to it.
+def distill_picks(row_owner: Sequence[int], n_variants: int, seed: int,
+                  max_per_player: int = DISTILL_CAP) -> list[list[int]]:
+    """The positions of the rows each distilled variant keeps of rows owned
+    as `row_owner` says: ascending per owner, owners in first-appearance
+    order.
 
     Each variant samples uniformly without replacement (all rows when a
     player is under the cap); variants differ only by their sampling seed.
     """
     import numpy as np
 
+    owner_rows: dict[int, list[int]] = {}
+    for i, owner in enumerate(row_owner):
+        owner_rows.setdefault(owner, []).append(i)
+    out = []
+    for v in range(n_variants):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
+        picked: list[int] = []
+        for idx in owner_rows.values():
+            if len(idx) > max_per_player:
+                chosen = rng.choice(len(idx), size=max_per_player, replace=False)
+                idx = [idx[i] for i in sorted(chosen)]
+            picked.extend(idx)
+        out.append(picked)
+    return out
+
+
+def build_distilled(m: FeatureMatrix, expert_rows: Sequence[list],
+                    max_per_player: int = DISTILL_CAP, n_variants: int = 20,
+                    seed: int = 0) -> list[FeatureMatrix]:
+    """Distilled per-match variants: the rows `distill_picks` keeps of M,
+    with the expert values of row i of M (`expert_rows[i]`) appended to it."""
     if m.variant != "M":
         raise SchemaError(f"build_distilled expects variant M, got {m.variant}")
     if len(expert_rows) != m.n_rows:
         raise SchemaError(f"build_distilled got {len(expert_rows)} expert rows "
                           f"for the {m.n_rows} rows of M")
-    expert_columns = [Column(n, k) for n, k in EXPERT_MATCH_SCHEMA]
-    out = []
-    for v in range(n_variants):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
-        picked: list[int] = []
-        for idx in m.owner_rows.values():
-            if len(idx) > max_per_player:
-                chosen = rng.choice(len(idx), size=max_per_player, replace=False)
-                idx = [idx[i] for i in sorted(chosen)]
-            picked.extend(idx)
-        out.append(FeatureMatrix(
-            variant="M_bar",
-            columns=list(m.columns) + expert_columns,
-            rows=[[*m.rows[i], *expert_rows[i]] for i in picked],
-            row_owner=[m.row_owner[i] for i in picked],
-            row_match=[m.row_match[i] for i in picked],
-            variant_seed=v,
-            config_hash=m.config_hash,
-        ))
-    return out
+    columns = list(m.columns) + [Column(n, k) for n, k in EXPERT_MATCH_SCHEMA]
+    return [FeatureMatrix(
+        variant="M_bar",
+        columns=columns,
+        rows=[[*m.rows[i], *expert_rows[i]] for i in picked],
+        row_owner=[m.row_owner[i] for i in picked],
+        row_match=[m.row_match[i] for i in picked],
+        variant_seed=v,
+        config_hash=m.config_hash,
+    ) for v, picked in enumerate(distill_picks(m.row_owner, n_variants, seed,
+                                               max_per_player))]
+
+
+def build_shard_lines(variant: str, players: Sequence[PlayerRecord],
+                      matches: dict[int, MatchRecord],
+                      ctx: FeatureContext) -> tuple[list[int], list[str]]:
+    """The owner and finished CSV line (`matrix.format_lines`) of each row
+    these players give the "P", "M" or "M_bar" matrix, in row order. For
+    "M_bar" that is every row of M with its expert values appended, before
+    `distill_picks` caps them."""
+    if variant == "P":
+        m = build_player_matrix(players, matches, ctx)
+        rows = m.rows
+    elif variant == "M":
+        m = build_naive_match_matrix(players, matches, ctx)
+        rows = m.rows
+    else:
+        m, expert_rows = build_match_matrix(players, matches, ctx)
+        rows = [[*row, *expert] for row, expert in zip(m.rows, expert_rows)]
+    return m.row_owner, format_lines(variant_columns(variant), rows, m.row_owner,
+                                     m.row_match)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +602,7 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
 def build_player_matrix(players: Sequence[PlayerRecord],
                         matches: dict[int, MatchRecord],
                         ctx: FeatureContext) -> FeatureMatrix:
-    cols = player_columns()
+    cols = variant_columns("P")
     rows: list[list] = []
     owners: list[int] = []
     for player in sorted(players, key=lambda p: p.handle):

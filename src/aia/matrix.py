@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import SchemaError
 
@@ -109,8 +109,12 @@ class FeatureMatrix:
         return list(self.owner_rows)
 
     def column_hash(self) -> str:
-        blob = "|".join(f"{c.name}:{c.kind}" for c in self.columns)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return column_hash(self.columns)
+
+
+def column_hash(columns: Sequence[Column]) -> str:
+    blob = "|".join(f"{c.name}:{c.kind}" for c in columns)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _format_boolean(value) -> str:
@@ -147,52 +151,64 @@ class _LastLine:
         self.text = text
 
 
-def save_matrix(matrix: FeatureMatrix, csv_path: str | Path,
-                lines: Optional[dict] = None) -> None:
-    """CSV of the rows plus a `.schema.json` sidecar with the metadata.
-
-    `lines`, when given, keeps each row's finished CSV line by (owner,
-    match) across calls, so a row that several matrices share is formatted
-    once. Share it only between matrices with match ids whose rows under
-    one key are equal, as the distilled variants of one M matrix are.
-    """
-    csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    header = ["_owner"] + (["_match"] if matrix.row_match is not None else [])
-    header += [c.name for c in matrix.columns]
-    formatters = [_CELL_FORMATTERS[c.kind] for c in matrix.columns]
+def format_lines(columns: Sequence[Column], rows: Sequence[list],
+                 owners: Sequence[int],
+                 match_ids: Optional[Sequence[int]] = None) -> list[str]:
+    """The CSV line of each row as a saved matrix holds it: the owner, the
+    match id when `match_ids` is given, then the cells."""
+    formatters = [_CELL_FORMATTERS[c.kind] for c in columns]
     sink = _LastLine()
     writer = csv.writer(sink)
+    out = []
+    for i, row in enumerate(rows):
+        lead = [str(owners[i])]
+        if match_ids is not None:
+            lead.append(str(match_ids[i]))
+        writer.writerow(lead + [f(v) for f, v in zip(formatters, row)])
+        out.append(sink.text)
+    return out
+
+
+def write_lines(csv_path: str | Path, variant: str, columns: Sequence[Column],
+                lines: Iterable[str], has_match_ids: bool,
+                variant_seed: Optional[int] = None,
+                config_hash: Optional[str] = None) -> None:
+    """A matrix CSV of finished `format_lines` lines plus its
+    `.schema.json` sidecar with the metadata."""
+    csv_path = Path(csv_path)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    header = ["_owner"] + (["_match"] if has_match_ids else [])
+    header += [c.name for c in columns]
+    sink = _LastLine()
+    csv.writer(sink).writerow(header)
+    n_rows = 0
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer.writerow(header)
         fh.write(sink.text)
-        for i, row in enumerate(matrix.rows):
-            if lines is not None:
-                key = (matrix.row_owner[i], matrix.row_match[i])
-                line = lines.get(key)
-                if line is not None:
-                    fh.write(line)
-                    continue
-            lead = [str(matrix.row_owner[i])]
-            if matrix.row_match is not None:
-                lead.append(str(matrix.row_match[i]))
-            writer.writerow(lead + [f(v) for f, v in zip(formatters, row)])
-            fh.write(sink.text)
-            if lines is not None:
-                lines[key] = sink.text
+        for line in lines:
+            fh.write(line)
+            n_rows += 1
     sidecar = {
         "format_version": 1,
-        "variant": matrix.variant,
-        "columns": [{"name": c.name, "kind": c.kind} for c in matrix.columns],
-        "has_match_ids": matrix.row_match is not None,
-        "variant_seed": matrix.variant_seed,
-        "config_hash": matrix.config_hash,
-        "n_rows": matrix.n_rows,
-        "column_hash": matrix.column_hash(),
+        "variant": variant,
+        "columns": [{"name": c.name, "kind": c.kind} for c in columns],
+        "has_match_ids": has_match_ids,
+        "variant_seed": variant_seed,
+        "config_hash": config_hash,
+        "n_rows": n_rows,
+        "column_hash": column_hash(columns),
     }
     schema_path = csv_path.with_suffix(csv_path.suffix + ".schema.json")
     schema_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
+
+
+def save_matrix(matrix: FeatureMatrix, csv_path: str | Path) -> None:
+    """CSV of the rows plus a `.schema.json` sidecar with the metadata."""
+    write_lines(csv_path, matrix.variant, matrix.columns,
+                format_lines(matrix.columns, matrix.rows, matrix.row_owner,
+                             matrix.row_match),
+                matrix.row_match is not None, matrix.variant_seed,
+                matrix.config_hash)
 
 
 def _bad_column(rec: list[str], header: list[str], kinds: list[str]) -> str:

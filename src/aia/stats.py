@@ -36,11 +36,6 @@ _FPMIN = 1e-300
 # ---------------------------------------------------------------------------
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF (the standard library's Wichura AS 241)."""
     if not 0.0 < p < 1.0:

@@ -317,14 +317,6 @@ def _survey_row_for(handle: int, labels: AttributeLabels,
     )
 
 
-def sample_labels(priors: dict[str, tuple[float, ...]], n: int,
-                  seed: int = 0) -> list[AttributeLabels]:
-    """Draw n label sets from the priors (no telemetry attached)."""
-    rng = np.random.default_rng(seed)
-    cdfs = _prior_cdfs(priors)
-    return [_draw_labels(cdfs, rng)[0] for _ in range(n)]
-
-
 def _prior_cdfs(priors: dict[str, tuple[float, ...]]) -> dict[str, np.ndarray]:
     return {attr: _cdf(_normalized(priors[attr])) for attr in ATTRIBUTE_SCHEMA}
 
@@ -758,42 +750,3 @@ FIXTURE_CONFIG = SynthConfig(
     match_noise=0.9,
     seed=20_201_217,
 )
-
-
-def regression_fixture() -> SynthPopulation:
-    """The frozen 50-player corpus used by golden-file and protocol tests."""
-    return generate_population(FIXTURE_CONFIG)
-
-
-# Reference class counts at n=484: the published percentages rounded onto
-# whole players (every attribute lands within 0.01 points of its source).
-_REFERENCE_SEED = 484
-_REFERENCE_COUNTS: dict[str, tuple[int, ...]] = {
-    "gender": (24, 460),
-    "age_bin": (65, 260, 159),
-    "occupation": (278, 206),
-    "purchase_habits": (51, 296, 137),
-    "openness": (93, 118, 273),
-    "conscientiousness": (191, 116, 177),
-    "extraversion": (229, 102, 153),
-    "agreeableness": (101, 94, 289),
-    "neuroticism": (259, 93, 132),
-}
-
-
-def table1_reference_labels() -> list[AttributeLabels]:
-    """A deterministic 484-row label set with the reference class counts.
-
-    Attributes are shuffled independently; this is a distribution stand-in,
-    not a joint-dependence model.
-    """
-    rng = np.random.default_rng(_REFERENCE_SEED)
-    columns: dict[str, list[str]] = {}
-    for attr, counts in _REFERENCE_COUNTS.items():
-        values: list[str] = []
-        for cls, count in zip(ATTRIBUTE_SCHEMA[attr], counts):
-            values.extend([cls] * count)
-        order = rng.permutation(len(values))
-        columns[attr] = [values[i] for i in order]
-    return [AttributeLabels(**{attr: columns[attr][i] for attr in ATTRIBUTE_SCHEMA})
-            for i in range(484)]

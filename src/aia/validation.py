@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
-from .errors import DegenerateInput, DomainError, MissingPair
+from .errors import DomainError, MissingPair
 from .stats import t_sf_two_sided
 
 DEFAULT_ALPHA = 0.05
@@ -60,18 +60,21 @@ def two_sample_ttest(a: SummaryStat, b: SummaryStat,
         t = math.inf if a.mean > b.mean else -math.inf
         return HypothesisResult(f"{a.label} vs {b.label}", t, 0.0, alpha,
                                 rejected=0.0 < alpha, flagged=True)
+    # Both stds are divided by the power of two at their maximum, which is
+    # exact, so no variance underflows or overflows; wherever the unscaled
+    # formula meets no subnormal or infinite value, the results are equal.
+    scale = math.ldexp(1.0, math.frexp(max(a.std, b.std))[1])
+    sa, sb = a.std / scale, b.std / scale
     if welch:
-        va = a.std ** 2 / a.n
-        vb = b.std ** 2 / b.n
+        va = sa ** 2 / a.n
+        vb = sb ** 2 / b.n
         se = math.sqrt(va + vb)
         df = (va + vb) ** 2 / (va ** 2 / (a.n - 1) + vb ** 2 / (b.n - 1))
     else:
         df = a.n + b.n - 2
-        pooled = ((a.n - 1) * a.std ** 2 + (b.n - 1) * b.std ** 2) / df
+        pooled = ((a.n - 1) * sa ** 2 + (b.n - 1) * sb ** 2) / df
         se = math.sqrt(pooled * (1.0 / a.n + 1.0 / b.n))
-    if se == 0.0:
-        raise DegenerateInput("zero standard error with nonzero stds")
-    t = (a.mean - b.mean) / se
+    t = (a.mean - b.mean) / scale / se
     p = t_sf_two_sided(t, df)
     return HypothesisResult(f"{a.label} vs {b.label}", t, p, alpha,
                             rejected=p < alpha)
@@ -125,8 +128,16 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _field(table: dict, name: str, key: str):
+    """table[key]; a KeyError names the field as `name.key`."""
+    try:
+        return table[key]
+    except KeyError:
+        raise KeyError(f"{name}.{key}") from None
+
+
 def _n_runs(table: dict, name: str) -> int:
-    value = table["n_runs"]
+    value = _field(table, name, "n_runs")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
@@ -158,7 +169,8 @@ def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,
     for family, name, baseline, opponent in _FAMILIES:
         table = _object(tables[name], name)
         results = []
-        for attr, row in _object(table["attributes"], f"{name}.attributes").items():
+        for attr, row in _object(_field(table, name, "attributes"),
+                                 f"{name}.attributes").items():
             row = _object(row, f"{name}.attributes.{attr}")
             other = row.get("best") if opponent is None else opponent
             if other is not None and not isinstance(other, str):

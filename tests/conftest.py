@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from aia.features import FeatureContext
@@ -50,6 +51,16 @@ def make_match(**kwargs):
     return parse_match(json.dumps(build_match_doc(**kwargs)).encode())
 
 
+def sample_labels(priors, n, seed=0):
+    """n label sets drawn from the priors as `synth.generate_population`
+    draws its players' labels, with no telemetry attached."""
+    from aia.synth import _draw_labels, _prior_cdfs
+
+    rng = np.random.default_rng(seed)
+    cdfs = _prior_cdfs(priors)
+    return [_draw_labels(cdfs, rng)[0] for _ in range(n)]
+
+
 @pytest.fixture(scope="session")
 def feature_ctx():
     return FeatureContext.default()
@@ -57,10 +68,10 @@ def feature_ctx():
 
 @pytest.fixture(scope="session")
 def fixture_population():
-    """The frozen 50-player synthetic corpus (`synth.regression_fixture`)."""
-    from aia.synth import regression_fixture
+    """The frozen 50-player synthetic corpus (`synth.FIXTURE_CONFIG`)."""
+    from aia.synth import FIXTURE_CONFIG, generate_population
 
-    return regression_fixture()
+    return generate_population(FIXTURE_CONFIG)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from aia.features import (
     build_player_matrix,
 )
 from aia.resampling import enn_undersample, smote_oversample
-from aia.synth import NumericEffect, SynthConfig, generate_population, regression_fixture
+from aia.synth import FIXTURE_CONFIG, NumericEffect, SynthConfig, generate_population
 from aia.validation import hypothesis_table
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
@@ -43,7 +43,7 @@ def _stamp(criterion: str, detail: str = "") -> None:
 def fixture_assets():
     if _fixture_clock["start"] is None:
         _fixture_clock["start"] = time.monotonic()
-    pop = regression_fixture()
+    pop = generate_population(FIXTURE_CONFIG)
     ctx = FeatureContext.default()
     P = build_player_matrix(pop.players, pop.matches, ctx)
     M, aug = build_match_matrix(pop.players, pop.matches, ctx)

@@ -19,7 +19,7 @@ from aia.attacks import (
 from aia.errors import AttributeArity, NoPositives, OutOfRange, PlayerOverlap
 from aia.features import FeatureContext, build_distilled, build_match_matrix, build_player_matrix
 from aia.matrix import Column, FeatureMatrix
-from aia.synth import regression_fixture
+from aia.synth import FIXTURE_CONFIG, generate_population
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
 
@@ -33,7 +33,7 @@ FAST_GRIDS = {
 
 @pytest.fixture(scope="module")
 def fixture_corpus():
-    pop = regression_fixture()
+    pop = generate_population(FIXTURE_CONFIG)
     ctx = FeatureContext.default()
     P = build_player_matrix(pop.players, pop.matches, ctx)
     M, aug = build_match_matrix(pop.players, pop.matches, ctx)

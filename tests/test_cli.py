@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -375,6 +377,36 @@ def test_validate_on_a_non_integer_run_count_names_its_field(tmp_path, capsys):
                     "simple.n_runs", "'x'")
 
 
+def test_validate_on_a_missing_run_count_names_its_table(tmp_path, capsys):
+    from aia.validation import load_published_results
+
+    doc = load_published_results()
+    del doc["one_match"]["n_runs"]
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps(doc))
+    _exits_1_naming(["validate", "--pairs", str(pairs)], capsys, str(pairs),
+                    "missing field 'one_match.n_runs'")
+
+
+def test_validate_on_stds_whose_pooled_variance_underflows(tmp_path, capsys):
+    # Stds of 1e-200 square to zero in floating point; the rescaled test
+    # still gives a finite t and rejects the pair.
+    from aia.validation import load_published_results
+
+    doc = load_published_results()
+    row = doc["simple"]["attributes"]["gender"]
+    row["dummy"][1] = row["mlp"][1] = 1e-200
+    pairs, ledger = tmp_path / "pairs.json", tmp_path / "ledger.csv"
+    pairs.write_text(json.dumps(doc))
+    assert main(["validate", "--pairs", str(pairs), "--out", str(ledger)]) == 0
+    assert "dummy_vs_best_model: reject 5/9" in capsys.readouterr().out
+    with open(ledger, newline="") as fh:
+        gender = next(r for r in csv.DictReader(fh)
+                      if r["pair"] == "gender:dummy vs gender:mlp")
+    assert float(gender["t_statistic"]) < -1e200
+    assert (gender["p_value"], gender["rejected"]) == ("0.0", "True")
+
+
 @pytest.mark.parametrize("edit, words", [
     (lambda doc: doc["simple"]["attributes"]["gender"].update(best=["x"]),
      ["simple.attributes.gender.best", "['x']"]),
@@ -536,6 +568,128 @@ def test_featurize_outputs_keep_their_bytes(pipeline_dirs):
     digests = {name: hashlib.sha256((features / name).read_bytes()).hexdigest()
                for name in FEATURIZE_SHA256}
     assert digests == FEATURIZE_SHA256
+
+
+@pytest.fixture(scope="module")
+def capped_corpus(tmp_path_factory):
+    """Eight players with 28-40 matches each: the distill cap of 30 drops
+    rows of most of them."""
+    root = tmp_path_factory.mktemp("capped")
+    config_path = root / "synth.json"
+    config_path.write_text(json.dumps(SynthConfig(
+        n_players=8, matches_range=(28, 40), seed=3).to_json_dict()))
+    assert main(["synth", "--config", str(config_path),
+                 "--out", str(root / "cache")]) == 0
+    assert main(["labels", "--in", str(root / "cache" / "survey.csv"),
+                 "--out", str(root / "labels.csv")]) == 0
+    return root / "cache", root / "labels.csv"
+
+
+def _featurize_with_workers(monkeypatch, workers, cache, labels_csv, out,
+                            variants=("P", "M", "Mbar")):
+    """Exit codes of featurize with `workers` CPUs, and its outputs."""
+    monkeypatch.setattr(cli, "_worker_count", lambda: workers)
+    codes = [main(["featurize", "--variant", variant, "--cache", str(cache),
+                   "--labels", str(labels_csv), "--out", str(out),
+                   "--variants", "3", "--seed", "5"]) for variant in variants]
+    outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())} \
+        if out.exists() else {}
+    return codes, outputs
+
+
+@pytest.mark.parametrize("corpus", ["pipeline", "capped"])
+def test_featurize_outputs_do_not_depend_on_the_worker_count(
+        pipeline_dirs, capped_corpus, tmp_path, monkeypatch, corpus):
+    if corpus == "pipeline":
+        _, cache, labels_csv, _ = pipeline_dirs
+    else:
+        cache, labels_csv = capped_corpus
+    players, _ = cli._load_players(cache, labels_csv, 5)
+    runs = {}
+    for workers in (1, 2, 3):
+        assert len(cli._shards(players, workers)) == workers
+        codes, runs[workers] = _featurize_with_workers(
+            monkeypatch, workers, cache, labels_csv, tmp_path / str(workers))
+        assert codes == [0, 0, 0]
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+    if corpus == "capped":
+        def rows_per_owner(csv_bytes):
+            return Counter(line.split(b",")[0] for line in csv_bytes.splitlines()[1:])
+
+        m_rows = rows_per_owner(runs[1]["M.csv"])
+        assert max(m_rows.values()) > 30
+        assert rows_per_owner(runs[1]["Mbar_00.csv"]) == {
+            owner: min(n, 30) for owner, n in m_rows.items()}
+        assert runs[1]["Mbar_00.csv"] != runs[1]["Mbar_01.csv"]
+
+
+def test_shards_are_contiguous_runs_balanced_by_match_count():
+    from aia.ingest import PlayerRecord
+
+    def record(handle, n):
+        return PlayerRecord(handle=handle, rank_tier=None, has_plus=False,
+                            match_ids=tuple(range(n)))
+
+    players = [record(h, n) for h, n in enumerate([30, 5, 5, 5, 5, 5, 5])]
+    assert cli._shards(players, 2) == [players[:1], players[1:]]
+    assert cli._shards(players, 3) == [players[:1], players[1:4], players[4:]]
+    assert cli._shards(players[:2], 4) == [players[:1], players[1:2]]
+    assert cli._shards(players[1:], 1) == [players[1:]]
+    assert cli._shards([], 2) == [[]]
+
+
+def _break_matches(cache, handle, keep_slot=None):
+    """Corrupt every cached match of player `handle`, or with `keep_slot`
+    rewrite all but that many so the player is not in them."""
+    doc = json.loads((cache / "players" / f"{handle}.json").read_text())
+    mids = [m["match_id"] for m in doc["matches"]]
+    for mid in mids[keep_slot or 0:]:
+        path = cache / "matches" / f"{mid}.json"
+        if keep_slot is None:
+            path.write_text("{not json")
+        else:
+            match = json.loads(path.read_text())
+            for slot in match["players"]:
+                if slot["account_id"] == handle:
+                    slot["account_id"] = 1
+            path.write_text(json.dumps(match))
+
+
+@pytest.mark.parametrize("broken, words", [
+    ({"last": None}, ["not a JSON document"]),
+    ({"first": None, "last": None}, ["not a JSON document"]),
+    ({"last": 4}, ["has 4 usable matches, need 5"]),
+    ({"first": 4, "last": None}, ["not a JSON document"]),
+], ids=["bad file in the last shard", "bad files in two shards",
+        "too few usable matches", "a bad file outranks too few matches"])
+def test_featurize_worker_errors_read_as_the_serial_error(
+        pipeline_dirs, tmp_path, monkeypatch, capsys, broken, words):
+    # Whatever the worker count, featurize exits 1 with the message of the
+    # single-worker run: the first load error in handle order, else the
+    # first player whose row fails.
+    _, cache, labels_csv, _ = pipeline_dirs
+    broken_cache = tmp_path / "cache"
+    shutil.copytree(cache, broken_cache)
+    players, _ = cli._load_players(cache, labels_csv, 5)
+    shards = cli._shards(players, 3)
+    targets = {"first": shards[0][0].handle, "last": shards[-1][-1].handle}
+    for which, keep in broken.items():
+        _break_matches(broken_cache, targets[which], keep)
+    errors = {}
+    for workers in (1, 3):
+        codes, _ = _featurize_with_workers(monkeypatch, workers, broken_cache,
+                                           labels_csv, tmp_path / str(workers),
+                                           variants=("P",))
+        assert codes == [1]
+        errors[workers] = capsys.readouterr().err
+    assert errors[3] == errors[1]
+    assert errors[1].startswith("error: ") and "Traceback" not in errors[1]
+    assert all(word in errors[1] for word in words), errors[1]
+    corrupted = [targets[which] for which, keep in broken.items() if keep is None]
+    if corrupted:  # the message names the first file the first player reads
+        first_mid = json.loads((cache / "players" / f"{corrupted[0]}.json")
+                               .read_text())["matches"][0]["match_id"]
+        assert str(broken_cache / "matches" / f"{first_mid}.json") in errors[1]
 
 
 @pytest.mark.parametrize("protocol", sorted(PER_MATCH_REPORT_SHA256))

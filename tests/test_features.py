@@ -30,14 +30,18 @@ from aia.features import (
     build_match_matrix,
     build_player_features,
     build_player_matrix,
+    build_shard_lines,
+    distill_picks,
     extract_chat_features,
     load_hero_table,
     load_lexicons,
     load_wheel_catalog,
+    variant_columns,
 )
 from aia.ingest import PlayerRecord, parse_match
 from aia import models
-from aia.matrix import DISTILL_CAP, Column, FeatureMatrix, load_matrix, save_matrix
+from aia.matrix import (DISTILL_CAP, Column, FeatureMatrix, format_lines, load_matrix,
+                        save_matrix, write_lines)
 from aia.stats import average_ranks
 
 from conftest import build_match_doc, make_match
@@ -585,45 +589,45 @@ def test_load_matrix_names_a_malformed_sidecar(tmp_path, edit, words):
     assert all(word in str(err.value) for word in [str(sidecar)] + words)
 
 
-def _variants_written(tmp_path, name, matrices, shared):
-    """Bytes of each matrix's CSV and sidecar, written with one line memo
-    shared by all of them or each on its own."""
-    out = tmp_path / name
-    lines: dict = {}
-    for i, matrix in enumerate(matrices):
-        save_matrix(matrix, out / f"Mbar_{i:02d}.csv", lines if shared else None)
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-
-def test_shared_line_memo_writes_each_variant_as_alone(tmp_path, feature_ctx):
-    players, matches = corpus(n_players=4, matches_per_player=6)
+def test_shard_lines_write_what_save_matrix_writes(tmp_path, feature_ctx):
+    # A featurize worker's lines, capped by distill_picks for M_bar and
+    # written by write_lines, give the bytes save_matrix gives the matrices
+    # the builders return; the cap drops rows here.
+    players, matches = corpus(n_players=3, matches_per_player=DISTILL_CAP + 4)
     m, aug = build_match_matrix(players, matches, feature_ctx)
-    variants = build_distilled(m, aug, max_per_player=4, n_variants=3, seed=2)
-    assert variants[0].row_match != variants[1].row_match
-    alone = _variants_written(tmp_path, "alone", variants, shared=False)
-    assert _variants_written(tmp_path, "shared", variants, shared=True) == alone
-    assert len(alone) == 6
+    built = {"P": [build_player_matrix(players, matches, feature_ctx)], "M": [m],
+             "M_bar": build_distilled(m, aug, n_variants=3, seed=2)}
+    assert built["M_bar"][0].row_match != built["M_bar"][1].row_match
+    assert built["M_bar"][0].n_rows == 3 * DISTILL_CAP
+    for variant, matrices in built.items():
+        owners, lines = build_shard_lines(variant, players, matches, feature_ctx)
+        picks = distill_picks(owners, 3, 2) if variant == "M_bar" else [range(len(lines))]
+        assert len(picks) == len(matrices)
+        for matrix, picked in zip(matrices, picks):
+            assert variant_columns(variant) == matrix.columns
+            saved, written = tmp_path / "saved.csv", tmp_path / "written.csv"
+            save_matrix(matrix, saved)
+            write_lines(written, variant, matrix.columns, [lines[i] for i in picked],
+                        matrix.row_match is not None, matrix.variant_seed,
+                        matrix.config_hash)
+            for suffix in ("", ".schema.json"):
+                assert (Path(f"{written}{suffix}").read_bytes()
+                        == Path(f"{saved}{suffix}").read_bytes())
 
 
-def test_shared_line_memo_keeps_csv_quoting(tmp_path):
+def test_written_lines_keep_csv_quoting(tmp_path):
     cols = [Column("say", "categorical"), Column("kills", "numeric"),
             Column("won", "boolean")]
-    cells = {(1, 10): ['say "gg", wp', 3.0, True], (1, 11): ["a,b", -0.0, False],
-             (2, 10): ['"', 1e-300, True], (2, 12): ["line\nbreak", 0.1, False]}
-
-    def variant(keys, seed):
-        return FeatureMatrix(variant="M_bar", columns=cols,
-                             rows=[list(cells[k]) for k in keys],
-                             row_owner=[o for o, _ in keys],
-                             row_match=[mid for _, mid in keys], variant_seed=seed)
-
-    variants = [variant([(1, 10), (2, 10), (2, 12)], 0),
-                variant([(1, 11), (1, 10), (2, 12)], 1)]
-    alone = _variants_written(tmp_path, "alone", variants, shared=False)
-    assert _variants_written(tmp_path, "shared", variants, shared=True) == alone
-    assert b'"say ""gg"", wp"' in alone["Mbar_00.csv"]
-    for i, matrix in enumerate(variants):
-        assert load_matrix(tmp_path / "shared" / f"Mbar_{i:02d}.csv").rows == matrix.rows
+    rows = [['say "gg", wp', 3.0, True], ["a,b", -0.0, False],
+            ['"', 1e-300, True], ["line\nbreak", 0.1, False]]
+    owners, match_ids = [1, 1, 2, 2], [10, 11, 10, 12]
+    path = tmp_path / "M.csv"
+    write_lines(path, "M", cols, format_lines(cols, rows, owners, match_ids),
+                has_match_ids=True)
+    assert b'"say ""gg"", wp"' in path.read_bytes()
+    loaded = load_matrix(path)
+    assert (loaded.rows, loaded.row_owner, loaded.row_match) == (rows, owners, match_ids)
+    assert math.copysign(1.0, loaded.rows[1][1]) == -1.0
 
 
 def test_default_context_config_hash_is_pinned():

@@ -14,7 +14,7 @@ import pytest
 from aia import attacks
 from aia.cli import correlation_doc, main
 from aia.features import FeatureContext, build_player_matrix
-from aia.synth import regression_fixture
+from aia.synth import FIXTURE_CONFIG, generate_population
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
 
@@ -23,7 +23,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 @pytest.fixture(scope="module")
 def fixture_p():
-    pop = regression_fixture()
+    pop = generate_population(FIXTURE_CONFIG)
     ctx = FeatureContext.default()
     return pop, build_player_matrix(pop.players, pop.matches, ctx)
 

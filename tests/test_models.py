@@ -499,9 +499,9 @@ def test_logistic_reports_hitting_its_cap():
 @pytest.fixture(scope="module")
 def fixture_players():
     from aia.features import FeatureContext, build_player_matrix
-    from aia.synth import regression_fixture
+    from aia.synth import FIXTURE_CONFIG, generate_population
 
-    pop = regression_fixture()
+    pop = generate_population(FIXTURE_CONFIG)
     return build_player_matrix(pop.players, pop.matches,
                                FeatureContext.default()), pop.labels
 

@@ -9,6 +9,7 @@ from aia.cli import main
 from aia.errors import ConfigError
 from aia.features import build_player_matrix
 from aia.ingest import load_cached_match, load_cached_player, parse_match, serialize_match
+from conftest import sample_labels
 from aia.synth import (
     FIXTURE_CONFIG,
     TABLE1_PRIORS,
@@ -22,8 +23,6 @@ from aia.synth import (
     generate_population,
     grade_correlation,
     max_plantable_rho,
-    regression_fixture,
-    sample_labels,
     write_population_cache,
 )
 
@@ -233,8 +232,8 @@ def test_cache_emission_round_trips(tmp_path):
 
 
 def test_regression_fixture_is_stable():
-    one = regression_fixture()
-    two = regression_fixture()
+    one = generate_population(FIXTURE_CONFIG)
+    two = generate_population(FIXTURE_CONFIG)
     assert one.labels == two.labels
     assert len(one.players) == 50
     assert all(8 <= len(p.match_ids) <= 30 for p in one.players)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from aia import validation
@@ -142,3 +144,43 @@ def test_missing_pair_raises():
     del doc["one_match"]["attributes"]["gender"]["naive"]
     with pytest.raises(MissingPair):
         hypothesis_table(doc)
+
+
+def unscaled_t(a, b, welch):
+    """t and df by the textbook formulas, with no rescaling."""
+    if welch:
+        va, vb = a.std ** 2 / a.n, b.std ** 2 / b.n
+        se = math.sqrt(va + vb)
+        df = (va + vb) ** 2 / (va ** 2 / (a.n - 1) + vb ** 2 / (b.n - 1))
+    else:
+        df = a.n + b.n - 2
+        pooled = ((a.n - 1) * a.std ** 2 + (b.n - 1) * b.std ** 2) / df
+        se = math.sqrt(pooled * (1.0 / a.n + 1.0 / b.n))
+    return (a.mean - b.mean) / se, df
+
+
+# Means to two decimals, as the summary tables give them: no difference of
+# two is subnormal.
+MEANS = st.integers(-10_000, 10_000).map(lambda k: k / 100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MEANS, st.floats(1e-6, 1e6), st.integers(2, 500),
+       MEANS, st.floats(0, 1e6), st.integers(2, 500), st.booleans())
+def test_rescaled_t_equals_the_unscaled_formula_in_range(ma, sa, na, mb, sb, nb,
+                                                         welch):
+    a, b = SummaryStat("a", ma, sa, na), SummaryStat("b", mb, sb, nb)
+    t, df = unscaled_t(a, b, welch)
+    res = two_sample_ttest(a, b, welch=welch)
+    assert res.t_statistic == t
+    assert res.p_value == validation.t_sf_two_sided(t, df)
+
+
+@pytest.mark.parametrize("std", [1e-200, 5e-324, 1e200])
+def test_stds_whose_variance_leaves_the_float_range_still_test(std):
+    a = SummaryStat("a", 51.62, std, 10)
+    b = SummaryStat("b", 67.24, std, 10)
+    for welch in (False, True):
+        res = two_sample_ttest(a, b, welch=welch)
+        assert res.t_statistic < 0 and not res.flagged
+        assert res.rejected == (std < 1.0)
