@@ -13,9 +13,7 @@ drawing from one generator per (run, attribute), or per repeat in targeted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +22,7 @@ from . import models as m
 from .attributes import ATTRIBUTE_SCHEMA, AttributeLabels
 from .errors import AttributeArity, NoPositives, OutOfRange, PlayerOverlap, SchemaError
 from .matrix import FeatureMatrix
-from .metrics import metrics
+from .metrics import macro_f1
 
 # Compact grids keep desk-scale runs inside their time budgets; every
 # report records the grids it ran.
@@ -65,12 +63,6 @@ class AttackReport:
             "config": self.config,
             "flags": sorted(self.flags),
         }
-
-
-def save_report(report: AttackReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
 
 
 def _mean_std(values: Sequence[float]) -> dict:
@@ -139,13 +131,20 @@ def _draw_means(block: np.ndarray, ns: Sequence[int], draws: int,
     return means
 
 
-def _stratified_player_split(players: Sequence[int], y_by_player: dict[int, str],
-                             test_fraction: float, val_fraction: float,
-                             rng: np.random.Generator):
-    """Split players (not rows) into train/val/test, stratified by label.
+def _held_out(n: int, fraction: float) -> int:
+    """How many of n players to hold out: `fraction` of them, rounded, but at
+    least one from three players up, so small classes reach every split,
+    and never all of them."""
+    k = round(fraction * n) if n >= 2 else 0
+    return min(max(k, 1) if n >= 3 else k, n - 1)
 
-    val_fraction is taken from the post-test remainder, mirroring a
-    "reserve 10% of the training set for validation" convention.
+
+def _stratified_player_split(players: Sequence[int], y_by_player: dict[int, str],
+                             rng: np.random.Generator):
+    """Split players (not rows) into train/val/test, stratified by label:
+    TEST_FRACTION of each class for test, then VAL_FRACTION of the rest
+    for validation, mirroring a "reserve 10% of the training set for
+    validation" convention.
     """
     by_class: dict[str, list[int]] = {}
     for player in players:
@@ -156,17 +155,10 @@ def _stratified_player_split(players: Sequence[int], y_by_player: dict[int, str]
     for cls in sorted(by_class):
         members = sorted(by_class[cls])
         members = [members[i] for i in rng.permutation(len(members))]
-        n = len(members)
-        n_test = int(round(test_fraction * n)) if n >= 2 else 0
-        if test_fraction > 0 and n_test == 0 and n >= 3:
-            n_test = 1  # keep small classes represented in every split
-        n_test = min(n_test, n - 1)
+        n_test = _held_out(len(members), TEST_FRACTION)
         remainder = members[n_test:]
         test.extend(members[:n_test])
-        n_val = int(round(val_fraction * len(remainder))) if len(remainder) >= 2 else 0
-        if val_fraction > 0 and n_val == 0 and len(remainder) >= 3:
-            n_val = 1
-        n_val = min(n_val, len(remainder) - 1)
+        n_val = _held_out(len(remainder), VAL_FRACTION)
         val.extend(remainder[:n_val])
         train.extend(remainder[n_val:])
     _check_disjoint(train, test, "player split")
@@ -233,8 +225,8 @@ def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
                                      classes=classes, selected=selected,
                                      resample=resample)
                 model = m.fit_prepared(algorithm, prepared, best, unit_seed)
-                scores[algorithm].append(metrics(
-                    y_test, m.predict(model, P, fold), classes)["macro_f1"])
+                scores[algorithm].append(macro_f1(
+                    y_test, m.predict(model, P, fold), classes))
         report.metric_tables[attribute] = {
             alg: _mean_std(scores[alg]) for alg in algorithms}
     return report
@@ -302,8 +294,7 @@ def one_match_aia(variants: Sequence[FeatureMatrix],
             classes = list(ATTRIBUTE_SCHEMA[attribute])
             y_by_player = {p: getattr(labels[p], attribute) for p in players}
             train_p, val_p, test_p = _stratified_player_split(
-                players, y_by_player, TEST_FRACTION, VAL_FRACTION,
-                _rng(seed, ri, 1, ai))
+                players, y_by_player, _rng(seed, ri, 1, ai))
             kept_splits[attribute] = (train_p, val_p, test_p)
             train_rows = _rows_of(matrix, train_p)
             val_rows = _rows_of(matrix, val_p)
@@ -319,7 +310,7 @@ def one_match_aia(variants: Sequence[FeatureMatrix],
 
             def val_score(models: list[m.TrainedModel]) -> tuple[float, None]:
                 val_pred = m.predict(models[0], matrix, val_rows)
-                return metrics(y_val, val_pred, classes)["macro_f1"], None
+                return macro_f1(y_val, val_pred, classes), None
 
             for gi, algorithm in enumerate(algorithms):
                 unit_seed = _unit_seed(run_seed, ai, gi)
@@ -333,7 +324,7 @@ def one_match_aia(variants: Sequence[FeatureMatrix],
                         [prepared], val_score)
                 y_pred = m.predict(model, matrix, test_rows)
                 scores[attribute][algorithm].append(
-                    metrics(y_test, y_pred, classes)["macro_f1"])
+                    macro_f1(y_test, y_pred, classes))
                 if keep_models == algorithm:
                     kept_models[attribute] = model
         if keep_models is not None:
@@ -539,7 +530,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
             raise NoPositives(f"target {target.name} matches no player")
         split_rng = _rng(seed, rep, 2)
         train_p, val_p, test_p = _stratified_player_split(
-            players, y_by_player, TEST_FRACTION, VAL_FRACTION, split_rng)
+            players, y_by_player, split_rng)
         for part, name in ((train_p, "train"), (val_p, "validation"),
                            (test_p, "test")):
             if not any(y_by_player[p] == "positive" for p in part):

@@ -50,6 +50,13 @@ def _write_json(path: Path, doc: dict) -> None:
                     encoding="utf-8")
 
 
+def _check_at_least(flag: str, value: int, least: int) -> None:
+    """AiaError naming the option unless its value is at least `least`;
+    commands check before they read or write anything."""
+    if value < least:
+        raise AiaError(f"{flag} must be at least {least}, got {value}")
+
+
 def _load_players(cache_dir: Path, labels_path: Path, min_matches: int):
     """The kept players, sorted by handle, and the filter report."""
     from .ingest import filter_players, iter_cached_players, load_cached_player
@@ -278,6 +285,8 @@ def _featurize(args) -> int:
     from .features import FeatureContext, distill_picks, variant_columns
     from .matrix import write_lines
 
+    _check_at_least("--variants", args.variants, 1)
+    _check_at_least("--seed", args.seed, 0)
     cache = Path(args.cache)
     out = Path(args.out)
     players, freport = _load_players(cache, Path(args.labels), args.min_matches)
@@ -361,6 +370,7 @@ def _check_labelled(matrices, labels, labels_path) -> None:
 def _cmd_correlate(args) -> int:
     from .matrix import load_matrix
 
+    _check_at_least("--top", args.top, 1)
     matrix = load_matrix(args.features)
     labels = read_labels_csv(args.labels)
     _check_labelled([matrix], labels, args.labels)
@@ -427,17 +437,24 @@ def _cmd_attack(args) -> int:
     from .models import ALGORITHMS
 
     n_sweep = tuple(range(args.sweep_start, args.sweep_stop + 1))
-    # Bad averaging input exits before anything is loaded or trained.
+    # Bad input exits before anything is loaded or trained.
+    _check_at_least("--seed", args.seed, 0)
+    algorithms = tuple(args.algorithms.split(",")) if args.algorithms else \
+        ALGORITHMS
+    for name in algorithms:
+        if name not in ALGORITHMS:
+            raise AiaError(f"unknown algorithm {name!r} in --algorithms; "
+                           f"choose from {','.join(ALGORITHMS)}")
+        if algorithms.count(name) > 1:
+            raise AiaError(f"--algorithms names {name!r} more than once")
     if args.protocol == "indiscriminate":
         attacks.check_averaging([args.sweep_stop], args.draws)
     elif args.protocol in ("sophisticated", "targeted"):
         attacks.check_averaging(n_sweep, args.draws)
-    if args.protocol in ("one-match", "targeted") and args.repeats < 1:
-        raise AiaError(f"--repeats must be at least 1, got {args.repeats}")
+    if args.protocol in ("one-match", "targeted"):
+        _check_at_least("--repeats", args.repeats, 1)
     features_dir = Path(args.features)
     labels = read_labels_csv(args.labels)
-    algorithms = tuple(args.algorithms.split(",")) if args.algorithms else \
-        ALGORITHMS
     out = Path(args.out)
 
     if args.protocol == "simple":
@@ -486,8 +503,7 @@ def _cmd_attack(args) -> int:
         raise AiaError(f"unknown protocol {args.protocol}")
 
     _finalize_report(report, args.seed)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    attacks.save_report(report, out)
+    _write_json(out, report.to_json_dict())
     if report.curves:
         _curves_csv(out.with_suffix(".curves.csv"), report.curves)
     if report.metric_tables:
@@ -511,7 +527,6 @@ def _cmd_validate(args) -> int:
         except (TypeError, ValueError, AttributeError, MissingPair, DomainError) as exc:
             raise SchemaError(f"not a summary-tables document: {exc}",
                               path=args.pairs) from exc
-    rows = validation.ledger_rows(ledger)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -519,10 +534,11 @@ def _cmd_validate(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["family", "pair", "t_statistic", "p_value",
                              "alpha", "rejected", "flagged"])
-            for row in rows:
-                writer.writerow([row["family"], row["pair"],
-                                 repr(row["t_statistic"]), repr(row["p_value"]),
-                                 row["alpha"], row["rejected"], row["flagged"]])
+            for family in ledger.families:
+                for r in family.results:
+                    writer.writerow([family.name, r.pair, repr(r.t_statistic),
+                                     repr(r.p_value), r.alpha, r.rejected,
+                                     r.flagged])
     for family, (rejected, total) in ledger.counts().items():
         print(f"{family}: reject {rejected}/{total}")
     return 0
@@ -577,6 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variants", type=int, default=20)
+    # ingest.MIN_MATCHES, written out so that parsing does not import ingest.
     p.add_argument("--min-matches", type=int, default=5)
     p.add_argument("--min-human-players", type=int, default=0,
                    help="drop matches with fewer humans (default: keep all)")

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import InsufficientMatches, SchemaError
-from .ingest import MatchPlayerSlot, MatchRecord, PlayerRecord
+from .ingest import MIN_MATCHES, MatchPlayerSlot, MatchRecord, PlayerRecord
 from .matrix import DISTILL_CAP, Column, FeatureMatrix, format_lines
 
 LEXICON_CATEGORIES = ("laugh", "slang", "bad_behavior", "good_behavior", "provocative")
@@ -414,14 +414,15 @@ def build_match_matrix(players: Sequence[PlayerRecord],
     return m, expert_rows
 
 
-def distill_picks(row_owner: Sequence[int], n_variants: int, seed: int,
-                  max_per_player: int = DISTILL_CAP) -> list[list[int]]:
+def distill_picks(row_owner: Sequence[int], n_variants: int,
+                  seed: int) -> list[list[int]]:
     """The positions of the rows each distilled variant keeps of rows owned
     as `row_owner` says: ascending per owner, owners in first-appearance
     order.
 
-    Each variant samples uniformly without replacement (all rows when a
-    player is under the cap); variants differ only by their sampling seed.
+    Each variant samples DISTILL_CAP rows per player uniformly without
+    replacement (all rows when a player is under the cap); variants differ
+    only by their sampling seed.
     """
     import numpy as np
 
@@ -433,8 +434,8 @@ def distill_picks(row_owner: Sequence[int], n_variants: int, seed: int,
         rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
         picked: list[int] = []
         for idx in owner_rows.values():
-            if len(idx) > max_per_player:
-                chosen = rng.choice(len(idx), size=max_per_player, replace=False)
+            if len(idx) > DISTILL_CAP:
+                chosen = rng.choice(len(idx), size=DISTILL_CAP, replace=False)
                 idx = [idx[i] for i in sorted(chosen)]
             picked.extend(idx)
         out.append(picked)
@@ -442,8 +443,7 @@ def distill_picks(row_owner: Sequence[int], n_variants: int, seed: int,
 
 
 def build_distilled(m: FeatureMatrix, expert_rows: Sequence[list],
-                    max_per_player: int = DISTILL_CAP, n_variants: int = 20,
-                    seed: int = 0) -> list[FeatureMatrix]:
+                    n_variants: int = 20, seed: int = 0) -> list[FeatureMatrix]:
     """Distilled per-match variants: the rows `distill_picks` keeps of M,
     with the expert values of row i of M (`expert_rows[i]`) appended to it."""
     if m.variant != "M":
@@ -460,8 +460,7 @@ def build_distilled(m: FeatureMatrix, expert_rows: Sequence[list],
         row_match=[m.row_match[i] for i in picked],
         variant_seed=v,
         config_hash=m.config_hash,
-    ) for v, picked in enumerate(distill_picks(m.row_owner, n_variants, seed,
-                                               max_per_player))]
+    ) for v, picked in enumerate(distill_picks(m.row_owner, n_variants, seed))]
 
 
 def build_shard_lines(variant: str, players: Sequence[PlayerRecord],
@@ -530,9 +529,9 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
         entry = _slot_of(match, player.handle)
         if entry is not None:
             usable.append((match, entry, build_match_features(match, entry, ctx)))
-    if len(usable) < 5:
-        raise InsufficientMatches(
-            f"player {player.handle} has {len(usable)} usable matches, need 5")
+    if len(usable) < MIN_MATCHES:
+        raise InsufficientMatches(f"player {player.handle} has {len(usable)} "
+                                  f"usable matches, need {MIN_MATCHES}")
     n = len(usable)
     rows = [full for _, _, full in usable]
 

@@ -819,8 +819,12 @@ class TelemetryClient:
 # Eligibility filters
 # ---------------------------------------------------------------------------
 
+# The fewest matches in the window that keep a player; the per-player
+# features need as many usable matches.
+MIN_MATCHES = 5
 
-def filter_players(records, min_matches: int = 5):
+
+def filter_players(records, min_matches: int = MIN_MATCHES):
     """Drop ineligible players and account for every removal.
 
     `records` is a list of (PlayerRecord, AttributeLabels-or-None) pairs.

@@ -1,7 +1,8 @@
-"""Classification metrics used by model selection and the attack reports."""
+"""The score of model selection and the attack reports: macro-averaged F1."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -9,46 +10,19 @@ import numpy as np
 from .errors import LengthMismatch
 
 
-def confusion_matrix(y_true: Sequence, y_pred: Sequence,
-                     classes: Sequence) -> np.ndarray:
+def macro_f1(y_true: Sequence, y_pred: Sequence, classes: Sequence) -> float:
+    """Macro-averaged F1 over the schema classes that appear in either the
+    true or the predicted labels; classes absent from both are excluded."""
     if len(y_true) != len(y_pred):
         raise LengthMismatch(f"{len(y_true)} true vs {len(y_pred)} predicted")
-    index = {c: i for i, c in enumerate(classes)}
-    table = np.zeros((len(classes), len(classes)), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        table[index[t], index[p]] += 1
-    return table
-
-
-def metrics(y_true: Sequence, y_pred: Sequence,
-            classes: Sequence) -> dict[str, float]:
-    """Accuracy plus macro-averaged F1, precision, and recall.
-
-    The macro average runs over schema classes that appear in either the
-    true or the predicted labels; classes absent from both are excluded.
-    """
-    if len(y_true) != len(y_pred):
-        raise LengthMismatch(f"{len(y_true)} true vs {len(y_pred)} predicted")
-    present = [c for c in classes if c in set(y_true) | set(y_pred)]
-    table = confusion_matrix(y_true, y_pred, present)
-    correct = int(np.trace(table))
-    n = len(y_true)
-    precisions, recalls, f1s = [], [], []
-    for i in range(len(present)):
-        tp = table[i, i]
-        fp = table[:, i].sum() - tp
-        fn = table[i, :].sum() - tp
-        precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
-        recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
-        f1 = (2 * precision * recall / (precision + recall)
-              if (precision + recall) > 0 else 0.0)
-        precisions.append(precision)
-        recalls.append(recall)
-        f1s.append(f1)
-    return {
-        "accuracy": correct / n if n else 0.0,
-        "macro_f1": float(np.mean(f1s)) if f1s else 0.0,
-        "macro_precision": float(np.mean(precisions)) if precisions else 0.0,
-        "macro_recall": float(np.mean(recalls)) if recalls else 0.0,
-    }
-
+    true_counts, pred_counts = Counter(y_true), Counter(y_pred)
+    hits = Counter(t for t, p in zip(y_true, y_pred) if t == p)
+    f1s = []
+    for c in classes:
+        if c not in true_counts and c not in pred_counts:
+            continue
+        precision = hits[c] / pred_counts[c] if pred_counts[c] else 0.0
+        recall = hits[c] / true_counts[c] if true_counts[c] else 0.0
+        f1s.append(2 * precision * recall / (precision + recall)
+                   if (precision + recall) > 0 else 0.0)
+    return float(np.mean(f1s)) if f1s else 0.0

@@ -41,7 +41,7 @@ import numpy as np
 from . import resampling, stats
 from .errors import DegenerateInput, LengthMismatch, SchemaMismatch
 from .matrix import FeatureMatrix
-from .metrics import metrics
+from .metrics import macro_f1
 
 ALGORITHMS = ("logistic_regression", "decision_tree", "random_forest",
               "mlp", "dummy_stratified")
@@ -477,7 +477,6 @@ class TrainedModel:
     class_list: list[str]
     recipe: Recipe
     params: dict
-    hyperparams: dict
     seed: int
     schema_hash: str
     flags: list[str] = field(default_factory=list)
@@ -553,10 +552,10 @@ def fit_prepared(algorithm: str, fold: PreparedFold,
                              int(hp["min_leaf"]), seed)
     else:  # mlp
         params = _fit_mlp(X, y_codes, K, int(hp["hidden"]), float(hp["lr"]),
-                          int(hp.get("epochs", 200)), seed)
+                          int(hp["epochs"]), seed)
     return TrainedModel(algorithm=algorithm, class_list=class_list,
-                        recipe=fold.recipe, params=params, hyperparams=hp,
-                        seed=seed, schema_hash=fold.schema_hash, flags=flags)
+                        recipe=fold.recipe, params=params, seed=seed,
+                        schema_hash=fold.schema_hash, flags=flags)
 
 
 def predict_proba(model: TrainedModel, matrix: FeatureMatrix,
@@ -725,9 +724,8 @@ def grid_search(algorithm: str, grid: dict[str, list],
 
     def score(fold_models: list[TrainedModel]) -> tuple[float, None]:
         return float(np.mean([
-            metrics([y[i] for i in fold],
-                    predict(model, matrix, [row_idx[i] for i in fold]),
-                    classes)["macro_f1"]
+            macro_f1([y[i] for i in fold],
+                     predict(model, matrix, [row_idx[i] for i in fold]), classes)
             for model, fold in zip(fold_models, held_out)])), None
 
     best = select_best([(algorithm, c, seed) for c in candidates], prepared, score)

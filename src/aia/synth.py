@@ -97,6 +97,16 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    """An integer; a boolean is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _in_range(value, low: float, high: float) -> bool:
+    """A real number in [low, high]; NaN is in no range."""
+    return _is_real(value) and low <= value <= high
+
+
 @dataclass
 class SynthConfig:
     n_players: int = 50
@@ -112,38 +122,59 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_players < 1:
-            raise ConfigError("n_players must be >= 1")
-        if (len(self.matches_range) != 2
-                or not all(map(_is_real, self.matches_range))
-                or not 1 <= self.matches_range[0] <= self.matches_range[1]):
-            raise ConfigError(f"bad matches_range {self.matches_range}")
-        for attr, probs in self.priors.items():
-            if attr not in ATTRIBUTE_SCHEMA:
-                raise ConfigError(f"unknown attribute {attr!r}")
-            if len(probs) != len(ATTRIBUTE_SCHEMA[attr]):
-                raise ConfigError(f"prior arity mismatch for {attr!r}")
-            if not all(_is_real(p) and p >= 0.0 for p in probs):
-                raise ConfigError(f"priors for {attr!r} must be numbers >= 0: {probs}")
+        """ConfigError naming the first field the generator cannot take."""
+        def need(ok: bool, name: str, rule: str, value) -> None:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+        need(_is_int(self.n_players) and self.n_players >= 1, "n_players",
+             "an integer >= 1", self.n_players)
+        need(len(self.matches_range) == 2 and all(map(_is_int, self.matches_range))
+             and 1 <= self.matches_range[0] <= self.matches_range[1],
+             "matches_range", "two integers 1 <= low <= high", self.matches_range)
+        for attr in self.priors:
+            need(attr in ATTRIBUTE_SCHEMA, "priors", "keyed by schema attributes",
+                 attr)
+        for attr, classes in ATTRIBUTE_SCHEMA.items():
+            probs = self.priors.get(attr)
+            need(probs is not None, f"priors for {attr!r}", "given", probs)
+            need(len(probs) == len(classes), f"priors for {attr!r}",
+                 f"{len(classes)} numbers", probs)
             # Published distributions carry rounding error (one row sums to
             # 99.99%); tolerate it and renormalize at draw time.
-            if abs(sum(probs) - 1.0) > 1e-3:
-                raise ConfigError(f"priors for {attr!r} must sum to 1")
-        for eff in self.numeric_effects:
-            if eff.feature not in NUMERIC_CHANNELS:
-                raise ConfigError(f"unknown numeric channel {eff.feature!r}")
-            if not _is_real(eff.rho) or not -1.0 < eff.rho < 1.0 or eff.rho == 0.0:
-                raise ConfigError(f"rho must be in (-1, 1) and nonzero: {eff.rho!r}")
-        for eff in self.rate_effects:
-            if eff.feature not in MIX_CHANNELS + RATE_CHANNELS:
-                raise ConfigError(f"unknown rate channel {eff.feature!r}")
-            if not _is_real(eff.slope) or not math.isfinite(eff.slope):
-                raise ConfigError(f"slope must be a finite number: {eff.slope!r}")
-        for eff in self.categorical_effects:
-            if eff.feature not in ("hero_gender", "has_plus"):
-                raise ConfigError(f"unknown categorical channel {eff.feature!r}")
-            if not _is_real(eff.strength) or not 0.0 <= eff.strength <= 1.0:
-                raise ConfigError(f"strength must lie in [0, 1]: {eff.strength!r}")
+            need(all(_in_range(p, 0.0, 1.0) for p in probs)
+                 and abs(sum(probs) - 1.0) <= 1e-3, f"priors for {attr!r}",
+                 "numbers in [0, 1] summing to 1", probs)
+        channels = {"numeric_effects": NUMERIC_CHANNELS,
+                    "rate_effects": MIX_CHANNELS + RATE_CHANNELS,
+                    "categorical_effects": ("hero_gender", "has_plus")}
+        for name, known in channels.items():
+            for i, eff in enumerate(getattr(self, name)):
+                need(isinstance(eff.feature, str) and eff.feature in known,
+                     f"{name}[{i}].feature", f"one of {sorted(known)}", eff.feature)
+                need(isinstance(eff.attribute, str)
+                     and eff.attribute in ATTRIBUTE_SCHEMA,
+                     f"{name}[{i}].attribute", "a schema attribute", eff.attribute)
+        for i, eff in enumerate(self.numeric_effects):
+            need(_is_real(eff.rho) and -1.0 < eff.rho < 1.0 and eff.rho != 0.0,
+                 f"numeric_effects[{i}].rho", "in (-1, 1) and nonzero", eff.rho)
+        # Chat and wheel rates scale as exp(slope * (grade + 0.3 * noise_level
+        # * Z)); these ceilings keep every rate small enough to draw.
+        for i, eff in enumerate(self.rate_effects):
+            need(_in_range(eff.slope, -5.0, 5.0), f"rate_effects[{i}].slope",
+                 "a number in [-5, 5]", eff.slope)
+        for i, eff in enumerate(self.categorical_effects):
+            need(_in_range(eff.strength, 0.0, 1.0),
+                 f"categorical_effects[{i}].strength", "a number in [0, 1]",
+                 eff.strength)
+        need(_in_range(self.noise_level, 0.0, 2.0), "noise_level",
+             "a number in [0, 2]", self.noise_level)
+        need(_in_range(self.match_noise, 0.0, 10.0), "match_noise",
+             "a number in [0, 10]", self.match_noise)
+        need(_in_range(self.messages_per_match, 0.0, 100.0), "messages_per_match",
+             "a number in [0, 100]", self.messages_per_match)
+        need(_is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0",
+             self.seed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,7 +214,7 @@ class SynthConfig:
         for name, read in readers.items():
             try:
                 fields[name] = read(doc.get(name, defaults[name]))
-            except (TypeError, ValueError, AttributeError) as exc:
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
                 raise ConfigError(f"field {name!r}: {exc}") from exc
         return cls(**fields)
 
@@ -382,9 +413,12 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
     e_inv_m = _expected_inverse_matches(*config.matches_range)
     sigma_table: dict[tuple[str, str], float] = {}
     channel_plants: dict[str, dict] = {}
-    for eff in config.numeric_effects:
+    for i, eff in enumerate(config.numeric_effects):
         priors = config.priors[eff.attribute]
-        sigma_total = calibrate_sigma(priors, eff.rho)
+        try:
+            sigma_total = calibrate_sigma(priors, eff.rho)
+        except ConfigError as exc:
+            raise ConfigError(f"numeric_effects[{i}]: {exc}") from None
         adj = sigma_total ** 2 - config.match_noise ** 2 * e_inv_m
         if adj <= 0.0:
             raise ConfigError(

@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable
 
 from .errors import DomainError, MissingPair
 from .stats import t_sf_two_sided
@@ -114,12 +113,21 @@ def load_published_results() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _stat(label: str, pair: Iterable[float], n: int) -> SummaryStat:
+def _stat(field: str, label: str, pair, n: int) -> SummaryStat:
+    """The [mean, std] pair at `field`; an error names the field."""
+    mean = std = math.nan
+    if isinstance(pair, list) and len(pair) == 2:
+        try:
+            mean, std = float(pair[0]), float(pair[1])
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(f"{field}: expected [mean, std] of finite numbers, "
+                         f"got {pair!r}")
     try:
-        mean, std = pair
-        return SummaryStat(label, float(mean), float(std), n)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{label}: expected [mean, std], got {pair!r}") from exc
+        return SummaryStat(label, mean, std, n)
+    except DomainError as exc:
+        raise DomainError(f"{field}: {exc}") from None
 
 
 def _object(value, field: str) -> dict:
@@ -139,9 +147,15 @@ def _field(table: dict, name: str, key: str):
 def _n_runs(table: dict, name: str) -> int:
     value = _field(table, name, "n_runs")
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}.n_runs: expected an integer, got {value!r}") from exc
+    # Past 2**53 a count has no exact float, and the t-test's arithmetic
+    # leaves the float range long before 2**1024.
+    if not 2 <= n <= 2 ** 53:
+        raise DomainError(f"{name}.n_runs: summary stats need 2 <= n <= 2**53, "
+                          f"got {n}")
+    return n
 
 
 # (family, table, baseline column, opponent column); a row of the simple
@@ -171,36 +185,24 @@ def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,
         results = []
         for attr, row in _object(_field(table, name, "attributes"),
                                  f"{name}.attributes").items():
-            row = _object(row, f"{name}.attributes.{attr}")
+            where = f"{name}.attributes.{attr}"
+            row = _object(row, where)
             other = row.get("best") if opponent is None else opponent
             if other is not None and not isinstance(other, str):
-                raise ValueError(f"{name}.attributes.{attr}.best: expected a "
-                                 f"column name, got {other!r}")
+                raise ValueError(f"{where}.best: expected a column name, "
+                                 f"got {other!r}")
             for column in (baseline, other):
                 if column is None or column not in row:
-                    raise MissingPair(
-                        f"{name} table row {attr!r} lacks "
-                        f"{'best' if column is None else column!r} stats")
+                    column = column or "best"
+                    named = f", which {where}.best names" \
+                        if opponent is None and column == other else ""
+                    raise MissingPair(f"{where}.{column}: {name} table row "
+                                      f"{attr!r} lacks {column!r} stats{named}")
             n = _n_runs(table, name)
             results.append(two_sample_ttest(
-                _stat(f"{attr}:{baseline}", row[baseline], n),
-                _stat(f"{attr}:{other}", row[other], n), alpha=alpha, welch=welch))
+                _stat(f"{where}.{baseline}", f"{attr}:{baseline}", row[baseline], n),
+                _stat(f"{where}.{other}", f"{attr}:{other}", row[other], n),
+                alpha=alpha, welch=welch))
         families.append(LedgerFamily(family, results))
     return HypothesisLedger(alpha=alpha, families=families)
 
-
-def ledger_rows(ledger: HypothesisLedger) -> list[dict]:
-    """Flat rows for CSV emission."""
-    rows = []
-    for family in ledger.families:
-        for res in family.results:
-            rows.append({
-                "family": family.name,
-                "pair": res.pair,
-                "t_statistic": res.t_statistic,
-                "p_value": res.p_value,
-                "alpha": res.alpha,
-                "rejected": res.rejected,
-                "flagged": res.flagged,
-            })
-    return rows

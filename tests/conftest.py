@@ -1,7 +1,12 @@
+import copy
+import functools
 import json
+import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from aia.features import FeatureContext
 from aia.ingest import parse_match
@@ -59,6 +64,44 @@ def sample_labels(priors, n, seed=0):
     rng = np.random.default_rng(seed)
     cdfs = _prior_cdfs(priors)
     return [_draw_labels(cdfs, rng)[0] for _ in range(n)]
+
+
+# Mutations of a JSON document for the reader properties: one field, at
+# any depth, replaced by any JSON value or removed.
+DELETE = object()
+ANY_NUMBER = st.one_of(
+    st.integers(-3, 8), st.floats(-3, 8),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 10**400,
+                     -10**400, 2**64]))
+
+
+def json_paths(doc, prefix=()):
+    """The path of every field of a JSON document, containers included."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
+
+
+def json_values(numbers=ANY_NUMBER, names=()):
+    """Any JSON value, its numbers drawn from `numbers`, its strings
+    sometimes from `names`."""
+    scalars = st.one_of(st.none(), st.booleans(), numbers, st.text(max_size=4),
+                        st.sampled_from(names) if names else st.nothing())
+    return st.one_of(scalars, st.lists(scalars, max_size=3),
+                     st.dictionaries(st.text(max_size=4), scalars, max_size=2))
+
+
+def mutated(doc, where, value):
+    """A copy of `doc` with the field at path `where` set to `value`, or
+    removed when `value` is DELETE."""
+    doc = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, where[:-1], doc)
+    if value is DELETE:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    return doc
 
 
 @pytest.fixture(scope="session")

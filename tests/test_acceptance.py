@@ -17,7 +17,8 @@ import pytest
 from scipy import integrate
 
 from aia import attacks, stats
-from aia.attacks import BUILTIN_TARGETS, save_report
+from aia.attacks import BUILTIN_TARGETS
+from aia.cli import _write_json
 from aia.features import (
     FeatureContext,
     build_distilled,
@@ -398,7 +399,7 @@ def test_criterion_8_byte_identical_reports(fixture_assets, tmp_path):
     for run_id in ("a", "b", "c"):
         report = attacks.simple_aia(P, pop.labels, **kwargs)
         path = tmp_path / f"{run_id}.json"
-        save_report(report, path)
+        _write_json(path, report.to_json_dict())
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 

@@ -11,11 +11,11 @@ from aia.attacks import (
     average_probabilities,
     indiscriminate_aia,
     one_match_aia,
-    save_report,
     simple_aia,
     sophisticated_aia,
     targeted_aia,
 )
+from aia.cli import _write_json
 from aia.errors import AttributeArity, NoPositives, OutOfRange, PlayerOverlap
 from aia.features import FeatureContext, build_distilled, build_match_matrix, build_player_matrix
 from aia.matrix import Column, FeatureMatrix
@@ -501,9 +501,9 @@ def test_reports_are_deterministic_and_jobs_invariant(fixture_corpus, tmp_path):
     one = simple_aia(P, pop.labels, **kwargs)
     two = simple_aia(P, pop.labels, **kwargs)
     three = simple_aia(P, pop.labels, **kwargs)
-    save_report(one, tmp_path / "a.json")
-    save_report(two, tmp_path / "b.json")
-    save_report(three, tmp_path / "c.json")
+    _write_json(tmp_path / "a.json", one.to_json_dict())
+    _write_json(tmp_path / "b.json", two.to_json_dict())
+    _write_json(tmp_path / "c.json", three.to_json_dict())
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "c.json").read_bytes()
 
@@ -513,7 +513,7 @@ def test_report_json_shape(fixture_corpus, tmp_path):
     report = simple_aia(P, pop.labels, algorithms=("dummy_stratified",),
                         seed=1, outer_folds=3, grids=FAST_GRIDS,
                         attributes=("occupation",))
-    save_report(report, tmp_path / "r.json")
+    _write_json(tmp_path / "r.json", report.to_json_dict())
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["protocol"] == "simple"
     assert doc["config"]["seed"] == 1

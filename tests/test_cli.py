@@ -421,7 +421,7 @@ def test_validate_on_stds_whose_pooled_variance_underflows(tmp_path, capsys):
      ["'gender'", "'dummy'"]),
     (lambda doc: doc["simple"]["attributes"]["gender"].update(dummy=[50.0, -1.0]),
      ["'gender:dummy'", "negative std"]),
-    (lambda doc: doc["one_match"].update(n_runs=1), ["'gender:dummy'", "n >= 2"]),
+    (lambda doc: doc["one_match"].update(n_runs=1), ["one_match.n_runs", "got 1"]),
 ], ids=["list best", "number best", "list table", "list attributes", "list row",
         "no dummy column", "negative std", "one run"])
 def test_validate_on_a_malformed_table_names_file_and_field(tmp_path, capsys, edit,
@@ -623,6 +623,14 @@ def test_featurize_outputs_do_not_depend_on_the_worker_count(
         assert runs[1]["Mbar_00.csv"] != runs[1]["Mbar_01.csv"]
 
 
+def test_featurize_keeps_the_ingest_match_minimum_by_default():
+    from aia.ingest import MIN_MATCHES
+
+    args = cli.build_parser().parse_args(["featurize", "--variant", "P", "--cache",
+                                          "c", "--labels", "l", "--out", "o"])
+    assert args.min_matches == MIN_MATCHES
+
+
 def test_shards_are_contiguous_runs_balanced_by_match_count():
     from aia.ingest import PlayerRecord
 
@@ -724,20 +732,25 @@ def test_attack_rejects_bad_averaging_input(pipeline_dirs, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("protocol, flags", [
-    ("sophisticated", ["--draws", "0"]),
-    ("sophisticated", ["--sweep-start", "0"]),
-    ("sophisticated", ["--sweep-start", "5", "--sweep-stop", "3"]),
-    ("indiscriminate", ["--draws", "0"]),
-    ("indiscriminate", ["--sweep-stop", "0"]),
-    ("targeted", ["--repeats", "0"]),
-    ("targeted", ["--sweep-start", "5", "--sweep-stop", "3"]),
-    ("one-match", ["--repeats", "0"]),
+@pytest.mark.parametrize("protocol, flags, words", [
+    ("sophisticated", ["--draws", "0"], ["draws=0"]),
+    ("sophisticated", ["--sweep-start", "0"], ["n=[0, 1"]),
+    ("sophisticated", ["--sweep-start", "5", "--sweep-stop", "3"], ["n=[]"]),
+    ("indiscriminate", ["--draws", "0"], ["draws=0"]),
+    ("indiscriminate", ["--sweep-stop", "0"], ["n=[0]"]),
+    ("targeted", ["--repeats", "0"], ["--repeats", "got 0"]),
+    ("targeted", ["--sweep-start", "5", "--sweep-stop", "3"], ["n=[]"]),
+    ("one-match", ["--repeats", "0"], ["--repeats", "got 0"]),
+    ("simple", ["--seed", "-1"], ["--seed", "got -1"]),
+    ("simple", ["--algorithms", "decision_tree,foo"], ["'foo'"]),
+    ("one-match", ["--algorithms", "dummy_stratified,dummy_stratified"],
+     ["'dummy_stratified'", "more than once"]),
 ], ids=["sophisticated no draws", "sophisticated n=0", "sophisticated empty sweep",
         "indiscriminate no draws", "indiscriminate n=0", "targeted no repeats",
-        "targeted empty sweep", "one-match no repeats"])
+        "targeted empty sweep", "one-match no repeats", "negative seed",
+        "unknown algorithm", "repeated algorithm"])
 def test_attack_rejects_bad_averaging_input_before_any_work(
-        monkeypatch, tmp_path, capsys, protocol, flags):
+        monkeypatch, tmp_path, capsys, protocol, flags, words):
     from aia import attacks, matrix
 
     def boom(*args, **kwargs):
@@ -752,8 +765,44 @@ def test_attack_rejects_bad_averaging_input_before_any_work(
                  "--labels", str(tmp_path / "labels.csv"),
                  "--out", str(out)] + flags) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(word in err for word in words), err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, words", [
+    (["featurize", "--variant", "Mbar", "--variants", "0"], ["--variants", "got 0"]),
+    (["featurize", "--variant", "Mbar", "--variants", "-2"], ["--variants", "got -2"]),
+    (["featurize", "--variant", "Mbar", "--seed", "-1"], ["--seed", "got -1"]),
+    (["correlate", "--top", "-1"], ["--top", "got -1"]),
+    (["correlate", "--top", "0"], ["--top", "got 0"]),
+    (["synth", "--config", "{config}"], ["seed", "got -3"]),
+], ids=["featurize no variants", "featurize negative variants",
+        "featurize negative seed", "correlate negative top", "correlate no top",
+        "synth negative seed"])
+def test_bad_input_is_refused_before_any_work(monkeypatch, tmp_path, capsys,
+                                              command, words):
+    from aia import matrix, synth
+
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    for module, name in ((cli, "_load_players"), (cli, "read_labels_csv"),
+                         (matrix, "load_matrix"), (synth, "generate_population")):
+        monkeypatch.setattr(module, name, boom)
+    config = tmp_path / "in" / "synth.json"
+    config.parent.mkdir()
+    config.write_text(json.dumps({"seed": -3}))
+    argv = [arg.format(config=config) for arg in command]
+    if command[0] == "featurize":
+        argv += ["--cache", str(tmp_path / "in"), "--labels", str(config)]
+    elif command[0] == "correlate":
+        argv += ["--features", str(config), "--labels", str(config)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(word in err for word in words), err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "in"]
 
 
 @pytest.mark.parametrize("protocol, source, target", [

@@ -416,7 +416,7 @@ def test_match_matrix_shape_and_owner_alignment(feature_ctx):
 def test_distilled_under_cap_keeps_all_rows(feature_ctx):
     players, matches = corpus(n_players=3, matches_per_player=12)
     m, aug = build_match_matrix(players, matches, feature_ctx)
-    variants = build_distilled(m, aug, max_per_player=30, n_variants=3, seed=5)
+    variants = build_distilled(m, aug, n_variants=3, seed=5)
     for v in variants:
         assert v.n_rows == m.n_rows
         assert v.variant == "M_bar"
@@ -425,7 +425,7 @@ def test_distilled_under_cap_keeps_all_rows(feature_ctx):
 def test_distilled_caps_and_varies(feature_ctx):
     players, matches = corpus(n_players=2, matches_per_player=40)
     m, aug = build_match_matrix(players, matches, feature_ctx)
-    variants = build_distilled(m, aug, max_per_player=30, n_variants=4, seed=5)
+    variants = build_distilled(m, aug, n_variants=4, seed=5)
     subsets = []
     for v in variants:
         per_owner = {}

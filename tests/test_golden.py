@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from aia import attacks
-from aia.cli import correlation_doc, main
+from aia.cli import _write_json, correlation_doc, main
 from aia.features import FeatureContext, build_player_matrix
 from aia.synth import FIXTURE_CONFIG, generate_population
 
@@ -41,7 +41,7 @@ def test_simple_attack_report_matches_golden(fixture_p, tmp_path):
         P, pop.labels, algorithms=("decision_tree", "dummy_stratified"),
         seed=17, outer_folds=3, grids=attacks.DESK_GRIDS,
         attributes=("age_bin", "occupation"))
-    attacks.save_report(report, tmp_path / "simple.json")
+    _write_json(tmp_path / "simple.json", report.to_json_dict())
     assert (tmp_path / "simple.json").read_bytes() == \
         (GOLDEN_DIR / "simple_report.json").read_bytes()
 

@@ -1,7 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aia import stats
 from aia.attributes import ATTRIBUTE_SCHEMA, bin_labels
@@ -9,10 +12,11 @@ from aia.cli import main
 from aia.errors import ConfigError
 from aia.features import build_player_matrix
 from aia.ingest import load_cached_match, load_cached_player, parse_match, serialize_match
-from conftest import sample_labels
+from conftest import DELETE, json_paths, json_values, mutated, sample_labels
 from aia.synth import (
     FIXTURE_CONFIG,
     TABLE1_PRIORS,
+    CategoricalEffect,
     NumericEffect,
     RateEffect,
     SynthConfig,
@@ -242,3 +246,47 @@ def test_regression_fixture_is_stable():
     # planted manifest entries recorded
     assert "sigma_table" in one.manifest
     assert one.manifest["config"]["seed"] == FIXTURE_CONFIG.seed
+
+
+# A 2-player config with 5-6 matches each and one effect of every kind, so
+# a mutation can reach every field the reader takes.
+_PROPERTY_DOC = SynthConfig(
+    n_players=2, matches_range=(5, 6),
+    numeric_effects=(NumericEffect("kills", "age_bin", -0.6),),
+    rate_effects=(RateEffect("chat_slang_count", "age_bin", -3.5),),
+    categorical_effects=(CategoricalEffect("hero_gender", "gender", 0.5),),
+    seed=7).to_json_dict()
+_NAMES = ("kills", "age_bin", "gender", "hero_gender", "hero_msg_count")
+_PATHS = list(json_paths(_PROPERTY_DOC))
+_SIZES = ("n_players", "matches_range")
+# A size that reads as a valid integer stays small, and a size is never
+# removed, which would give its large default.
+_SMALL = st.one_of(st.integers(-2, 7), st.floats(-2, 7),
+                   st.sampled_from([math.nan, math.inf]))
+_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from([w for w in _PATHS if w[0] in _SIZES]),
+              json_values(_SMALL, _NAMES)),
+    st.tuples(st.sampled_from([w for w in _PATHS if w[0] not in _SIZES]),
+              json_values(names=_NAMES) | st.just(DELETE)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MUTATIONS)
+@example((("messages_per_match",), -1))
+@example((("noise_level",), math.nan))
+@example((("seed",), -3))
+def test_synth_config_reader_takes_or_names_any_mutated_field(mutation):
+    # Either a ConfigError names the mutated top-level field or the key
+    # that holds the value, or the config generates its corpus.
+    where, value = mutation
+    try:
+        config = SynthConfig.from_json_dict(mutated(_PROPERTY_DOC, where, value))
+        config.validate()
+        population = generate_population(config)
+    except ConfigError as exc:
+        names = {where[0], *(k for k in where if isinstance(k, str))}
+        assert any(name in str(exc) for name in names), (where, value, exc)
+        return
+    low, high = config.matches_range
+    assert len(population.players) == config.n_players
+    assert all(low <= len(p.match_ids) <= high for p in population.players)

@@ -1,13 +1,20 @@
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from aia import validation
+from aia.cli import main
 from aia.errors import DomainError, MissingPair
 from aia.validation import SummaryStat, hypothesis_table, two_sample_ttest
+from conftest import DELETE, json_paths, json_values, mutated
 
 
 def pooled_t_oracle(ma, sa, na, mb, sb, nb):
@@ -184,3 +191,32 @@ def test_stds_whose_variance_leaves_the_float_range_still_test(std):
         res = two_sample_ttest(a, b, welch=welch)
         assert res.t_statistic < 0 and not res.flagged
         assert res.rejected == (std < 1.0)
+
+
+_PUBLISHED = validation.load_published_results()
+_COLUMNS = ("dummy", "mlp", "naive", "expert", "sophisticated", "best")
+
+
+@settings(max_examples=300, deadline=None)
+@given(where=st.sampled_from(list(json_paths(_PUBLISHED))),
+       value=json_values(names=_COLUMNS) | st.just(DELETE))
+@example(where=("one_match", "n_runs"), value=10**400)
+@example(where=("simple", "attributes", "gender", "dummy", 0), value=math.nan)
+def test_pairs_reader_takes_or_names_any_mutated_field(where, value):
+    # `aia validate --pairs` either exits 1 with one error line naming the
+    # file and the mutated field (table, row and column), or gives a ledger.
+    field = ".".join(map(str, where[:4]))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.json"
+        path.write_text(json.dumps(mutated(_PUBLISHED, where, value)))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["validate", "--pairs", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    message = err.getvalue()
+    assert code == 1 and message.startswith("error: ")
+    assert message.count("\n") == 1
+    assert str(path) in message and field in message, (where, value, message)
