@@ -35,11 +35,14 @@ DESK_GRIDS: dict[str, dict[str, list]] = {
 }
 
 # Fixed settings. Simple and one-match reports record the ones they use in
-# their config; the targeted report records only its algorithms.
+# their config; the targeted report records its algorithms and thresholds.
 MAX_FEATURES = 12
+INNER_FOLDS = 3        # grid-search folds inside each simple outer fold
 TEST_FRACTION = 0.20   # players held out for test
 VAL_FRACTION = 0.10    # of the remainder, held out for validation
 TARGETED_ALGORITHMS = ("random_forest",)
+# The decision thresholds `targeted` tries on its validation players.
+THRESHOLDS = tuple(np.round(np.arange(0.10, 0.96, 0.05), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +177,8 @@ def _stratified_player_split(players: Sequence[int], y_by_player: dict[int, str]
 
 def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
                algorithms: Sequence[str] = m.ALGORITHMS, seed: int = 0,
-               outer_folds: int = 10, inner_folds: int = 3,
-               grids: dict | None = None, resample: bool = True,
+               outer_folds: int = 10, grids: dict | None = None,
+               resample: bool = True,
                attributes: Sequence[str] | None = None) -> AttackReport:
     """Nested stratified cross-validation over the per-player table.
 
@@ -187,7 +190,7 @@ def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
     grids = grids or DESK_GRIDS
     attrs = list(attributes) if attributes is not None else list(ATTRIBUTE_SCHEMA)
     report = AttackReport(protocol="simple", config={
-        "seed": seed, "outer_folds": outer_folds, "inner_folds": inner_folds,
+        "seed": seed, "outer_folds": outer_folds, "inner_folds": INNER_FOLDS,
         "grids": grids, "max_features": MAX_FEATURES, "resample": resample,
         "algorithms": list(algorithms), "column_hash": P.column_hash(),
     })
@@ -221,7 +224,7 @@ def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
                 unit_seed = _unit_seed(seed, ai, gi, fi)
                 best = m.grid_search(algorithm, grids.get(algorithm, {}),
                                      P, train_rows, y_train,
-                                     inner_folds=inner_folds, seed=unit_seed,
+                                     inner_folds=INNER_FOLDS, seed=unit_seed,
                                      classes=classes, selected=selected,
                                      resample=resample)
                 model = m.fit_prepared(algorithm, prepared, best, unit_seed)
@@ -478,8 +481,6 @@ BUILTIN_TARGETS: dict[str, TargetSpec] = {
         ("purchase_habits", frozenset({"rarely", "regularly"})),)),
 }
 
-_THRESHOLDS = tuple(np.round(np.arange(0.10, 0.96, 0.05), 2))
-
 
 def _precision_recall(called: np.ndarray, positive: np.ndarray):
     """Precision and recall of boolean positive calls, players along axis 0,
@@ -496,8 +497,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                  labels: dict[int, AttributeLabels],
                  n_sweep: Sequence[int] = tuple(range(1, 31)),
                  repeats: int = 5, draws: int = 20, seed: int = 0,
-                 grids: dict | None = None,
-                 thresholds: Sequence[float] = _THRESHOLDS) -> AttackReport:
+                 grids: dict | None = None) -> AttackReport:
     """Binary, precision-optimized detection of one subgroup.
 
     Everyone outside the target conjunction collapses into the negative
@@ -516,7 +516,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         "clauses": [[a, sorted(c)] for a, c in target.clauses],
         "seed": seed, "repeats": repeats, "draws": draws,
         "n_sweep": list(n_sweep), "algorithms": list(TARGETED_ALGORITHMS),
-        "grids": grids, "thresholds": [float(t) for t in thresholds],
+        "grids": grids, "thresholds": [float(t) for t in THRESHOLDS],
         "selected": [],
     })
     precisions: dict[int, list[float]] = {n: [] for n in n_sweep}
@@ -551,10 +551,10 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
             pos_proba = np.array([block.mean(axis=0)[1] for block in
                                   _prob_blocks(models[0], matrix, val_p).values()])
             # (player, threshold) positive calls.
-            called = pos_proba[:, None] >= np.asarray(thresholds)
+            called = pos_proba[:, None] >= np.asarray(THRESHOLDS)
             precision, recall = _precision_recall(called, val_positive)
             scored = [(p, r, float(t)) for p, r, t, any_called in zip(
-                precision.tolist(), recall.tolist(), thresholds,
+                precision.tolist(), recall.tolist(), THRESHOLDS,
                 called.any(axis=0)) if any_called]
             if not scored:
                 return None

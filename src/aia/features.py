@@ -5,8 +5,10 @@ per-match table ("M"), and the distilled per-match table ("M_bar") which
 caps rows per player and appends the domain-knowledge columns (chat and
 hero expertise) that the plain per-match table does not carry.
 
-A player's slot entry in a match is found once, by handle (`_slot_of`),
-and the per-match extractors take that entry, not a slot number.
+Every row of the three comes from one walk over each player's matches
+(`_player_rows`): a match's slot entry is found once, by handle
+(`_slot_of`), and the per-match extractors take that entry, not a slot
+number.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import InsufficientMatches, SchemaError
 from .ingest import MIN_MATCHES, MatchPlayerSlot, MatchRecord, PlayerRecord
@@ -329,11 +331,12 @@ def _naive_values(match: MatchRecord, player: MatchPlayerSlot) -> list:
     ]
 
 
-def _expert_values(match: MatchRecord, player: MatchPlayerSlot,
-                   ctx: FeatureContext) -> list:
-    """The expert values of one slot's row, in EXPERT_MATCH_SCHEMA order."""
-    slot = player.slot
-    values = extract_chat_features(match, player, ctx)
+def build_match_features(match: MatchRecord, entry: MatchPlayerSlot,
+                         ctx: FeatureContext) -> list:
+    """Full per-match feature row for one slot, given its entry in the
+    match: its naive then its expert values, in MATCH_SCHEMA order."""
+    slot = entry.slot
+    values = _naive_values(match, entry) + extract_chat_features(match, entry, ctx)
     counts = match.message_counts
     typed = counts.get("typed_text", {})
     # Average rank among the match's slots, rank 1 = most talkative: the
@@ -350,17 +353,10 @@ def _expert_values(match: MatchRecord, player: MatchPlayerSlot,
         float(mine),
         (more + more + tied - 1) / 2.0 + 1.0,
         float(counts.get("chatwheel_hero", {}).get(slot, 0)),
-        hero_gender(ctx.hero_table, player.hero_id),
-        hero_attr(ctx.hero_table, player.hero_id),
+        hero_gender(ctx.hero_table, entry.hero_id),
+        hero_attr(ctx.hero_table, entry.hero_id),
     ]
     return values
-
-
-def build_match_features(match: MatchRecord, entry: MatchPlayerSlot,
-                         ctx: FeatureContext) -> list:
-    """Full per-match feature row for one slot, given its entry in the
-    match: its naive then its expert values, in MATCH_SCHEMA order."""
-    return _naive_values(match, entry) + _expert_values(match, entry, ctx)
 
 
 def _slot_of(match: MatchRecord, handle: int) -> Optional[MatchPlayerSlot]:
@@ -371,47 +367,58 @@ def _slot_of(match: MatchRecord, handle: int) -> Optional[MatchPlayerSlot]:
     return None
 
 
-def build_naive_match_matrix(players: Sequence[PlayerRecord],
-                             matches: dict[int, MatchRecord],
-                             ctx: FeatureContext) -> FeatureMatrix:
-    """Per-match matrix M: the naive columns of every (player, match) pair.
+def _player_rows(player: PlayerRecord, matches: dict[int, MatchRecord],
+                 ctx: FeatureContext, expert: bool) -> Iterator[tuple]:
+    """(match id, match, entry, row) for each of the player's matches, in
+    ascending id order, that `matches` holds and that has the player in a
+    slot: `entry` is the player's slot entry, found once, and `row` its
+    `build_match_features` row, or only its naive values when `expert` is
+    false. Every P, M and M_bar row is built from this walk."""
+    for mid in sorted(player.match_ids):
+        match = matches.get(mid)
+        entry = None if match is None else _slot_of(match, player.handle)
+        if entry is not None:
+            yield mid, match, entry, (build_match_features(match, entry, ctx)
+                                      if expert else _naive_values(match, entry))
 
-    Rows are emitted sorted by (owner, match id), whatever order the
-    players and matches come in, so a rebuild agrees byte for byte.
-    """
-    rows: list[list] = []
+
+def _variant_rows(variant: str, players: Sequence[PlayerRecord],
+                  matches: dict[int, MatchRecord], ctx: FeatureContext
+                  ) -> tuple[list[int], Optional[list[int]], list[list]]:
+    """The owners, match ids (None for "P") and rows these players give the
+    "P", "M" or "M_bar" matrix, sorted by (owner, match id) whatever order
+    the players and matches come in. The "M_bar" rows are every row of M
+    with its expert values appended, before `distill_picks` caps them."""
+    columns = variant_columns(variant)
     owners: list[int] = []
     match_ids: list[int] = []
+    rows: list[list] = []
     for player in sorted(players, key=lambda p: p.handle):
-        for mid in sorted(player.match_ids):
-            match = matches.get(mid)
-            if match is None:
-                continue
-            entry = _slot_of(match, player.handle)
-            if entry is None:
-                continue
-            rows.append(_naive_values(match, entry))
+        walk = _player_rows(player, matches, ctx, expert=variant != "M")
+        if variant == "P":
+            values = _player_values(player, list(walk), ctx)
+            rows.append([values[c.name] for c in columns])
+            owners.append(player.handle)
+            continue
+        for mid, _, _, row in walk:
             owners.append(player.handle)
             match_ids.append(mid)
-    return FeatureMatrix(variant="M", columns=variant_columns("M"), rows=rows,
-                         row_owner=owners, row_match=match_ids,
-                         config_hash=ctx.config_hash())
+            rows.append(row)
+    return owners, None if variant == "P" else match_ids, rows
 
 
 def build_match_matrix(players: Sequence[PlayerRecord],
                        matches: dict[int, MatchRecord],
                        ctx: FeatureContext) -> tuple[FeatureMatrix, list[list]]:
-    """Per-match matrix M (naive columns) and the expert values of each of
-    its rows, in EXPERT_MATCH_SCHEMA order, for `build_distilled` to append.
-    `featurize --variant M` needs only `build_naive_match_matrix`, and builds
-    no expert value.
-    """
-    m = build_naive_match_matrix(players, matches, ctx)
-    expert_rows = []
-    for owner, mid in zip(m.row_owner, m.row_match):
-        match = matches[mid]
-        expert_rows.append(_expert_values(match, _slot_of(match, owner), ctx))
-    return m, expert_rows
+    """Per-match matrix M (naive columns), its rows sorted by (owner, match
+    id), and the expert values of each of its rows, in EXPERT_MATCH_SCHEMA
+    order, for `build_distilled` to append."""
+    owners, match_ids, rows = _variant_rows("M_bar", players, matches, ctx)
+    n = len(NAIVE_MATCH_SCHEMA)
+    m = FeatureMatrix(variant="M", columns=variant_columns("M"),
+                      rows=[row[:n] for row in rows], row_owner=owners,
+                      row_match=match_ids, config_hash=ctx.config_hash())
+    return m, [row[n:] for row in rows]
 
 
 def distill_picks(row_owner: Sequence[int], n_variants: int,
@@ -467,20 +474,9 @@ def build_shard_lines(variant: str, players: Sequence[PlayerRecord],
                       matches: dict[int, MatchRecord],
                       ctx: FeatureContext) -> tuple[list[int], list[str]]:
     """The owner and finished CSV line (`matrix.format_lines`) of each row
-    these players give the "P", "M" or "M_bar" matrix, in row order. For
-    "M_bar" that is every row of M with its expert values appended, before
-    `distill_picks` caps them."""
-    if variant == "P":
-        m = build_player_matrix(players, matches, ctx)
-        rows = m.rows
-    elif variant == "M":
-        m = build_naive_match_matrix(players, matches, ctx)
-        rows = m.rows
-    else:
-        m, expert_rows = build_match_matrix(players, matches, ctx)
-        rows = [[*row, *expert] for row, expert in zip(m.rows, expert_rows)]
-    return m.row_owner, format_lines(variant_columns(variant), rows, m.row_owner,
-                                     m.row_match)
+    `_variant_rows` gives, in row order."""
+    owners, match_ids, rows = _variant_rows(variant, players, matches, ctx)
+    return owners, format_lines(variant_columns(variant), rows, owners, match_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +515,16 @@ def player_columns() -> list[Column]:
     return cols
 
 
-def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
-                          ctx: FeatureContext) -> dict[str, object]:
-    """Aggregate one player's matches into the per-player feature row."""
+def _player_values(player: PlayerRecord, usable: list[tuple],
+                   ctx: FeatureContext) -> dict[str, object]:
+    """The per-player feature row of the `_player_rows` items of one player."""
     import numpy as np
 
-    usable: list[tuple[MatchRecord, MatchPlayerSlot, list]] = []
-    for match in matches:
-        entry = _slot_of(match, player.handle)
-        if entry is not None:
-            usable.append((match, entry, build_match_features(match, entry, ctx)))
     if len(usable) < MIN_MATCHES:
         raise InsufficientMatches(f"player {player.handle} has {len(usable)} "
                                   f"usable matches, need {MIN_MATCHES}")
     n = len(usable)
-    rows = [full for _, _, full in usable]
+    rows = [row for _, _, _, row in usable]
 
     out: dict[str, object] = {"matches_count": float(n)}
     won, lobby = _AT["won"], _AT["lobby_type"]
@@ -573,7 +564,7 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
     chat_msgs = _AT["chat_msgs"]
     my_msgs = sum(r[chat_msgs] for r in rows)
     all_msgs = 0.0
-    for match, _, _ in usable:
+    for _, match, _, _ in usable:
         all_msgs += sum(match.message_counts.get("typed_text", {}).values())
     out["chat_msgs_per_match"] = my_msgs / n
     out["ratio_chat_msg"] = my_msgs / max(all_msgs, 1.0)
@@ -583,7 +574,7 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
     hero_counts: dict[int, int] = {}
     gender = _AT["hero_gender"]
     female = 0
-    for _, entry, r in usable:
+    for _, _, entry, r in usable:
         hid = entry.hero_id
         hero_counts[hid] = hero_counts.get(hid, 0) + 1
         if r[gender] == "female":
@@ -598,17 +589,18 @@ def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
     return out
 
 
+def build_player_features(player: PlayerRecord, matches: Sequence[MatchRecord],
+                          ctx: FeatureContext) -> dict[str, object]:
+    """Aggregate one player's matches into the per-player feature row: the
+    matches of `matches` that the player's record lists and that have the
+    player in a slot, in ascending id order."""
+    by_id = {match.match_id: match for match in matches}
+    return _player_values(player, list(_player_rows(player, by_id, ctx, True)), ctx)
+
+
 def build_player_matrix(players: Sequence[PlayerRecord],
                         matches: dict[int, MatchRecord],
                         ctx: FeatureContext) -> FeatureMatrix:
-    cols = variant_columns("P")
-    rows: list[list] = []
-    owners: list[int] = []
-    for player in sorted(players, key=lambda p: p.handle):
-        record_matches = [matches[mid] for mid in sorted(player.match_ids)
-                          if mid in matches]
-        row = build_player_features(player, record_matches, ctx)
-        rows.append([row[c.name] for c in cols])
-        owners.append(player.handle)
-    return FeatureMatrix(variant="P", columns=cols, rows=rows, row_owner=owners,
-                         config_hash=ctx.config_hash())
+    owners, _, rows = _variant_rows("P", players, matches, ctx)
+    return FeatureMatrix(variant="P", columns=variant_columns("P"), rows=rows,
+                         row_owner=owners, config_hash=ctx.config_hash())

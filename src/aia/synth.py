@@ -102,9 +102,23 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _integer(value) -> int:
+    """`value` when it is an integer (int() would read 2.7 as 2 and true as
+    1), else ValueError."""
+    if _is_int(value):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _in_range(value, low: float, high: float) -> bool:
     """A real number in [low, high]; NaN is in no range."""
     return _is_real(value) and low <= value <= high
+
+
+# Size ceilings of a synth config, far past the survey's 484 players and
+# ~110 matches each; past them the generator's arrays fail.
+MAX_PLAYERS = 100_000
+MAX_MATCHES = 10_000  # per player
 
 
 @dataclass
@@ -127,11 +141,12 @@ class SynthConfig:
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
-        need(_is_int(self.n_players) and self.n_players >= 1, "n_players",
-             "an integer >= 1", self.n_players)
+        need(_is_int(self.n_players) and 1 <= self.n_players <= MAX_PLAYERS,
+             "n_players", f"an integer in [1, {MAX_PLAYERS}]", self.n_players)
         need(len(self.matches_range) == 2 and all(map(_is_int, self.matches_range))
-             and 1 <= self.matches_range[0] <= self.matches_range[1],
-             "matches_range", "two integers 1 <= low <= high", self.matches_range)
+             and 1 <= self.matches_range[0] <= self.matches_range[1] <= MAX_MATCHES,
+             "matches_range", f"two integers 1 <= low <= high <= {MAX_MATCHES}",
+             self.matches_range)
         for attr in self.priors:
             need(attr in ATTRIBUTE_SCHEMA, "priors", "keyed by schema attributes",
                  attr)
@@ -198,7 +213,7 @@ class SynthConfig:
         if not isinstance(doc, dict):
             raise ConfigError(f"expected a JSON object, got {type(doc).__name__}")
         readers = {
-            "n_players": int,
+            "n_players": _integer,
             "matches_range": tuple,
             "priors": lambda v: {k: tuple(p) for k, p in v.items()},
             "numeric_effects": lambda v: tuple(NumericEffect(**e) for e in v),
@@ -207,7 +222,7 @@ class SynthConfig:
             "noise_level": float,
             "match_noise": float,
             "messages_per_match": float,
-            "seed": int,
+            "seed": _integer,
         }
         defaults = cls().to_json_dict()
         fields = {}

@@ -145,11 +145,10 @@ def _field(table: dict, name: str, key: str):
 
 
 def _n_runs(table: dict, name: str) -> int:
-    value = _field(table, name, "n_runs")
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name}.n_runs: expected an integer, got {value!r}") from exc
+    n = _field(table, name, "n_runs")
+    # Not int(n), which would read 5.7 as 5 and true as 1.
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{name}.n_runs: expected an integer, got {n!r}")
     # Past 2**53 a count has no exact float, and the t-test's arithmetic
     # leaves the float range long before 2**1024.
     if not 2 <= n <= 2 ** 53:

@@ -469,7 +469,7 @@ def test_targeted_very_young_reaches_high_precision(fixture_corpus):
     assert report.config["algorithms"] == ["random_forest"]
 
 
-def test_targeted_beats_untuned_half_threshold(fixture_corpus):
+def test_targeted_beats_untuned_half_threshold(fixture_corpus, monkeypatch):
     # Tuned threshold selection should not lose to a fixed 0.5 cut; a fixed
     # cut that never clears the >=1-predicted-positive constraint counts as
     # a failed attack (precision 0).
@@ -477,10 +477,11 @@ def test_targeted_beats_untuned_half_threshold(fixture_corpus):
     tuned = targeted_aia(BUILTIN_TARGETS["very_young"], variants, pop.labels,
                          n_sweep=(30,), repeats=2, draws=8, seed=21,
                          grids=FAST_GRIDS)
+    monkeypatch.setattr(attacks, "THRESHOLDS", (0.5,))
     try:
         fixed = targeted_aia(BUILTIN_TARGETS["very_young"], variants,
                              pop.labels, n_sweep=(30,), repeats=2, draws=8,
-                             seed=21, grids=FAST_GRIDS, thresholds=(0.5,))
+                             seed=21, grids=FAST_GRIDS)
         fixed_p = fixed.curves["precision"][0]["mean"]
     except NoPositives:
         fixed_p = 0.0

@@ -422,8 +422,12 @@ def test_validate_on_stds_whose_pooled_variance_underflows(tmp_path, capsys):
     (lambda doc: doc["simple"]["attributes"]["gender"].update(dummy=[50.0, -1.0]),
      ["'gender:dummy'", "negative std"]),
     (lambda doc: doc["one_match"].update(n_runs=1), ["one_match.n_runs", "got 1"]),
+    (lambda doc: doc["one_match"].update(n_runs=5.7), ["one_match.n_runs", "got 5.7"]),
+    (lambda doc: doc["one_match"].update(n_runs=True),
+     ["one_match.n_runs", "got True"]),
 ], ids=["list best", "number best", "list table", "list attributes", "list row",
-        "no dummy column", "negative std", "one run"])
+        "no dummy column", "negative std", "one run", "fractional runs",
+        "boolean runs"])
 def test_validate_on_a_malformed_table_names_file_and_field(tmp_path, capsys, edit,
                                                             words):
     from aia.validation import load_published_results
@@ -621,6 +625,20 @@ def test_featurize_outputs_do_not_depend_on_the_worker_count(
         assert rows_per_owner(runs[1]["Mbar_00.csv"]) == {
             owner: min(n, 30) for owner, n in m_rows.items()}
         assert runs[1]["Mbar_00.csv"] != runs[1]["Mbar_01.csv"]
+
+
+def test_m_lines_are_prefixes_of_the_uncapped_mbar_lines(capped_corpus):
+    from aia.features import FeatureContext, build_shard_lines
+
+    cache, labels_csv = capped_corpus
+    players, _ = cli._load_players(cache, labels_csv, 5)
+    matches = cli._load_matches(cache, players, 0)
+    ctx = FeatureContext.default()
+    m_owners, m_lines = build_shard_lines("M", players, matches, ctx)
+    bar_owners, bar_lines = build_shard_lines("M_bar", players, matches, ctx)
+    assert m_owners == bar_owners and m_lines
+    for m_line, bar_line in zip(m_lines, bar_lines):
+        assert bar_line.startswith(m_line.rstrip("\r\n") + ",")
 
 
 def test_featurize_keeps_the_ingest_match_minimum_by_default():

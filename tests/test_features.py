@@ -5,6 +5,7 @@ import re
 import tempfile
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from aia.features import (
     variant_columns,
 )
 from aia.ingest import PlayerRecord, parse_match
-from aia import models
+from aia import features, models
 from aia.matrix import (DISTILL_CAP, Column, FeatureMatrix, format_lines, load_matrix,
                         save_matrix, write_lines)
 from aia.stats import average_ranks
@@ -613,6 +614,26 @@ def test_shard_lines_write_what_save_matrix_writes(tmp_path, feature_ctx):
             for suffix in ("", ".schema.json"):
                 assert (Path(f"{written}{suffix}").read_bytes()
                         == Path(f"{saved}{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("variant", ["P", "M", "M_bar"])
+def test_shard_lines_find_each_slot_entry_once(fixture_population, feature_ctx,
+                                               monkeypatch, variant):
+    # One walk over each player's matches: every (player, loaded match)
+    # pair looks its slot entry up once, for the naive and the expert
+    # values of its row alike.
+    pop = fixture_population
+    calls = Counter()
+    slot_of = features._slot_of
+
+    def counted(match, handle):
+        calls[handle, match.match_id] += 1
+        return slot_of(match, handle)
+
+    monkeypatch.setattr(features, "_slot_of", counted)
+    build_shard_lines(variant, pop.players, pop.matches, feature_ctx)
+    assert calls == Counter((p.handle, mid) for p in pop.players
+                            for mid in p.match_ids if mid in pop.matches)
 
 
 def test_written_lines_keep_csv_quoting(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from aia.ingest import load_cached_match, load_cached_player, parse_match, seria
 from conftest import DELETE, json_paths, json_values, mutated, sample_labels
 from aia.synth import (
     FIXTURE_CONFIG,
+    MAX_MATCHES,
+    MAX_PLAYERS,
     TABLE1_PRIORS,
     CategoricalEffect,
     NumericEffect,
@@ -145,6 +148,14 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="slope"):
         SynthConfig(rate_effects=(RateEffect("hero_msg_count", "occupation",
                                              float("inf")),)).validate()
+    # Sizes have ceilings: past them the generator's arrays fail.
+    SynthConfig(n_players=MAX_PLAYERS, matches_range=(5, MAX_MATCHES)).validate()
+    for bad in (MAX_PLAYERS + 1, 10**400):
+        with pytest.raises(ConfigError, match="n_players"):
+            SynthConfig(n_players=bad).validate()
+    for bad in (MAX_MATCHES + 1, 10**400):
+        with pytest.raises(ConfigError, match="matches_range"):
+            SynthConfig(matches_range=(5, bad)).validate()
 
 
 def test_config_json_round_trip():
@@ -275,18 +286,27 @@ _MUTATIONS = st.one_of(
 @example((("messages_per_match",), -1))
 @example((("noise_level",), math.nan))
 @example((("seed",), -3))
+@example((("n_players",), 2.7))
+@example((("seed",), 5.7))
+@example((("seed",), True))
+@example((("matches_range", 1), 10**400))
 def test_synth_config_reader_takes_or_names_any_mutated_field(mutation):
     # Either a ConfigError names the mutated top-level field or the key
-    # that holds the value, or the config generates its corpus.
+    # that holds the value, or the config generates its corpus with every
+    # integer as written.
     where, value = mutation
+    doc = mutated(_PROPERTY_DOC, where, value)
     try:
-        config = SynthConfig.from_json_dict(mutated(_PROPERTY_DOC, where, value))
+        config = SynthConfig.from_json_dict(doc)
         config.validate()
         population = generate_population(config)
     except ConfigError as exc:
         names = {where[0], *(k for k in where if isinstance(k, str))}
         assert any(name in str(exc) for name in names), (where, value, exc)
         return
+    integers = [k for k in ("n_players", "matches_range", "seed") if k in doc]
+    assert (json.dumps([doc[k] for k in integers])
+            == json.dumps([config.to_json_dict()[k] for k in integers]))
     low, high = config.matches_range
     assert len(population.players) == config.n_players
     assert all(low <= len(p.match_ids) <= high for p in population.players)

@@ -201,6 +201,8 @@ _COLUMNS = ("dummy", "mlp", "naive", "expert", "sophisticated", "best")
 @given(where=st.sampled_from(list(json_paths(_PUBLISHED))),
        value=json_values(names=_COLUMNS) | st.just(DELETE))
 @example(where=("one_match", "n_runs"), value=10**400)
+@example(where=("one_match", "n_runs"), value=5.7)
+@example(where=("one_match", "n_runs"), value=True)
 @example(where=("simple", "attributes", "gender", "dummy", 0), value=math.nan)
 def test_pairs_reader_takes_or_names_any_mutated_field(where, value):
     # `aia validate --pairs` either exits 1 with one error line naming the
