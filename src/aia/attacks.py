@@ -4,7 +4,11 @@ Five protocols share one discipline: players never straddle the
 train/test boundary (checked at runtime on every split), all randomness
 descends from (master seed, unit index) so a report does not depend on
 the order its units run in, and a stratified dummy baseline rides along
-wherever models are compared. Every protocol runs its units serially.
+wherever models are compared. Every protocol splits its independent units
+((attribute, outer fold) in simple, (run, attribute) in one-match, repeats
+in targeted) into one contiguous shard per CPU, each trained by a forked
+worker (`workers.map_units`); results merge in unit order, so a report
+does not depend on the CPU count.
 
 The post-processing protocols average per-match class probabilities
 through one kernel, `_draw_means` (prefix means of uniform permutations),
@@ -19,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import models as m
+from . import workers
 from .attributes import ATTRIBUTE_SCHEMA, AttributeLabels
 from .errors import AttributeArity, NoPositives, OutOfRange, PlayerOverlap, SchemaError
 from .matrix import FeatureMatrix
@@ -195,43 +200,57 @@ def simple_aia(P: FeatureMatrix, labels: dict[int, AttributeLabels],
         "algorithms": list(algorithms), "column_hash": P.column_hash(),
     })
 
-    for ai, attribute in enumerate(attrs):
-        classes = list(ATTRIBUTE_SCHEMA[attribute])
-        y = _attr_labels(labels, P.row_owner, attribute)
-        counts = {c: y.count(c) for c in classes if y.count(c) > 0}
-        if len(counts) < 2:
-            report.flags.append(f"skipped:{attribute}:single_class")
-            continue
-        min_count = min(counts.values())
-        k = max(2, min(outer_folds, min_count))
-        if k < outer_folds:
-            report.flags.append(f"reduced_folds:{attribute}:{k}")
-        folds = m.stratified_folds(y, k, _rng(seed, ai, 0), classes)
-        scores: dict[str, list[float]] = {alg: [] for alg in algorithms}
-        for fi, fold in enumerate(folds):
-            held_out = set(fold)
-            train_rows = [i for i in range(P.n_rows) if i not in held_out]
-            _check_disjoint([P.row_owner[i] for i in train_rows],
-                            [P.row_owner[i] for i in fold],
-                            f"simple:{attribute}")
-            y_train = [y[i] for i in train_rows]
-            y_test = [y[i] for i in fold]
-            selected = m.select_features(P, train_rows, y_train, MAX_FEATURES,
-                                         classes)
-            prepared = m.prepare(P, train_rows, y_train, classes, selected,
-                                 resample)
-            for gi, algorithm in enumerate(algorithms):
-                unit_seed = _unit_seed(seed, ai, gi, fi)
-                best = m.grid_search(algorithm, grids.get(algorithm, {}),
-                                     P, train_rows, y_train,
-                                     inner_folds=INNER_FOLDS, seed=unit_seed,
-                                     classes=classes, selected=selected,
-                                     resample=resample)
-                model = m.fit_prepared(algorithm, prepared, best, unit_seed)
-                scores[algorithm].append(macro_f1(
-                    y_test, m.predict(model, P, fold), classes))
+    def units():
+        """Each outer fold of each attribute to score: (attribute index,
+        attribute, its classes, its labels by row, fold index, held-out rows)."""
+        for ai, attribute in enumerate(attrs):
+            classes = list(ATTRIBUTE_SCHEMA[attribute])
+            y = _attr_labels(labels, P.row_owner, attribute)
+            counts = {c: y.count(c) for c in classes if y.count(c) > 0}
+            if len(counts) < 2:
+                report.flags.append(f"skipped:{attribute}:single_class")
+                continue
+            min_count = min(counts.values())
+            k = max(2, min(outer_folds, min_count))
+            if k < outer_folds:
+                report.flags.append(f"reduced_folds:{attribute}:{k}")
+            for fi, fold in enumerate(m.stratified_folds(y, k, _rng(seed, ai, 0),
+                                                         classes)):
+                yield ai, attribute, classes, y, fi, fold
+
+    def fold_scores(unit) -> tuple[str, list[float]]:
+        """The attribute and each algorithm's macro F1 on one outer fold."""
+        ai, attribute, classes, y, fi, fold = unit
+        held_out = set(fold)
+        train_rows = [i for i in range(P.n_rows) if i not in held_out]
+        _check_disjoint([P.row_owner[i] for i in train_rows],
+                        [P.row_owner[i] for i in fold],
+                        f"simple:{attribute}")
+        y_train = [y[i] for i in train_rows]
+        y_test = [y[i] for i in fold]
+        selected = m.select_features(P, train_rows, y_train, MAX_FEATURES,
+                                     classes)
+        prepared = m.prepare(P, train_rows, y_train, classes, selected,
+                             resample)
+        scores = []
+        for gi, algorithm in enumerate(algorithms):
+            unit_seed = _unit_seed(seed, ai, gi, fi)
+            best = m.grid_search(algorithm, grids.get(algorithm, {}),
+                                 P, train_rows, y_train,
+                                 inner_folds=INNER_FOLDS, seed=unit_seed,
+                                 classes=classes, selected=selected,
+                                 resample=resample)
+            model = m.fit_prepared(algorithm, prepared, best, unit_seed)
+            scores.append(macro_f1(y_test, m.predict(model, P, fold), classes))
+        return attribute, scores
+
+    by_attribute: dict[str, list[list[float]]] = {}
+    for attribute, scores in workers.map_units(fold_scores, units()):
+        by_attribute.setdefault(attribute, []).append(scores)
+    for attribute, folds in by_attribute.items():
         report.metric_tables[attribute] = {
-            alg: _mean_std(scores[alg]) for alg in algorithms}
+            alg: _mean_std([scores[gi] for scores in folds])
+            for gi, alg in enumerate(algorithms)}
     return report
 
 
@@ -245,11 +264,12 @@ class OneMatchRun:
     """Artifacts of one variant run, reused by the post-processing attacks.
 
     Splits are per attribute (each attribute stratifies its own player
-    split), so downstream consumers must pair a model with its own split.
+    split), so downstream consumers must pair a test player's probability
+    block with its own attribute's split.
     """
 
-    matrix: FeatureMatrix
-    models: dict[str, m.TrainedModel]
+    # attribute -> {test player: per-match class probabilities (`_prob_blocks`)}
+    blocks: dict[str, dict[int, np.ndarray]]
     splits: dict[str, tuple[list[int], list[int], list[int]]]
 
     def test_players(self, attribute: str) -> list[int]:
@@ -271,8 +291,9 @@ def one_match_aia(variants: Sequence[FeatureMatrix],
 
     One run per matrix of `variants`, its split seeded by its position:
     the distilled variants, or one per-match matrix repeated for reseeded
-    splits. `keep_models` names the algorithm whose per-attribute models
-    are kept for the post-processing protocols.
+    splits. `keep_models` names the algorithm whose per-attribute models'
+    test-player probability blocks are kept for the post-processing
+    protocols.
     """
     grids = grids or DESK_GRIDS
     attrs = list(attributes) if attributes is not None else list(ATTRIBUTE_SCHEMA)
@@ -285,58 +306,66 @@ def one_match_aia(variants: Sequence[FeatureMatrix],
         "variant_seeds": [v.variant_seed for v in variants],
     })
 
-    scores = {a: {alg: [] for alg in algorithms} for a in attrs}
-    artifacts: list[OneMatchRun] = []
-    for ri, matrix in enumerate(variants):
-        kept_models: dict[str, m.TrainedModel] = {}
-        kept_splits: dict[str, tuple[list[int], list[int], list[int]]] = {}
+    def run_attribute(unit):
+        """One attribute of one run: its split, each algorithm's macro F1 on
+        the test players, and the kept model's test-player blocks."""
+        ri, attribute = unit
+        matrix = variants[ri]
         players = matrix.owners()
+        ai = _ATTR_INDEX[attribute]
+        classes = list(ATTRIBUTE_SCHEMA[attribute])
+        y_by_player = {p: getattr(labels[p], attribute) for p in players}
+        split = _stratified_player_split(players, y_by_player,
+                                         _rng(seed, ri, 1, ai))
+        train_rows, val_rows, test_rows = (_rows_of(matrix, part)
+                                           for part in split)
+        y_rows = _attr_labels(labels, matrix.row_owner, attribute)
+        y_train = [y_rows[i] for i in train_rows]
+        y_val = [y_rows[i] for i in val_rows]
+        y_test = [y_rows[i] for i in test_rows]
+        selected = m.select_features(matrix, train_rows, y_train,
+                                     MAX_FEATURES, classes)
+        prepared = m.prepare(matrix, train_rows, y_train, classes,
+                             selected, resample)
+
+        def val_score(models: list[m.TrainedModel]) -> tuple[float, None]:
+            val_pred = m.predict(models[0], matrix, val_rows)
+            return macro_f1(y_val, val_pred, classes), None
+
         run_seed = _unit_seed(seed, ri)
-        for attribute in attrs:
-            ai = _ATTR_INDEX[attribute]
-            classes = list(ATTRIBUTE_SCHEMA[attribute])
-            y_by_player = {p: getattr(labels[p], attribute) for p in players}
-            train_p, val_p, test_p = _stratified_player_split(
-                players, y_by_player, _rng(seed, ri, 1, ai))
-            kept_splits[attribute] = (train_p, val_p, test_p)
-            train_rows = _rows_of(matrix, train_p)
-            val_rows = _rows_of(matrix, val_p)
-            test_rows = _rows_of(matrix, test_p)
-            y_rows = _attr_labels(labels, matrix.row_owner, attribute)
-            y_train = [y_rows[i] for i in train_rows]
-            y_val = [y_rows[i] for i in val_rows]
-            y_test = [y_rows[i] for i in test_rows]
-            selected = m.select_features(matrix, train_rows, y_train,
-                                         MAX_FEATURES, classes)
-            prepared = m.prepare(matrix, train_rows, y_train, classes,
-                                 selected, resample)
+        scores, blocks = [], None
+        for gi, algorithm in enumerate(algorithms):
+            unit_seed = _unit_seed(run_seed, ai, gi)
+            candidates = m._expand_grid(grids.get(algorithm, {}))
+            if len(candidates) == 1 or not val_rows:
+                model = m.fit_prepared(algorithm, prepared, candidates[0],
+                                       unit_seed)
+            else:
+                _, (model,), _ = m.select_best(
+                    [(algorithm, c, unit_seed) for c in candidates],
+                    [prepared], val_score)
+            y_pred = m.predict(model, matrix, test_rows)
+            scores.append(macro_f1(y_test, y_pred, classes))
+            if keep_models == algorithm:
+                blocks = _prob_blocks(model, matrix, split[2])
+        return split, scores, blocks
 
-            def val_score(models: list[m.TrainedModel]) -> tuple[float, None]:
-                val_pred = m.predict(models[0], matrix, val_rows)
-                return macro_f1(y_val, val_pred, classes), None
-
-            for gi, algorithm in enumerate(algorithms):
-                unit_seed = _unit_seed(run_seed, ai, gi)
-                candidates = m._expand_grid(grids.get(algorithm, {}))
-                if len(candidates) == 1 or not val_rows:
-                    model = m.fit_prepared(algorithm, prepared, candidates[0],
-                                           unit_seed)
-                else:
-                    _, (model,), _ = m.select_best(
-                        [(algorithm, c, unit_seed) for c in candidates],
-                        [prepared], val_score)
-                y_pred = m.predict(model, matrix, test_rows)
-                scores[attribute][algorithm].append(
-                    macro_f1(y_test, y_pred, classes))
-                if keep_models == algorithm:
-                    kept_models[attribute] = model
-        if keep_models is not None:
-            artifacts.append(OneMatchRun(matrix=matrix, models=kept_models,
-                                         splits=kept_splits))
+    # Each (run, attribute) is one unit; results merge in unit order.
+    results = workers.map_units(run_attribute, [
+        (ri, attribute) for ri in range(len(variants)) for attribute in attrs])
+    n = len(attrs)
+    per_run = [dict(zip(attrs, results[ri * n:(ri + 1) * n]))
+               for ri in range(len(variants))]
     for attribute in attrs:
         report.metric_tables[attribute] = {
-            alg: _mean_std(scores[attribute][alg]) for alg in algorithms}
-    return report, artifacts
+            alg: _mean_std([run[attribute][1][gi] for run in per_run])
+            for gi, alg in enumerate(algorithms)}
+    if keep_models is None:
+        return report, []
+    return report, [OneMatchRun(
+        blocks={a: blocks for a, (_, _, blocks) in run.items() if blocks is not None},
+        splits={a: split for a, (split, _, _) in run.items()})
+        for run in per_run]
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +400,9 @@ def _test_means(protocol: str, runs: Sequence[OneMatchRun], attribute: str,
         _check_disjoint(run.train_players(attribute), test_p,
                         f"{protocol}:{attribute}")
         rng = _rng(seed, ri, _ATTR_INDEX[attribute], stream)
-        blocks = _prob_blocks(run.models[attribute], run.matrix, test_p)
         yield [(classes.index(getattr(labels[p], attribute)),
-                _draw_means(block, ns, draws, rng)) for p, block in blocks.items()]
+                _draw_means(block, ns, draws, rng))
+               for p, block in run.blocks[attribute].items()]
 
 
 def sophisticated_aia(runs: Sequence[OneMatchRun],
@@ -386,7 +415,7 @@ def sophisticated_aia(runs: Sequence[OneMatchRun],
     """Accuracy as a function of how many matches are averaged per player."""
     check_averaging(n_sweep, draws)
     attrs = [a for a in (attributes or ATTRIBUTE_SCHEMA)
-             if a in runs[0].models]
+             if a in runs[0].blocks]
     report = AttackReport(protocol="sophisticated", config={
         "seed": seed, "n_sweep": list(n_sweep), "draws": draws,
         "n_runs": len(runs),
@@ -418,7 +447,7 @@ def indiscriminate_aia(runs: Sequence[OneMatchRun],
     """
     check_averaging([n], draws)
     if attributes is None:
-        attrs = [a for a in TOP2_ATTRIBUTES if a in runs[0].models]
+        attrs = [a for a in TOP2_ATTRIBUTES if a in runs[0].blocks]
     else:
         for a in attributes:
             if len(ATTRIBUTE_SCHEMA[a]) < 3:
@@ -521,22 +550,28 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
     })
     precisions: dict[int, list[float]] = {n: [] for n in n_sweep}
     recalls: dict[int, list[float]] = {n: [] for n in n_sweep}
-    for rep in range(repeats):
-        matrix = variants[rep % len(variants)]
-        players = matrix.owners()
-        y_by_player = {p: "positive" if target.matches(labels[p]) else "negative"
-                       for p in players}
-        if not any(v == "positive" for v in y_by_player.values()):
-            raise NoPositives(f"target {target.name} matches no player")
-        split_rng = _rng(seed, rep, 2)
-        train_p, val_p, test_p = _stratified_player_split(
-            players, y_by_player, split_rng)
-        for part, name in ((train_p, "train"), (val_p, "validation"),
-                           (test_p, "test")):
-            if not any(y_by_player[p] == "positive" for p in part):
-                raise NoPositives(
-                    f"target {target.name}: no positives in the {name} split")
+    def splits():
+        """Each repeat's matrix, labels by player and player split, every
+        part of which holds a positive."""
+        for rep in range(repeats):
+            matrix = variants[rep % len(variants)]
+            players = matrix.owners()
+            y_by_player = {p: "positive" if target.matches(labels[p]) else "negative"
+                           for p in players}
+            if not any(v == "positive" for v in y_by_player.values()):
+                raise NoPositives(f"target {target.name} matches no player")
+            split = _stratified_player_split(players, y_by_player,
+                                             _rng(seed, rep, 2))
+            for part, name in zip(split, ("train", "validation", "test")):
+                if not any(y_by_player[p] == "positive" for p in part):
+                    raise NoPositives(
+                        f"target {target.name}: no positives in the {name} split")
+            yield rep, matrix, y_by_player, split
 
+    def run_repeat(unit):
+        """One repeat's selection (model and threshold) and its test
+        players' (draw, n) precision and recall."""
+        rep, matrix, y_by_player, (train_p, val_p, test_p) = unit
         train_rows = _rows_of(matrix, train_p)
         y_train = [y_by_player[matrix.row_owner[i]] for i in train_rows]
         selected = m.select_features(matrix, train_rows, y_train,
@@ -586,12 +621,16 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                            _prob_blocks(model, matrix, test_p).values()])
         precision, recall = _precision_recall(called, np.array(
             [y_by_player[p] == "positive" for p in test_p]))
+        return ({"repeat": rep, "algorithm": algorithm,
+                 "hyperparams": candidate, "threshold": threshold},
+                precision, recall)
+
+    # Each repeat is one unit; its split is drawn and checked here.
+    for chosen, precision, recall in workers.map_units(run_repeat, splits()):
         for j, n in enumerate(n_sweep):
             precisions[n].extend(precision[:, j])
             recalls[n].extend(recall[:, j])
-        report.config["selected"].append({
-            "repeat": rep, "algorithm": algorithm, "hyperparams": candidate,
-            "threshold": threshold})
+        report.config["selected"].append(chosen)
     for series, values in (("precision", precisions), ("recall", recalls)):
         report.curves[series] = [{"n": n, **_mean_std(values[n])}
                                  for n in n_sweep]

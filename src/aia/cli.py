@@ -22,12 +22,10 @@ import hashlib
 import json
 import operator
 import os
-import pickle
 import sys
-import traceback
 from pathlib import Path
 
-from . import __version__
+from . import __version__, workers
 from .attributes import bin_survey, read_labels_csv, read_survey_csv, write_labels_csv
 from .errors import (AiaError, ConfigError, DomainError, MissingLabels, MissingPair,
                      NotFound, RateLimited, SchemaError)
@@ -90,74 +88,9 @@ def _load_matches(cache_dir: Path, players, min_human_players: int) -> dict:
 _DATA_ERRORS = (AiaError, OSError, json.JSONDecodeError)
 
 
-def _worker_count() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot tell."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else 1
-
-
-def _shards(players: list, n: int) -> list[list]:
-    """At most `n` contiguous runs of `players`, in order, each holding
-    about the same number of matches; one empty run when there are none."""
-    left = sum(len(p.match_ids) for p in players)  # not in a closed run
-    shards: list[list] = [[]]
-    size = 0
-    for record in players:
-        # Close the open run once it holds its share of what is left.
-        if shards[-1] and len(shards) < n and size * (n - len(shards) + 1) >= left:
-            left -= size
-            shards.append([])
-            size = 0
-        shards[-1].append(record)
-        size += len(record.match_ids)
-    return shards
-
-
-def _run_forked(fn, jobs: list) -> list:
-    """fn(job) for each job, in job order. Each job runs in a child forked
-    from this process and pickles its result back through its own pipe; a
-    single job runs here. A child that exits without a result (it printed
-    its traceback) raises AiaError."""
-    if len(jobs) == 1:
-        return [fn(jobs[0])]
-    pids, readers = [], []
-    try:
-        for job in jobs:
-            read_fd, write_fd = os.pipe()
-            readers.append(os.fdopen(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:  # pragma: no cover - the child, which never returns
-                    _report_to_parent(fn, job, read_fd, write_fd)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
-        results = [reader.read() for reader in readers]
-    finally:
-        # A child blocked on a full pipe sees it closed, so every wait ends.
-        for reader in readers:
-            reader.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for pid, code in zip(pids, codes):
-        if code != 0:
-            raise AiaError(f"worker process {pid} failed (exit status {code})")
-    return [pickle.loads(data) for data in results]
-
-
-def _report_to_parent(fn, job, read_fd: int, write_fd: int) -> None:  # pragma: no cover
-    """In a forked child: write pickle(fn(job)) to the pipe's `write_fd` and
-    exit, with status 1 and the traceback on stderr when that fails."""
-    status = 1
-    try:
-        os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as out:
-            pickle.dump(fn(job), out, protocol=pickle.HIGHEST_PROTOCOL)
-        status = 0
-    except BaseException:
-        traceback.print_exc()
-    finally:
-        sys.stderr.flush()
-        os._exit(status)
+def _match_count(record) -> int:
+    """A player's weight when featurize shards players: their match count."""
+    return len(record.match_ids)
 
 
 def _featurize_shard(cache: Path, variant: str, min_human_players: int, ctx,
@@ -294,10 +227,10 @@ def _featurize(args) -> int:
     variant = "M_bar" if args.variant == "Mbar" else args.variant
     # One shard of players per CPU, each loaded and featurized by its own
     # worker; the rows come back as finished CSV lines, in handle order.
-    outcomes = _run_forked(
+    outcomes = workers.run_forked(
         functools.partial(_featurize_shard, cache, variant,
                           args.min_human_players, ctx),
-        _shards(players, _worker_count()))
+        workers.shards(players, workers.worker_count(), _match_count))
     failed = [outcome for outcome in outcomes if outcome[0] < 2]
     if failed:
         raise min(failed, key=operator.itemgetter(0))[1]
@@ -616,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: attacks run serially")
+                   help="accepted and ignored: attacks run one worker per CPU")
     p.add_argument("--algorithms", help="comma list; default all five")
     p.add_argument("--expert", action="store_true",
                    help="one-match: use the distilled variants")
@@ -655,9 +588,10 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def _pin_blas_threads() -> None:
     """One BLAS thread per process, unless the caller set any count. Attacks
-    run serially; a second OpenBLAS thread costs each process ~0.1 s of CPU
-    time, and on products this small its spinning raises CPU time more
-    than it cuts wall time. Takes effect only before numpy is imported."""
+    already run one worker process per CPU; a second OpenBLAS thread costs
+    each process ~0.1 s of CPU time, and on products this small its
+    spinning raises CPU time more than it cuts wall time. Takes effect only
+    before numpy is imported."""
     if not any(var in os.environ for var in BLAS_THREAD_VARS):
         for var in BLAS_THREAD_VARS:
             os.environ[var] = "1"

@@ -608,9 +608,19 @@ def load_cached_match(cache_dir: str | Path, match_id: int) -> MatchRecord:
     except (FileNotFoundError, NotADirectoryError):
         raise NotFound(f"match {match_id} not in cache {cache_dir}") from None
     try:
-        return parse_match(payload)
+        record = parse_match(payload)
     except SchemaError as exc:
         raise SchemaError(str(exc), path=str(Path(path))) from exc
+    if record.match_id != match_id:
+        raise _other_match(record, match_id, str(Path(path)))
+    return record
+
+
+def _other_match(record: MatchRecord, match_id: int, source: str) -> SchemaError:
+    """The error for a document at `source`, read or fetched as match
+    `match_id`, that holds another match."""
+    return SchemaError(f"$.match_id: holds match {record.match_id}, "
+                       f"expected {match_id}", path=source)
 
 
 def _read_player_doc(path: Path) -> dict:
@@ -811,6 +821,8 @@ class TelemetryClient:
             raise NotFound(f"match {match_id} not cached and client is offline")
         raw = self._get(f"matches/{match_id}")
         record = parse_match(raw)  # validate before caching
+        if record.match_id != match_id:
+            raise _other_match(record, match_id, f"matches/{match_id}")
         atomic_write(path, raw)
         return record
 

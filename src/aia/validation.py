@@ -195,7 +195,10 @@ def hypothesis_table(tables: dict | None = None, alpha: float = DEFAULT_ALPHA,
                     column = column or "best"
                     named = f", which {where}.best names" \
                         if opponent is None and column == other else ""
-                    raise MissingPair(f"{where}.{column}: {name} table row "
+                    # A name read from the document, such as "\n", is quoted
+                    # so the message stays on one line.
+                    key = column if column.isprintable() else repr(column)
+                    raise MissingPair(f"{where}.{key}: {name} table row "
                                       f"{attr!r} lacks {column!r} stats{named}")
             n = _n_runs(table, name)
             results.append(two_sample_ttest(

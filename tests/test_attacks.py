@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aia import attacks, models
+from aia import attacks, models, workers
 from aia.attacks import (
     BUILTIN_TARGETS,
     TargetSpec,
@@ -134,15 +134,15 @@ def test_one_match_split_is_player_disjoint(fixture_corpus):
                             algorithms=("decision_tree",), seed=4,
                             grids=FAST_GRIDS, keep_models="decision_tree",
                             attributes=("occupation",))
-    for run in runs:
+    for run, matrix in zip(runs, variants[:2], strict=True):
         train, val, test = run.splits["occupation"]
         assert not (set(train) & set(test))
         assert not (set(train) & set(val))
         assert not (set(val) & set(test))
         # every test row's owner is a test player
-        test_rows = [i for i, o in enumerate(run.matrix.row_owner)
+        test_rows = [i for i, o in enumerate(matrix.row_owner)
                      if o in set(test)]
-        assert all(run.matrix.row_owner[i] in set(test) for i in test_rows)
+        assert all(matrix.row_owner[i] in set(test) for i in test_rows)
 
 
 def test_one_match_expert_beats_naive_on_aug_only_signal(fixture_corpus):
@@ -337,8 +337,7 @@ def test_indiscriminate_past_every_block_uses_full_means(trained_runs):
         hits1 = hits2 = 0
         test_p = run.test_players(attribute)
         for player in test_p:
-            mean = models.predict_proba(run.models[attribute], run.matrix,
-                                        run.matrix.owner_rows[player]).mean(axis=0)
+            mean = run.blocks[attribute][player].mean(axis=0)
             order = list(np.argsort(-mean, kind="stable"))
             rank = order.index(classes.index(getattr(pop.labels[player],
                                                      attribute)))
@@ -350,6 +349,26 @@ def test_indiscriminate_past_every_block_uses_full_means(trained_runs):
     assert table["top1"]["mean"] == pytest.approx(np.mean(top1))
     assert table["top1"]["std"] == pytest.approx(np.std(top1))
     assert table["top2"]["mean"] == pytest.approx(np.mean(top2))
+
+
+def test_one_match_blocks_do_not_depend_on_the_worker_count(fixture_corpus,
+                                                            monkeypatch):
+    pop, _, _, _, variants = fixture_corpus
+    runs = {}
+    for n_workers in (1, 2, 3):
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+        _, runs[n_workers] = one_match_aia(
+            variants[:2], pop.labels, algorithms=("random_forest",), seed=5,
+            grids=FAST_GRIDS, keep_models="random_forest",
+            attributes=("occupation", "age_bin", "purchase_habits"))
+    for n_workers in (2, 3):
+        for run, serial in zip(runs[n_workers], runs[1], strict=True):
+            assert run.splits == serial.splits
+            assert list(run.blocks) == list(serial.blocks)
+            for attribute, blocks in serial.blocks.items():
+                assert list(run.blocks[attribute]) == list(blocks)
+                for player, block in blocks.items():
+                    assert run.blocks[attribute][player].tobytes() == block.tobytes()
 
 
 def test_indiscriminate_top2_at_least_top1(trained_runs):
@@ -398,7 +417,8 @@ def test_indiscriminate_uniform_model_top2_is_two_thirds():
     labels = {i: _labels_with(purchase_habits=classes[int(v)])
               for i, v in enumerate(rng.integers(0, 3, n_players))}
     run = attacks.OneMatchRun(
-        matrix=matrix, models={"purchase_habits": model},
+        blocks={"purchase_habits": attacks._prob_blocks(model, matrix,
+                                                        range(n_players))},
         splits={"purchase_habits": ([], [], list(range(n_players)))})
     report = indiscriminate_aia([run], labels, n=1, draws=1, seed=5,
                                 attributes=("purchase_habits",))
@@ -442,6 +462,49 @@ def test_targeted_no_positives_raises(fixture_corpus):
     with pytest.raises(NoPositives):
         targeted_aia(impossible, variants, pop.labels, n_sweep=(1,),
                      repeats=1, draws=1, seed=0, grids=FAST_GRIDS)
+
+
+@pytest.mark.parametrize("failing, empty_split, expected", [
+    ({1}, None, "repeat 1"),
+    ({0, 1}, None, "repeat 0"),
+    (set(), 1, "no positives in the test split"),
+    ({0}, 1, "repeat 0"),
+    ({2}, 1, "no positives in the test split"),
+], ids=["repeat 1 fails", "repeats 0 and 1 fail", "repeat 1 has no test positive",
+        "repeat 0 fails before repeat 1's split", "repeat 2 fails after it"])
+def test_targeted_worker_errors_read_as_the_serial_error(
+        fixture_corpus, monkeypatch, failing, empty_split, expected):
+    # A repeat whose training raises NoPositives, and a repeat whose split
+    # holds no positive (drawn in the parent), give the serial loop's error
+    # whatever the worker count: the error of the earliest failing repeat.
+    pop, _, _, _, variants = fixture_corpus
+    target, seed = BUILTIN_TARGETS["very_young"], 4
+    select_best, split = models.select_best, attacks._stratified_player_split
+    first_seeds = {attacks._unit_seed(seed, rep, 0, 0): rep for rep in range(3)}
+
+    def failing_select(candidates, folds, score):
+        rep = first_seeds[candidates[0][2]]
+        if rep in failing:
+            raise NoPositives(f"repeat {rep}")
+        return select_best(candidates, folds, score)
+
+    def split_without_test_positives(players, y_by_player, rng):
+        train, val, test = split(players, y_by_player, rng)
+        if len(drawn) == empty_split:
+            test = [p for p in test if y_by_player[p] == "negative"]
+        drawn.append(test)
+        return train, val, test
+
+    monkeypatch.setattr(models, "select_best", failing_select)
+    monkeypatch.setattr(attacks, "_stratified_player_split",
+                        split_without_test_positives)
+    for n_workers in (1, 2, 3):
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+        drawn = []
+        with pytest.raises(NoPositives) as err:
+            targeted_aia(target, variants, pop.labels, n_sweep=(1,), repeats=3,
+                         draws=1, seed=seed, grids=FAST_GRIDS)
+        assert expected in str(err.value), (n_workers, str(err.value))
 
 
 def test_targeted_raising_threshold_never_raises_recall():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from aia import cli, stats
+from aia import cli, stats, workers
 from aia.cli import main
 from aia.synth import NumericEffect, RateEffect, SynthConfig
 
@@ -143,6 +143,25 @@ def test_featurize_names_an_unreadable_cached_match(pipeline_dirs, tmp_path,
     assert code == 1
     assert "error:" in err and path.name in err
     assert "Traceback" not in err
+
+
+def test_featurize_on_a_cached_match_of_another_id_exits_1(pipeline_dirs, tmp_path,
+                                                         capsys):
+    # A match file copied over another's would give its rows twice.
+    _, cache, labels_csv, _ = pipeline_dirs
+    broken = tmp_path / "cache"
+    shutil.copytree(cache, broken)
+    player = json.loads(next((broken / "players").glob("*.json")).read_text())
+    first, second = (m["match_id"] for m in player["matches"][:2])
+    path = broken / "matches" / f"{first}.json"
+    shutil.copyfile(broken / "matches" / f"{second}.json", path)
+    code = main(["featurize", "--variant", "M", "--cache", str(broken),
+                 "--labels", str(labels_csv), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f"error: {path}: $.match_id: holds match {second}, "
+                   f"expected {first}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_featurize_on_stray_player_file_exits_1(pipeline_dirs, tmp_path, capsys):
@@ -589,10 +608,10 @@ def capped_corpus(tmp_path_factory):
     return root / "cache", root / "labels.csv"
 
 
-def _featurize_with_workers(monkeypatch, workers, cache, labels_csv, out,
+def _featurize_with_workers(monkeypatch, n_workers, cache, labels_csv, out,
                             variants=("P", "M", "Mbar")):
-    """Exit codes of featurize with `workers` CPUs, and its outputs."""
-    monkeypatch.setattr(cli, "_worker_count", lambda: workers)
+    """Exit codes of featurize with `n_workers` CPUs, and its outputs."""
+    monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
     codes = [main(["featurize", "--variant", variant, "--cache", str(cache),
                    "--labels", str(labels_csv), "--out", str(out),
                    "--variants", "3", "--seed", "5"]) for variant in variants]
@@ -610,10 +629,10 @@ def test_featurize_outputs_do_not_depend_on_the_worker_count(
         cache, labels_csv = capped_corpus
     players, _ = cli._load_players(cache, labels_csv, 5)
     runs = {}
-    for workers in (1, 2, 3):
-        assert len(cli._shards(players, workers)) == workers
-        codes, runs[workers] = _featurize_with_workers(
-            monkeypatch, workers, cache, labels_csv, tmp_path / str(workers))
+    for n_workers in (1, 2, 3):
+        assert len(workers.shards(players, n_workers, cli._match_count)) == n_workers
+        codes, runs[n_workers] = _featurize_with_workers(
+            monkeypatch, n_workers, cache, labels_csv, tmp_path / str(n_workers))
         assert codes == [0, 0, 0]
     assert runs[2] == runs[1] and runs[3] == runs[1]
     if corpus == "capped":
@@ -657,11 +676,15 @@ def test_shards_are_contiguous_runs_balanced_by_match_count():
                             match_ids=tuple(range(n)))
 
     players = [record(h, n) for h, n in enumerate([30, 5, 5, 5, 5, 5, 5])]
-    assert cli._shards(players, 2) == [players[:1], players[1:]]
-    assert cli._shards(players, 3) == [players[:1], players[1:4], players[4:]]
-    assert cli._shards(players[:2], 4) == [players[:1], players[1:2]]
-    assert cli._shards(players[1:], 1) == [players[1:]]
-    assert cli._shards([], 2) == [[]]
+
+    def shards(items, n):
+        return workers.shards(items, n, cli._match_count)
+
+    assert shards(players, 2) == [players[:1], players[1:]]
+    assert shards(players, 3) == [players[:1], players[1:4], players[4:]]
+    assert shards(players[:2], 4) == [players[:1], players[1:2]]
+    assert shards(players[1:], 1) == [players[1:]]
+    assert shards([], 2) == [[]]
 
 
 def _break_matches(cache, handle, keep_slot=None):
@@ -697,17 +720,17 @@ def test_featurize_worker_errors_read_as_the_serial_error(
     broken_cache = tmp_path / "cache"
     shutil.copytree(cache, broken_cache)
     players, _ = cli._load_players(cache, labels_csv, 5)
-    shards = cli._shards(players, 3)
+    shards = workers.shards(players, 3, cli._match_count)
     targets = {"first": shards[0][0].handle, "last": shards[-1][-1].handle}
     for which, keep in broken.items():
         _break_matches(broken_cache, targets[which], keep)
     errors = {}
-    for workers in (1, 3):
-        codes, _ = _featurize_with_workers(monkeypatch, workers, broken_cache,
-                                           labels_csv, tmp_path / str(workers),
+    for n_workers in (1, 3):
+        codes, _ = _featurize_with_workers(monkeypatch, n_workers, broken_cache,
+                                           labels_csv, tmp_path / str(n_workers),
                                            variants=("P",))
         assert codes == [1]
-        errors[workers] = capsys.readouterr().err
+        errors[n_workers] = capsys.readouterr().err
     assert errors[3] == errors[1]
     assert errors[1].startswith("error: ") and "Traceback" not in errors[1]
     assert all(word in errors[1] for word in words), errors[1]
@@ -731,6 +754,32 @@ def test_per_match_reports_keep_their_bytes(pipeline_dirs, tmp_path, protocol):
     digests = {suffix: hashlib.sha256(out.with_suffix(suffix).read_bytes()).hexdigest()
                for suffix in PER_MATCH_REPORT_SHA256[protocol]}
     assert digests == PER_MATCH_REPORT_SHA256[protocol]
+
+
+@pytest.mark.parametrize("protocol, flags", [
+    ("simple", ["--algorithms", "logistic_regression,decision_tree,dummy_stratified"]),
+    ("one-match", ["--repeats", "2"]),
+    ("one-match", ["--expert"]),
+    ("sophisticated", []),
+    ("indiscriminate", []),
+    ("targeted", ["--repeats", "3"]),
+], ids=["simple", "one-match naive", "one-match expert", "sophisticated",
+        "indiscriminate", "targeted"])
+def test_attack_reports_do_not_depend_on_the_worker_count(
+        pipeline_dirs, tmp_path, monkeypatch, protocol, flags):
+    _, _, labels_csv, features = pipeline_dirs
+    reports = {}
+    for n_workers in (1, 2, 3):
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+        out = tmp_path / str(n_workers) / "report.json"
+        assert main(["attack", "--protocol", protocol, "--features", str(features),
+                     "--labels", str(labels_csv), "--out", str(out),
+                     "--draws", "10", "--sweep-stop", "8", "--seed", "3"]
+                    + flags) == 0
+        reports[n_workers] = {p.name: p.read_bytes()
+                              for p in sorted(out.parent.iterdir())}
+    assert len(reports[1]) >= 2
+    assert reports[2] == reports[1] and reports[3] == reports[1]
 
 
 @pytest.mark.parametrize("protocol, flags", [

@@ -750,6 +750,17 @@ def test_offline_mode_never_touches_network(tmp_path):
     assert boom.calls == []
 
 
+def test_fetch_match_refuses_a_payload_of_another_id(tmp_path):
+    transport = FakeTransport({"/matches/900": [ok(minimal_match(match_id=901))]})
+    client = TelemetryClient(tmp_path, transport=transport, sleep=lambda s: None)
+    with pytest.raises(SchemaError) as err:
+        client.fetch_match(900)
+    assert str(err.value) == \
+        "matches/900: $.match_id: holds match 901, expected 900"
+    assert not match_cache_path(tmp_path, 900).exists()
+    assert not match_cache_path(tmp_path, 901).exists()
+
+
 def test_offline_fetch_match_names_a_malformed_cached_match(tmp_path):
     path = match_cache_path(tmp_path, 900)
     path.parent.mkdir(parents=True)

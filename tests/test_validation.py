@@ -204,6 +204,7 @@ _COLUMNS = ("dummy", "mlp", "naive", "expert", "sophisticated", "best")
 @example(where=("one_match", "n_runs"), value=5.7)
 @example(where=("one_match", "n_runs"), value=True)
 @example(where=("simple", "attributes", "gender", "dummy", 0), value=math.nan)
+@example(where=("simple", "attributes", "extraversion", "best"), value="\n")
 def test_pairs_reader_takes_or_names_any_mutated_field(where, value):
     # `aia validate --pairs` either exits 1 with one error line naming the
     # file and the mutated field (table, row and column), or gives a ledger.
