@@ -548,8 +548,7 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
         "grids": grids, "thresholds": [float(t) for t in THRESHOLDS],
         "selected": [],
     })
-    precisions: dict[int, list[float]] = {n: [] for n in n_sweep}
-    recalls: dict[int, list[float]] = {n: [] for n in n_sweep}
+
     def splits():
         """Each repeat's matrix, labels by player and player split, every
         part of which holds a positive."""
@@ -626,6 +625,8 @@ def targeted_aia(target: TargetSpec, variants: Sequence[FeatureMatrix],
                 precision, recall)
 
     # Each repeat is one unit; its split is drawn and checked here.
+    precisions: dict[int, list[float]] = {n: [] for n in n_sweep}
+    recalls: dict[int, list[float]] = {n: [] for n in n_sweep}
     for chosen, precision, recall in workers.map_units(run_repeat, splits()):
         for j, n in enumerate(n_sweep):
             precisions[n].extend(precision[:, j])
