@@ -112,14 +112,25 @@ def _featurize_shard(cache: Path, variant: str, min_human_players: int, ctx,
         return 1, exc
 
 
+def _synth_shard(plan, out: Path, players: list) -> tuple:
+    """Build and write one shard of players, as (survey rows, None), or
+    (None, error) at the first file that cannot be written."""
+    from .synth import write_players
+
+    try:
+        return write_players(plan, players, out), None
+    except _DATA_ERRORS as exc:
+        return None, exc
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
 
 def _cmd_synth(args) -> int:
-    from .synth import (FIXTURE_CONFIG, SynthConfig, generate_population,
-                        write_population_cache, write_survey_csv)
+    from .synth import (FIXTURE_CONFIG, SynthConfig, plan_population, write_manifest,
+                        write_survey_csv)
 
     if args.fixture:
         config = FIXTURE_CONFIG
@@ -134,11 +145,22 @@ def _cmd_synth(args) -> int:
             raise ConfigError(f"{args.config}: {exc}") from exc
     out = Path(args.out)
     with _collector_paused():
-        population = generate_population(config)
-        write_population_cache(population, out)
-        write_survey_csv(population, out / "survey.csv")
-    print(f"synth: {len(population.players)} players, "
-          f"{len(population.matches)} matches -> {out}")
+        plan = plan_population(config)
+        # One shard of players per CPU, each built and written by its own
+        # worker; the survey rows come back in handle order.
+        outcomes = workers.run_forked(
+            functools.partial(_synth_shard, plan, out),
+            workers.shards(range(config.n_players), workers.worker_count(),
+                           plan.n_matches.__getitem__))
+    survey_rows = []
+    for shard_rows, error in outcomes:
+        if error is not None:
+            raise error
+        survey_rows += shard_rows
+    write_manifest(plan.manifest, out)
+    write_survey_csv(survey_rows, out / "survey.csv")
+    print(f"synth: {config.n_players} players, "
+          f"{plan.manifest['n_matches']} matches -> {out}")
     return 0
 
 

@@ -13,23 +13,31 @@ ranks, so any monotone link suffices). Rate effects tilt chat content
 mixes or wheel-usage rates (strong, not exactly calibrated; realized
 strengths land in the manifest consumer's court). Categorical effects make
 a categorical feature reveal the class with a configured probability.
+
+Assembly. `plan_population` makes every draw the population shares (labels,
+match counts, hence each player's first match id, and the manifest) from
+one stream; `_player` then builds a player from the plan and that player's
+own stream alone, so any run of players can be built, and written, in a
+process of its own (`write_players`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .attributes import ATTRIBUTE_SCHEMA, AttributeLabels, RawSurveyRow
 from .errors import ConfigError
 from .features import LEXICON_CATEGORIES, load_hero_table, load_lexicons, load_wheel_catalog
-from .ingest import MatchRecord, PlayerRecord, atomic_write, match_cache_path, parse_match, player_cache_path
+from .ingest import (MatchRecord, PlayerRecord, atomic_write, match_cache_path, parse_match,
+                     player_cache_path, serialize_match)
 
 # Class distribution defaults drawn from the reference population survey.
 TABLE1_PRIORS: dict[str, tuple[float, ...]] = {
@@ -409,21 +417,45 @@ def _message_text(category: Optional[str], lexicon_words: dict[str, tuple[str, .
     return " ".join(str(_pick(rng, vocab)) for _ in range(n_tokens))
 
 
-def generate_population(config: SynthConfig) -> SynthPopulation:
-    """Build the full synthetic corpus for a config; bit-identical per config."""
+@dataclass(frozen=True)
+class SynthPlan:
+    """Everything known before any player is built: the validated config,
+    the loaded tables, the planted channels, the draws of the population
+    stream (each player's labels and match count), each player's first
+    match id and the manifest. `_player(plan, p)` builds player p from the
+    plan and p's own stream alone."""
+
+    config: SynthConfig
+    seqs: list                 # seqs[p + 1] seeds player p's stream
+    lexicons: dict[str, tuple[str, ...]]
+    hero_ids: list[int]
+    female_pool: list[int]
+    male_pool: list[int]
+    general_wheels: list[str]
+    hero_wheels: list[str]
+    channel_plants: dict[str, dict]
+    mix_effects: dict[str, RateEffect]
+    rate_effects: dict[str, RateEffect]
+    cat_effects: dict[str, CategoricalEffect]
+    drawn: list[tuple[AttributeLabels, dict[str, int]]]
+    n_matches: list[int]
+    first_match_ids: list[int]
+    manifest: dict
+
+
+_FIRST_HANDLE = 1_000
+_FIRST_MATCH_ID = 10_000
+
+
+def plan_population(config: SynthConfig) -> SynthPlan:
+    """The plan of a config's corpus; ConfigError when it cannot be built."""
     config.validate()
-    root = np.random.SeedSequence(config.seed)
-    seqs = root.spawn(config.n_players + 1)
+    seqs = np.random.SeedSequence(config.seed).spawn(config.n_players + 1)
     rng0 = np.random.default_rng(seqs[0])
 
-    lexicons = {lx.category: lx.words for lx in load_lexicons()}
     hero_table = load_hero_table()
     hero_ids = sorted(hero_table)
-    female_pool = [h for h in hero_ids if hero_table[h]["gender"] == "female"]
-    male_pool = [h for h in hero_ids if hero_table[h]["gender"] == "male"]
     wheel_catalog = load_wheel_catalog()
-    general_wheels = sorted(w for w in wheel_catalog if w.startswith("w_"))
-    hero_wheels = sorted(w for w in wheel_catalog if w.startswith("hw_"))
 
     e_inv_m = _expected_inverse_matches(*config.matches_range)
     sigma_table: dict[tuple[str, str], float] = {}
@@ -456,112 +488,132 @@ def generate_population(config: SynthConfig) -> SynthPopulation:
             "scale": math.sqrt(code_var + adj + config.match_noise ** 2),
         }
 
-    mix_effects = {e.feature: e for e in config.rate_effects
-                   if e.feature in MIX_CHANNELS}
-    rate_effects = {e.feature: e for e in config.rate_effects
-                    if e.feature in RATE_CHANNELS}
-    cat_effects = {e.feature: e for e in config.categorical_effects}
-
-    m_lo, m_hi = config.matches_range
-    match_cdf = _cdf(_log_uniform_weights(m_lo, m_hi))
-
     # Global draws happen up front so per-player work only touches its own
     # derived generator: a player's records do not depend on the others'.
+    m_lo, m_hi = config.matches_range
+    match_cdf = _cdf(_log_uniform_weights(m_lo, m_hi))
     prior_cdfs = _prior_cdfs(config.priors)
     drawn = [_draw_labels(prior_cdfs, rng0) for _ in range(config.n_players)]
-    n_matches_all = [m_lo + _draw(rng0, match_cdf)
-                     for _ in range(config.n_players)]
-
-    players: list[PlayerRecord] = []
-    matches: dict[int, MatchRecord] = {}
-    labels: dict[int, AttributeLabels] = {}
-    survey_rows: list[RawSurveyRow] = []
-    next_match_id = 10_000
-
-    for p in range(config.n_players):
-        handle = 1_000 + p
-        rng = np.random.default_rng(seqs[p + 1])
-        player_labels, codes = drawn[p]
-        labels[handle] = player_labels
-        survey_rows.append(_survey_row_for(handle, player_labels, rng))
-
-        # Per-player latents for planted numeric channels.
-        latents: dict[str, float] = {}
-        for name, plant in channel_plants.items():
-            code = codes[plant["attribute"]]
-            latents[name] = (plant["sign"] * code
-                             + plant["sigma"] * rng.standard_normal())
-
-        # Per-player tilt coordinates for mix/rate channels.
-        zs: dict[str, float] = {}
-        for name, eff in {**mix_effects, **rate_effects}.items():
-            z = _grade_z(config.priors[eff.attribute], codes[eff.attribute])
-            zs[name] = eff.slope * (z + config.noise_level * 0.3
-                                    * rng.standard_normal())
-
-        # Categorical channels.
-        has_plus = bool(rng.random() < 0.3)
-        if "has_plus" in cat_effects:
-            eff = cat_effects["has_plus"]
-            if rng.random() < eff.strength:
-                positive = ATTRIBUTE_SCHEMA[eff.attribute].index(
-                    getattr(player_labels, eff.attribute)) == len(
-                        ATTRIBUTE_SCHEMA[eff.attribute]) - 1
-                has_plus = positive
-
-        n_matches = n_matches_all[p]
-        start_times = sorted(
-            int(_WINDOW_END - rng.integers(0, _WINDOW_DAYS * 86400))
-            for _ in range(n_matches))
-
-        mix_base = {cat: 1.0 for cat in LEXICON_CATEGORIES}
-        mix_base["neutral"] = 4.0
-        for name, eff in mix_effects.items():
-            cat = name[len("chat_"):-len("_count")]
-            mix_base[cat] = math.exp(zs[name])
-        mix_names = list(mix_base)
-        mix_probs = np.array([mix_base[c] for c in mix_names])
-        mix_cdf = _cdf(mix_probs / mix_probs.sum())
-
-        match_ids = []
-        for start_time in start_times:
-            match_id = next_match_id
-            next_match_id += 1
-            match_ids.append(match_id)
-            matches[match_id] = _synth_match(
-                match_id, start_time, handle, latents, channel_plants, zs, rng,
-                config, lexicons, mix_names, mix_cdf,
-                female_pool, male_pool, hero_ids, general_wheels, hero_wheels,
-                cat_effects, player_labels)
-
-        rank_tier = int(rng.integers(10, 80))
-        players.append(PlayerRecord(handle=handle, rank_tier=rank_tier,
-                                    has_plus=has_plus,
-                                    match_ids=tuple(match_ids)))
+    n_matches = [m_lo + _draw(rng0, match_cdf) for _ in range(config.n_players)]
 
     manifest = {
         "config": config.to_json_dict(),
         "sigma_table": {f"{f}|{a}": s for (f, a), s in sigma_table.items()},
         "expected_inverse_matches": e_inv_m,
-        "n_matches": len(matches),
+        "n_matches": sum(n_matches),
         "attribute_counts": {
-            attr: {cls: sum(1 for lab in labels.values()
-                            if getattr(lab, attr) == cls)
+            attr: {cls: sum(1 for lab, _ in drawn if getattr(lab, attr) == cls)
                    for cls in ATTRIBUTE_SCHEMA[attr]}
             for attr in ATTRIBUTE_SCHEMA
         },
     }
+    return SynthPlan(
+        config=config,
+        seqs=seqs,
+        lexicons={lx.category: lx.words for lx in load_lexicons()},
+        hero_ids=hero_ids,
+        female_pool=[h for h in hero_ids if hero_table[h]["gender"] == "female"],
+        male_pool=[h for h in hero_ids if hero_table[h]["gender"] == "male"],
+        general_wheels=sorted(w for w in wheel_catalog if w.startswith("w_")),
+        hero_wheels=sorted(w for w in wheel_catalog if w.startswith("hw_")),
+        channel_plants=channel_plants,
+        mix_effects={e.feature: e for e in config.rate_effects
+                     if e.feature in MIX_CHANNELS},
+        rate_effects={e.feature: e for e in config.rate_effects
+                      if e.feature in RATE_CHANNELS},
+        cat_effects={e.feature: e for e in config.categorical_effects},
+        drawn=drawn,
+        n_matches=n_matches,
+        first_match_ids=list(itertools.accumulate(n_matches[:-1],
+                                                  initial=_FIRST_MATCH_ID)),
+        manifest=manifest,
+    )
+
+
+def _player(plan: SynthPlan, p: int) -> tuple[PlayerRecord, list[MatchRecord],
+                                              RawSurveyRow]:
+    """Player p's record, matches and survey row, from the plan and p's own
+    stream; every match has passed `parse_match`."""
+    config = plan.config
+    handle = _FIRST_HANDLE + p
+    rng = np.random.default_rng(plan.seqs[p + 1])
+    player_labels, codes = plan.drawn[p]
+    survey_row = _survey_row_for(handle, player_labels, rng)
+
+    # Per-player latents for planted numeric channels.
+    latents: dict[str, float] = {}
+    for name, plant in plan.channel_plants.items():
+        code = codes[plant["attribute"]]
+        latents[name] = (plant["sign"] * code
+                         + plant["sigma"] * rng.standard_normal())
+
+    # Per-player tilt coordinates for mix/rate channels.
+    zs: dict[str, float] = {}
+    for name, eff in {**plan.mix_effects, **plan.rate_effects}.items():
+        z = _grade_z(config.priors[eff.attribute], codes[eff.attribute])
+        zs[name] = eff.slope * (z + config.noise_level * 0.3
+                                * rng.standard_normal())
+
+    # Categorical channels.
+    has_plus = bool(rng.random() < 0.3)
+    if "has_plus" in plan.cat_effects:
+        eff = plan.cat_effects["has_plus"]
+        if rng.random() < eff.strength:
+            positive = ATTRIBUTE_SCHEMA[eff.attribute].index(
+                getattr(player_labels, eff.attribute)) == len(
+                    ATTRIBUTE_SCHEMA[eff.attribute]) - 1
+            has_plus = positive
+
+    start_times = sorted(
+        int(_WINDOW_END - rng.integers(0, _WINDOW_DAYS * 86400))
+        for _ in range(plan.n_matches[p]))
+
+    mix_base = {cat: 1.0 for cat in LEXICON_CATEGORIES}
+    mix_base["neutral"] = 4.0
+    for name in plan.mix_effects:
+        cat = name[len("chat_"):-len("_count")]
+        mix_base[cat] = math.exp(zs[name])
+    mix_names = list(mix_base)
+    mix_probs = np.array([mix_base[c] for c in mix_names])
+    mix_cdf = _cdf(mix_probs / mix_probs.sum())
+
+    first = plan.first_match_ids[p]
+    matches = [_synth_match(plan, first + i, start_time, handle, player_labels,
+                            latents, zs, mix_names, mix_cdf, rng)
+               for i, start_time in enumerate(start_times)]
+
+    rank_tier = int(rng.integers(10, 80))
+    record = PlayerRecord(handle=handle, rank_tier=rank_tier, has_plus=has_plus,
+                          match_ids=tuple(range(first, first + len(matches))))
+    return record, matches, survey_row
+
+
+def generate_population(config: SynthConfig) -> SynthPopulation:
+    """The full synthetic corpus in memory, bit-identical per config: the
+    plan, then every player in order. `aia synth` builds the same players
+    shard by shard and writes them as it goes (`write_players`); this is
+    the in-memory reference it is tested against."""
+    plan = plan_population(config)
+    players: list[PlayerRecord] = []
+    matches: dict[int, MatchRecord] = {}
+    survey_rows: list[RawSurveyRow] = []
+    for p in range(config.n_players):
+        record, player_matches, survey_row = _player(plan, p)
+        players.append(record)
+        matches.update((match.match_id, match) for match in player_matches)
+        survey_rows.append(survey_row)
+    labels = {_FIRST_HANDLE + p: player_labels
+              for p, (player_labels, _) in enumerate(plan.drawn)}
     return SynthPopulation(players=players, matches=matches, labels=labels,
-                           survey_rows=survey_rows, manifest=manifest)
+                           survey_rows=survey_rows, manifest=plan.manifest)
 
 
-def _channel_value(name: str, latents: dict[str, float],
-                   channel_plants: dict[str, dict], config: SynthConfig,
+def _channel_value(plan: SynthPlan, name: str, latents: dict[str, float],
                    rng: np.random.Generator) -> float:
     base, spread, integer, floor = NUMERIC_CHANNELS[name]
-    plant = channel_plants.get(name)
+    plant = plan.channel_plants.get(name)
     if plant is not None:
-        x = latents[name] + config.match_noise * rng.standard_normal()
+        x = latents[name] + plan.config.match_noise * rng.standard_normal()
         unit = (x - plant["center"]) / plant["scale"]
     else:
         unit = rng.standard_normal()
@@ -569,16 +621,15 @@ def _channel_value(name: str, latents: dict[str, float],
     return float(round(value)) if integer else float(value)
 
 
-def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
-                 config, lexicons, mix_names, mix_cdf, female_pool,
-                 male_pool, hero_ids, general_wheels, hero_wheels,
-                 cat_effects, player_labels) -> MatchRecord:
+def _synth_match(plan: SynthPlan, match_id, start_time, handle, player_labels,
+                 latents, zs, mix_names, mix_cdf, rng) -> MatchRecord:
+    lexicons, hero_ids = plan.lexicons, plan.hero_ids
     position = int(rng.integers(0, 10))
     slot = position if position < 5 else position + 123
     is_radiant = position < 5
 
     def channel(name):
-        return _channel_value(name, latents, channel_plants, config, rng)
+        return _channel_value(plan, name, latents, rng)
 
     duration = channel("duration_s")
     kills = channel("kills")
@@ -591,14 +642,15 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
 
     # Hero pick, optionally biased toward gender-matched heroes.
     pool = hero_ids
-    if "hero_gender" in cat_effects:
-        eff = cat_effects["hero_gender"]
+    if "hero_gender" in plan.cat_effects:
+        eff = plan.cat_effects["hero_gender"]
         if rng.random() < eff.strength:
-            pool = female_pool if player_labels.gender == "female" else male_pool
+            pool = (plan.female_pool if player_labels.gender == "female"
+                    else plan.male_pool)
     hero_id = int(_pick(rng, pool))
 
     # Own chat: fixed message budget, planted content mix.
-    n_msgs = int(rng.poisson(config.messages_per_match))
+    n_msgs = int(rng.poisson(plan.config.messages_per_match))
     chat = []
     my_words: dict[str, int] = {}
     all_words: dict[str, int] = {}
@@ -613,8 +665,8 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
 
     # Wheel usage, sounds, sprays.
     for channel_name, channel, ids in (
-            ("wheel_global_msgs", "global", general_wheels),
-            ("wheel_team_msgs", "team", general_wheels)):
+            ("wheel_global_msgs", "global", plan.general_wheels),
+            ("wheel_team_msgs", "team", plan.general_wheels)):
         base_rate = 0.6
         rate = base_rate * math.exp(zs.get(channel_name, 0.0))
         for _ in range(int(rng.poisson(rate))):
@@ -625,7 +677,7 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
     for _ in range(int(rng.poisson(hero_rate))):
         chat.append({"slot": slot, "time": float(rng.integers(0, int(duration))),
                      "type": "chatwheel_hero", "channel": "team",
-                     "key": str(_pick(rng, hero_wheels))})
+                     "key": str(_pick(rng, plan.hero_wheels))})
     for kind in ("sound", "spray"):
         for _ in range(int(rng.poisson(0.2))):
             chat.append({"slot": slot, "time": float(rng.integers(0, int(duration))),
@@ -713,30 +765,52 @@ def _synth_match(match_id, start_time, handle, latents, channel_plants, zs, rng,
 # ---------------------------------------------------------------------------
 
 
-def write_population_cache(population: SynthPopulation,
-                           cache_dir: str | Path) -> None:
-    from .ingest import serialize_match
-
-    cache_dir = Path(cache_dir)
-    for player in population.players:
-        doc = {
-            "window_days": _WINDOW_DAYS,
-            "profile": {"profile": {"account_id": player.handle},
-                        "rank_tier": player.rank_tier, "plus": player.has_plus},
-            "matches": [{"match_id": mid} for mid in player.match_ids],
-        }
-        atomic_write(player_cache_path(cache_dir, player.handle),
-                     json.dumps(doc, sort_keys=True).encode("utf-8"))
-    for match_id, record in population.matches.items():
-        atomic_write(match_cache_path(cache_dir, match_id),
+def _write_player(cache_dir: Path, player: PlayerRecord,
+                  matches: Sequence[MatchRecord]) -> None:
+    """A player's cache file, then the files of their matches."""
+    doc = {
+        "window_days": _WINDOW_DAYS,
+        "profile": {"profile": {"account_id": player.handle},
+                    "rank_tier": player.rank_tier, "plus": player.has_plus},
+        "matches": [{"match_id": mid} for mid in player.match_ids],
+    }
+    atomic_write(player_cache_path(cache_dir, player.handle),
+                 json.dumps(doc, sort_keys=True).encode("utf-8"))
+    for record in matches:
+        atomic_write(match_cache_path(cache_dir, record.match_id),
                      serialize_match(record))
-    manifest_path = cache_dir / "manifest.json"
-    atomic_write(manifest_path,
-                 (json.dumps(population.manifest, indent=2, sort_keys=True)
+
+
+def write_players(plan: SynthPlan, indices: Iterable[int],
+                  cache_dir: str | Path) -> list[RawSurveyRow]:
+    """Build each player of `indices` and write their files to the cache;
+    their survey rows, in order. The player files of a plan are disjoint,
+    so shards of players can be written by separate processes."""
+    survey_rows = []
+    for p in indices:
+        player, matches, survey_row = _player(plan, p)
+        _write_player(Path(cache_dir), player, matches)
+        survey_rows.append(survey_row)
+    return survey_rows
+
+
+def write_manifest(manifest: dict, cache_dir: str | Path) -> None:
+    atomic_write(Path(cache_dir) / "manifest.json",
+                 (json.dumps(manifest, indent=2, sort_keys=True)
                   + "\n").encode("utf-8"))
 
 
-def write_survey_csv(population: SynthPopulation, path: str | Path) -> None:
+def write_population_cache(population: SynthPopulation,
+                           cache_dir: str | Path) -> None:
+    """The cache `aia synth` writes, from an in-memory population: the
+    reference for `write_players` and `write_manifest`."""
+    for player in population.players:
+        _write_player(Path(cache_dir), player,
+                      [population.matches[mid] for mid in player.match_ids])
+    write_manifest(population.manifest, cache_dir)
+
+
+def write_survey_csv(survey_rows: Sequence[RawSurveyRow], path: str | Path) -> None:
     import csv
 
     from .attributes import SURVEY_COLUMNS
@@ -744,7 +818,7 @@ def write_survey_csv(population: SynthPopulation, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SURVEY_COLUMNS)
-        for row in population.survey_rows:
+        for row in survey_rows:
             writer.writerow([
                 row.handle, row.raw_gender, row.raw_age,
                 "yes" if row.raw_employment else "no",

@@ -1,9 +1,10 @@
 """One worker process per CPU.
 
-`featurize` loads and featurizes one shard of players per worker; the attack
-protocols train one shard of their independent units per worker. A shard is
-a contiguous run of the jobs, in order, so the parent merges results in job
-order and its output does not depend on the number of CPUs. Each worker is
+`synth` builds and writes one shard of players per worker, `featurize` loads
+and featurizes one, and the attack protocols train one shard of their
+independent units per worker. A shard is a contiguous run of the jobs, in
+order, so the parent merges results in job order and its output does not
+depend on the number of CPUs. Each worker is
 forked from the caller, inherits its data without copying, and pickles back
 only its result; a single shard runs in the calling process. Fork rather
 than spawn: a spawned worker would import numpy and the layers again and

@@ -741,6 +741,22 @@ def test_featurize_worker_errors_read_as_the_serial_error(
         assert str(broken_cache / "matches" / f"{first_mid}.json") in errors[1]
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_synth_write_errors_read_as_on_one_cpu(tmp_path, monkeypatch, capfd,
+                                               n_workers):
+    # A cache under a regular file: every shard fails at its first player
+    # file, and the command prints the first player's error, once, at the
+    # file descriptor level (a forked worker's traceback would show there).
+    monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert main(["synth", "--fixture", "--out", str(out)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out / "players" / "1000.json.tmp") in captured.err
+
+
 @pytest.mark.parametrize("protocol", sorted(PER_MATCH_REPORT_SHA256))
 def test_per_match_reports_keep_their_bytes(pipeline_dirs, tmp_path, protocol):
     import hashlib
@@ -855,7 +871,8 @@ def test_bad_input_is_refused_before_any_work(monkeypatch, tmp_path, capsys,
         raise AssertionError("work started before the input was checked")
 
     for module, name in ((cli, "_load_players"), (cli, "read_labels_csv"),
-                         (matrix, "load_matrix"), (synth, "generate_population")):
+                         (matrix, "load_matrix"), (synth, "generate_population"),
+                         (synth, "plan_population"), (synth, "_player")):
         monkeypatch.setattr(module, name, boom)
     config = tmp_path / "in" / "synth.json"
     config.parent.mkdir()

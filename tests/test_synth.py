@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aia import stats
+from aia import stats, workers
 from aia.attributes import ATTRIBUTE_SCHEMA, bin_labels
 from aia.cli import main
 from aia.errors import ConfigError
@@ -31,6 +31,7 @@ from aia.synth import (
     grade_correlation,
     max_plantable_rho,
     write_population_cache,
+    write_survey_csv,
 )
 
 
@@ -96,6 +97,31 @@ def test_fixture_corpus_bytes_are_pinned(tmp_path):
     assert len([p for p in tmp_path.rglob("*") if p.is_file()]) == 888
     assert _tree_digest(tmp_path) == \
         "fd34a95a995722dd0c5f0f2bbacb8062ac95d347814ee5b3d98cdbc86f217601"
+
+
+@pytest.mark.parametrize("config", [FIXTURE_CONFIG, small_config(matches_range=(5, 30))],
+                         ids=["fixture", "small"])
+def test_synth_corpus_does_not_depend_on_the_worker_count(tmp_path, monkeypatch,
+                                                          capsys, config):
+    # `aia synth` builds and writes one shard of players per worker; the
+    # tree equals the in-memory reference's whatever the number of shards.
+    reference = tmp_path / "reference"
+    population = generate_population(config)
+    write_population_cache(population, reference)
+    write_survey_csv(population.survey_rows, reference / "survey.csv")
+    config_path = tmp_path / "synth.json"
+    config_path.write_text(json.dumps(config.to_json_dict()))
+    for n_workers in (1, 2, 3):
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+        assert len(workers.shards(range(config.n_players), n_workers,
+                                  lambda p: len(population.players[p].match_ids))) \
+            == n_workers
+        out = tmp_path / str(n_workers)
+        assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"synth: {config.n_players} players, {len(population.matches)} "
+            f"matches -> {out}\n")
+        assert _tree_digest(out) == _tree_digest(reference)
 
 
 def test_different_seed_different_corpus():
