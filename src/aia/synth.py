@@ -786,10 +786,11 @@ def write_players(plan: SynthPlan, indices: Iterable[int],
     """Build each player of `indices` and write their files to the cache;
     their survey rows, in order. The player files of a plan are disjoint,
     so shards of players can be written by separate processes."""
+    cache_dir = Path(cache_dir)
     survey_rows = []
     for p in indices:
         player, matches, survey_row = _player(plan, p)
-        _write_player(Path(cache_dir), player, matches)
+        _write_player(cache_dir, player, matches)
         survey_rows.append(survey_row)
     return survey_rows
 
@@ -804,8 +805,9 @@ def write_population_cache(population: SynthPopulation,
                            cache_dir: str | Path) -> None:
     """The cache `aia synth` writes, from an in-memory population: the
     reference for `write_players` and `write_manifest`."""
+    cache_dir = Path(cache_dir)
     for player in population.players:
-        _write_player(Path(cache_dir), player,
+        _write_player(cache_dir, player,
                       [population.matches[mid] for mid in player.match_ids])
     write_manifest(population.manifest, cache_dir)
 
