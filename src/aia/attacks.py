@@ -344,10 +344,15 @@ def one_match_aia(variants: Sequence[FeatureMatrix],
                 _, (model,), _ = m.select_best(
                     [(algorithm, c, unit_seed) for c in candidates],
                     [prepared], val_score)
-            y_pred = m.predict(model, matrix, test_rows)
-            scores.append(macro_f1(y_test, y_pred, classes))
+            probs = None
             if keep_models == algorithm:
-                blocks = _prob_blocks(model, matrix, split[2])
+                # One prediction gives both the score and the kept blocks.
+                probs = m.predict_proba(model, matrix, test_rows)
+                at = {row: i for i, row in enumerate(test_rows)}
+                blocks = {p: probs[[at[i] for i in matrix.owner_rows[p]]]
+                          for p in split[2]}
+            y_pred = m.predict(model, matrix, test_rows, probs)
+            scores.append(macro_f1(y_test, y_pred, classes))
         return split, scores, blocks
 
     # Each (run, attribute) is one unit; results merge in unit order.

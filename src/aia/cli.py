@@ -20,7 +20,6 @@ import functools
 import gc
 import hashlib
 import json
-import operator
 import os
 import sys
 from pathlib import Path
@@ -93,34 +92,33 @@ def _match_count(record) -> int:
     return len(record.match_ids)
 
 
-def _featurize_shard(cache: Path, variant: str, min_human_players: int, ctx,
-                     players: list) -> tuple:
-    """Load and featurize one shard of players, as (stage, value): (0, error)
-    when a match fails to load, (1, error) when a row fails to build, else
-    (2, (owners, lines)) from `build_shard_lines`. The stage ranks errors
-    across shards: a whole-corpus command loads every match before it builds
-    any row."""
+def _featurize_player(cache: Path, variant: str, min_human_players: int, ctx,
+                      player) -> tuple | AiaError:
+    """One kept player's (owners, lines) from `build_shard_lines`. A match
+    that fails to load raises; a row that fails to build comes back as the
+    error, so a later player's load error still outranks it, as when one
+    process loads every match before it builds any row."""
     from .features import build_shard_lines
 
+    matches = _load_matches(cache, [player], min_human_players)
     try:
-        matches = _load_matches(cache, players, min_human_players)
-    except _DATA_ERRORS as exc:
-        return 0, exc
-    try:
-        return 2, build_shard_lines(variant, players, matches, ctx)
-    except _DATA_ERRORS as exc:
-        return 1, exc
+        return build_shard_lines(variant, [player], matches, ctx)
+    except AiaError as exc:
+        return exc
 
 
-def _synth_shard(plan, out: Path, players: list) -> tuple:
-    """Build and write one shard of players, as (survey rows, None), or
-    (None, error) at the first file that cannot be written."""
-    from .synth import write_players
-
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector. Synth and featurize build a large
+    acyclic heap (records, feature rows) that every full collection would
+    rescan without freeing anything; reference counting still frees it all."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return write_players(plan, players, out), None
-    except _DATA_ERRORS as exc:
-        return None, exc
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +126,10 @@ def _synth_shard(plan, out: Path, players: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+@_collector_paused()
 def _cmd_synth(args) -> int:
     from .synth import (FIXTURE_CONFIG, SynthConfig, plan_population, write_manifest,
-                        write_survey_csv)
+                        write_player, write_survey_csv)
 
     if args.fixture:
         config = FIXTURE_CONFIG
@@ -144,19 +143,12 @@ def _cmd_synth(args) -> int:
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"{args.config}: {exc}") from exc
     out = Path(args.out)
-    with _collector_paused():
-        plan = plan_population(config)
-        # One shard of players per CPU, each built and written by its own
-        # worker; the survey rows come back in handle order.
-        outcomes = workers.run_forked(
-            functools.partial(_synth_shard, plan, out),
-            workers.shards(range(config.n_players), workers.worker_count(),
-                           plan.n_matches.__getitem__))
-    survey_rows = []
-    for shard_rows, error in outcomes:
-        if error is not None:
-            raise error
-        survey_rows += shard_rows
+    plan = plan_population(config)
+    # Each player is built and written by a worker; the survey rows come
+    # back in handle order.
+    survey_rows = workers.map_units(
+        functools.partial(write_player, plan, out), range(config.n_players),
+        size=plan.n_matches.__getitem__)
     write_manifest(plan.manifest, out)
     write_survey_csv(survey_rows, out / "survey.csv")
     print(f"synth: {config.n_players} players, "
@@ -216,27 +208,8 @@ def _cmd_labels(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector. Synth and featurize build a large
-    acyclic heap (records, feature rows) that every full collection would
-    rescan without freeing anything; reference counting still frees it all."""
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
+@_collector_paused()
 def _cmd_featurize(args) -> int:
-    with _collector_paused():
-        return _featurize(args)
-
-
-def _featurize(args) -> int:
     from .features import FeatureContext, distill_picks, variant_columns
     from .matrix import write_lines
 
@@ -247,20 +220,17 @@ def _featurize(args) -> int:
     players, freport = _load_players(cache, Path(args.labels), args.min_matches)
     ctx = FeatureContext.default()
     variant = "M_bar" if args.variant == "Mbar" else args.variant
-    # One shard of players per CPU, each loaded and featurized by its own
-    # worker; the rows come back as finished CSV lines, in handle order.
-    outcomes = workers.run_forked(
-        functools.partial(_featurize_shard, cache, variant,
-                          args.min_human_players, ctx),
-        workers.shards(players, workers.worker_count(), _match_count))
-    failed = [outcome for outcome in outcomes if outcome[0] < 2]
-    if failed:
-        raise min(failed, key=operator.itemgetter(0))[1]
-    owners: list[int] = []
-    lines: list[str] = []
-    for _, (shard_owners, shard_lines) in outcomes:
-        owners += shard_owners
-        lines += shard_lines
+    # Each player is loaded and featurized by a worker; the rows come back
+    # as finished CSV lines, in handle order.
+    owners, lines = [], []
+    for built in workers.map_units(
+            functools.partial(_featurize_player, cache, variant,
+                              args.min_human_players, ctx),
+            players, size=_match_count):
+        if isinstance(built, AiaError):
+            raise built
+        owners += built[0]
+        lines += built[1]
     _write_json(out / "filter_report.json", {
         "invalid_labels": freport.invalid_labels,
         "not_visible": freport.not_visible,

@@ -1,7 +1,7 @@
 """Exception types shared across the pipeline.
 
 Every error pickles to an equal one (same message and attributes), so a
-featurize worker process can hand its error to the parent.
+worker process (`aia.workers`) can hand its error to the parent.
 """
 
 

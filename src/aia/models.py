@@ -580,8 +580,10 @@ def predict_proba(model: TrainedModel, matrix: FeatureMatrix,
 
 
 def predict(model: TrainedModel, matrix: FeatureMatrix,
-            row_idx: Sequence[int] | None = None) -> list[str]:
-    """Hard labels; dummy draws stratified labels from its training priors."""
+            row_idx: Sequence[int] | None = None,
+            probs: np.ndarray | None = None) -> list[str]:
+    """Hard labels, the argmax of `probs` (these rows' `predict_proba`, computed
+    when not given); dummy draws stratified labels from its training priors."""
     if row_idx is None:
         row_idx = list(range(matrix.n_rows))
     if model.algorithm == "dummy_stratified":
@@ -589,7 +591,8 @@ def predict(model: TrainedModel, matrix: FeatureMatrix,
         priors = np.asarray(model.params["priors"])
         draws = rng.choice(len(model.class_list), size=len(list(row_idx)), p=priors)
         return [model.class_list[i] for i in draws]
-    probs = predict_proba(model, matrix, row_idx)
+    if probs is None:
+        probs = predict_proba(model, matrix, row_idx)
     return [model.class_list[i] for i in probs.argmax(axis=1)]
 
 

@@ -17,8 +17,8 @@ a categorical feature reveal the class with a configured probability.
 Assembly. `plan_population` makes every draw the population shares (labels,
 match counts, hence each player's first match id, and the manifest) from
 one stream; `_player` then builds a player from the plan and that player's
-own stream alone, so any run of players can be built, and written, in a
-process of its own (`write_players`).
+own stream alone, so each player can be built, and written, in a process
+of its own (`write_player`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -591,8 +591,8 @@ def _player(plan: SynthPlan, p: int) -> tuple[PlayerRecord, list[MatchRecord],
 def generate_population(config: SynthConfig) -> SynthPopulation:
     """The full synthetic corpus in memory, bit-identical per config: the
     plan, then every player in order. `aia synth` builds the same players
-    shard by shard and writes them as it goes (`write_players`); this is
-    the in-memory reference it is tested against."""
+    one by one and writes them as it goes (`write_player`); this is the
+    in-memory reference it is tested against."""
     plan = plan_population(config)
     players: list[PlayerRecord] = []
     matches: dict[int, MatchRecord] = {}
@@ -781,18 +781,13 @@ def _write_player(cache_dir: Path, player: PlayerRecord,
                      serialize_match(record))
 
 
-def write_players(plan: SynthPlan, indices: Iterable[int],
-                  cache_dir: str | Path) -> list[RawSurveyRow]:
-    """Build each player of `indices` and write their files to the cache;
-    their survey rows, in order. The player files of a plan are disjoint,
-    so shards of players can be written by separate processes."""
-    cache_dir = Path(cache_dir)
-    survey_rows = []
-    for p in indices:
-        player, matches, survey_row = _player(plan, p)
-        _write_player(cache_dir, player, matches)
-        survey_rows.append(survey_row)
-    return survey_rows
+def write_player(plan: SynthPlan, cache_dir: str | Path, p: int) -> RawSurveyRow:
+    """Build player p and write their files to the cache; their survey row.
+    The player files of a plan are disjoint, so players can be written by
+    separate processes."""
+    player, matches, survey_row = _player(plan, p)
+    _write_player(Path(cache_dir), player, matches)
+    return survey_row
 
 
 def write_manifest(manifest: dict, cache_dir: str | Path) -> None:
@@ -804,7 +799,7 @@ def write_manifest(manifest: dict, cache_dir: str | Path) -> None:
 def write_population_cache(population: SynthPopulation,
                            cache_dir: str | Path) -> None:
     """The cache `aia synth` writes, from an in-memory population: the
-    reference for `write_players` and `write_manifest`."""
+    reference for `write_player` and `write_manifest`."""
     cache_dir = Path(cache_dir)
     for player in population.players:
         _write_player(cache_dir, player,

@@ -709,8 +709,10 @@ def _break_matches(cache, handle, keep_slot=None):
     ({"first": None, "last": None}, ["not a JSON document"]),
     ({"last": 4}, ["has 4 usable matches, need 5"]),
     ({"first": 4, "last": None}, ["not a JSON document"]),
+    ({"first": 4, "second": None}, ["not a JSON document"]),
 ], ids=["bad file in the last shard", "bad files in two shards",
-        "too few usable matches", "a bad file outranks too few matches"])
+        "too few usable matches", "a bad file outranks too few matches",
+        "a later bad file in one shard outranks too few matches"])
 def test_featurize_worker_errors_read_as_the_serial_error(
         pipeline_dirs, tmp_path, monkeypatch, capsys, broken, words):
     # Whatever the worker count, featurize exits 1 with the message of the
@@ -721,7 +723,8 @@ def test_featurize_worker_errors_read_as_the_serial_error(
     shutil.copytree(cache, broken_cache)
     players, _ = cli._load_players(cache, labels_csv, 5)
     shards = workers.shards(players, 3, cli._match_count)
-    targets = {"first": shards[0][0].handle, "last": shards[-1][-1].handle}
+    targets = {"first": shards[0][0].handle, "second": shards[0][1].handle,
+               "last": shards[-1][-1].handle}
     for which, keep in broken.items():
         _break_matches(broken_cache, targets[which], keep)
     errors = {}
