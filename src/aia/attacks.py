@@ -414,10 +414,10 @@ def sophisticated_aia(runs: Sequence[OneMatchRun],
                       labels: dict[int, AttributeLabels],
                       n_sweep: Sequence[int] = tuple(range(1, 31)),
                       draws: int = 100, seed: int = 0,
-                      attributes: Sequence[str] | None = None,
-                      headline_excludes: Sequence[str] = ("gender",)
-                      ) -> AttackReport:
-    """Accuracy as a function of how many matches are averaged per player."""
+                      attributes: Sequence[str] | None = None) -> AttackReport:
+    """Accuracy as a function of how many matches are averaged per player.
+    Gender, when reported, is flagged `headline_excludes:gender`: the
+    headline figure leaves it out."""
     check_averaging(n_sweep, draws)
     attrs = [a for a in (attributes or ATTRIBUTE_SCHEMA)
              if a in runs[0].blocks]
@@ -425,9 +425,8 @@ def sophisticated_aia(runs: Sequence[OneMatchRun],
         "seed": seed, "n_sweep": list(n_sweep), "draws": draws,
         "n_runs": len(runs),
     })
-    for excluded in headline_excludes:
-        if excluded in attrs:
-            report.flags.append(f"headline_excludes:{excluded}")
+    if "gender" in attrs:
+        report.flags.append("headline_excludes:gender")
 
     for attribute in attrs:
         values: dict[int, list[float]] = {n: [] for n in n_sweep}

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import EmptyInput, OutOfRange, SchemaError
+from .errors import OutOfRange, SchemaError
 
 # Class lists in canonical (ordinal where meaningful) order.
 ATTRIBUTE_SCHEMA: dict[str, tuple[str, ...]] = {
@@ -32,6 +32,10 @@ BIG_FIVE = ("openness", "conscientiousness", "extraversion",
 AGE_BINS = ((13, 18, "13-18"), (19, 24, "19-24"), (25, 38, "25-38"))
 MIN_AGE = 13      # the survey's youngest respondent
 BIG5_MAX = 100    # Big Five scores lie in [0, BIG5_MAX]
+# Tertile cut points: score <= BIG5_LOW_MAX is low, <= BIG5_MEDIUM_MAX
+# medium, anything above high.
+BIG5_LOW_MAX = 33
+BIG5_MEDIUM_MAX = 66
 
 
 @dataclass(frozen=True)
@@ -77,14 +81,6 @@ class RawSurveyRow:
                 raise OutOfRange(f"big5 score {score} outside [0, {BIG5_MAX}]")
 
 
-@dataclass(frozen=True)
-class BinningConfig:
-    """Cut points for score binning; tertile defaults, overridable."""
-
-    big5_low_max: int = 33    # score <= low_max      -> low
-    big5_medium_max: int = 66  # low_max < s <= medium_max -> medium, else high
-
-
 def _bin_age(age: int) -> str:
     for lo, hi, label in AGE_BINS:
         if lo <= age <= hi:
@@ -92,10 +88,10 @@ def _bin_age(age: int) -> str:
     raise OutOfRange(f"age {age} outside the 13-38 survey window")
 
 
-def _bin_score(score: int, config: BinningConfig) -> str:
-    if score <= config.big5_low_max:
+def _bin_score(score: int) -> str:
+    if score <= BIG5_LOW_MAX:
         return "low"
-    if score <= config.big5_medium_max:
+    if score <= BIG5_MEDIUM_MAX:
         return "medium"
     return "high"
 
@@ -109,13 +105,13 @@ def _bin_purchase(code: int) -> str:
     return "regularly"
 
 
-def bin_labels(row: RawSurveyRow, config: BinningConfig = BinningConfig()) -> AttributeLabels:
+def bin_labels(row: RawSurveyRow) -> AttributeLabels:
     """Map one raw survey row onto the 9-attribute label schema.
 
     Students count as unemployed upstream, so raw_employment is already a
     boolean. Age outside 13-38 raises OutOfRange and the row is excluded.
     """
-    big5 = {name: _bin_score(score, config)
+    big5 = {name: _bin_score(score)
             for name, score in zip(BIG_FIVE, row.big5_scores)}
     return AttributeLabels(
         gender=row.raw_gender,
@@ -124,21 +120,6 @@ def bin_labels(row: RawSurveyRow, config: BinningConfig = BinningConfig()) -> At
         purchase_habits=_bin_purchase(row.raw_purchase_frequency),
         **big5,
     )
-
-
-def class_distribution(labels: Iterable[AttributeLabels]) -> dict[str, dict[str, float]]:
-    """Per-attribute class frequencies as fractions summing to 1."""
-    labels = list(labels)
-    if not labels:
-        raise EmptyInput("class_distribution needs at least one label set")
-    n = len(labels)
-    out: dict[str, dict[str, float]] = {}
-    for attr, classes in ATTRIBUTE_SCHEMA.items():
-        counts = {c: 0 for c in classes}
-        for lab in labels:
-            counts[getattr(lab, attr)] += 1
-        out[attr] = {c: counts[c] / n for c in classes}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +206,12 @@ class LabelFile:
     excluded: list[tuple[int, str]] = field(default_factory=list)  # (handle, reason)
 
 
-def bin_survey(rows: Iterable[RawSurveyRow],
-               config: BinningConfig = BinningConfig()) -> LabelFile:
+def bin_survey(rows: Iterable[RawSurveyRow]) -> LabelFile:
     """Bin every row, collecting out-of-range rows instead of failing."""
     out = LabelFile()
     for row in rows:
         try:
-            out.labels[row.handle] = bin_labels(row, config)
+            out.labels[row.handle] = bin_labels(row)
         except (OutOfRange, SchemaError) as exc:
             out.excluded.append((row.handle, str(exc)))
     return out

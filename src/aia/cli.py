@@ -20,6 +20,7 @@ import functools
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ def _check_at_least(flag: str, value: int, least: int) -> None:
         raise AiaError(f"{flag} must be at least {least}, got {value}")
 
 
-def _load_players(cache_dir: Path, labels_path: Path, min_matches: int):
+def _load_players(cache_dir: Path, labels_path: Path):
     """The kept players, sorted by handle, and the filter report."""
     from .ingest import filter_players, iter_cached_players, load_cached_player
 
@@ -63,7 +64,7 @@ def _load_players(cache_dir: Path, labels_path: Path, min_matches: int):
     for handle in iter_cached_players(cache_dir):
         record = load_cached_player(cache_dir, handle)
         pairs.append((record, labels.get(handle)))
-    kept, report = filter_players(pairs, min_matches=min_matches)
+    kept, report = filter_players(pairs)
     return [record for record, _ in kept], report
 
 
@@ -159,6 +160,8 @@ def _cmd_synth(args) -> int:
 def _cmd_ingest(args) -> int:
     from .ingest import TelemetryClient
 
+    if not 0 < args.rate < math.inf:
+        raise AiaError(f"--rate must be finite and greater than 0, got {args.rate}")
     handles = []
     lines = Path(args.handles).read_text(encoding="utf-8").splitlines()
     for number, line in enumerate(lines, 1):
@@ -217,7 +220,7 @@ def _cmd_featurize(args) -> int:
     _check_at_least("--seed", args.seed, 0)
     cache = Path(args.cache)
     out = Path(args.out)
-    players, freport = _load_players(cache, Path(args.labels), args.min_matches)
+    players, freport = _load_players(cache, Path(args.labels))
     ctx = FeatureContext.default()
     variant = "M_bar" if args.variant == "Mbar" else args.variant
     # Each player is loaded and featurized by a worker; the rows come back
@@ -518,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variants", type=int, default=20)
-    # ingest.MIN_MATCHES, written out so that parsing does not import ingest.
-    p.add_argument("--min-matches", type=int, default=5)
     p.add_argument("--min-human-players", type=int, default=0,
                    help="drop matches with fewer humans (default: keep all)")
     p.set_defaults(fn=_cmd_featurize)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
-from .errors import NotFound, RateLimited, SchemaError
+from .errors import ConfigError, NotFound, RateLimited, SchemaError
 
 DEFAULT_BASE_URL = "https://api.opendota.com/api"
 
@@ -432,6 +432,10 @@ def _match_from_doc(doc: dict) -> MatchRecord:
     if dire_score < 0:
         raise SchemaError("dire_score must be >= 0", path="$.dire_score")
 
+    human_players = int(get("human_players", len(players)) or len(players))
+    if human_players < 0:
+        raise SchemaError("human_players must be >= 0", path="$.human_players")
+
     chat = [_parse_chat_entry(c, i) for i, c in enumerate(_array(doc, "chat"))]
 
     cosmetics = []
@@ -471,7 +475,7 @@ def _match_from_doc(doc: dict) -> MatchRecord:
         barracks_status_radiant=int(get("barracks_status_radiant", 0) or 0),
         barracks_status_dire=int(get("barracks_status_dire", 0) or 0),
         first_blood_time=int(get("first_blood_time", 0) or 0),
-        human_players=int(get("human_players", len(players)) or len(players)),
+        human_players=human_players,
         throw=_optional_num(doc, "throw"),
         comeback=_optional_num(doc, "comeback"),
         loss=_optional_num(doc, "loss"),
@@ -672,28 +676,30 @@ def iter_cached_players(cache_dir: str | Path) -> list[int]:
 
 
 class TokenBucket:
-    """Token bucket; acquire() blocks until a token is available.
+    """Token bucket holding at most one token; acquire() blocks until it is
+    available. `rate_per_s` must be finite and greater than 0 (ConfigError).
 
     A lock serializes concurrent callers, so one client behaves as a single
     logical session regardless of caller threading.
     """
 
-    def __init__(self, rate_per_s: float, capacity: float = 1.0,
+    def __init__(self, rate_per_s: float,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep):
+        if not 0 < rate_per_s < math.inf:
+            raise ConfigError(f"rate must be finite and greater than 0, "
+                              f"got {rate_per_s}")
         self.rate = rate_per_s
-        self.capacity = capacity
         self._clock = clock
         self._sleep = sleep
-        self._tokens = capacity
+        self._tokens = 1.0
         self._last = clock()
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
         with self._lock:
             now = self._clock()
-            self._tokens = min(self.capacity,
-                               self._tokens + (now - self._last) * self.rate)
+            self._tokens = min(1.0, self._tokens + (now - self._last) * self.rate)
             self._last = now
             if self._tokens < 1.0:
                 wait = (1.0 - self._tokens) / self.rate
@@ -738,6 +744,12 @@ def _retry_after_s(value: str | None) -> float | None:
     return max(0.0, seconds) if math.isfinite(seconds) else None
 
 
+# A 429 or 5xx response is retried MAX_RETRIES times; without a usable
+# Retry-After header, attempt k (from 0) waits BACKOFF_BASE_S * 2**k seconds.
+MAX_RETRIES = 4
+BACKOFF_BASE_S = 1.0
+
+
 class TelemetryClient:
     """Rate-limited HTTP client over the player/matches APIs with a disk cache.
 
@@ -748,15 +760,12 @@ class TelemetryClient:
     def __init__(self, cache_dir: str | Path, base_url: str = DEFAULT_BASE_URL,
                  rate_per_s: float = 1.0, offline: bool = False,
                  transport: Callable[[str, dict], TransportResponse] | None = None,
-                 max_retries: int = 4, backoff_base_s: float = 1.0,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic):
         self.cache_dir = Path(cache_dir)
         self.base_url = base_url.rstrip("/")
         self.offline = offline
         self.transport = transport or _requests_transport
-        self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
         self._sleep = sleep
         self._bucket = TokenBucket(rate_per_s, clock=clock, sleep=sleep)
 
@@ -764,7 +773,7 @@ class TelemetryClient:
         url = f"{self.base_url}/{path.lstrip('/')}"
         params = params or {}
         last_retry_after: float | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             self._bucket.acquire()
             resp = self.transport(url, params)
             if resp.status == 200:
@@ -776,8 +785,8 @@ class TelemetryClient:
                 if retry_after is not None:
                     last_retry_after = wait = retry_after
                 else:
-                    wait = self.backoff_base_s * (2 ** attempt)
-                if attempt < self.max_retries:
+                    wait = BACKOFF_BASE_S * (2 ** attempt)
+                if attempt < MAX_RETRIES:
                     self._sleep(wait)
                     continue
                 raise RateLimited(f"{path}: gave up after {attempt + 1} attempts",
@@ -836,12 +845,12 @@ class TelemetryClient:
 MIN_MATCHES = 5
 
 
-def filter_players(records, min_matches: int = MIN_MATCHES):
+def filter_players(records):
     """Drop ineligible players and account for every removal.
 
     `records` is a list of (PlayerRecord, AttributeLabels-or-None) pairs.
     Removal categories, applied in order per record: invalid labels, no
-    public match data, fewer than `min_matches` matches in the window.
+    public match data, fewer than MIN_MATCHES matches in the window.
     """
     report = FilterReport()
     kept = []
@@ -852,7 +861,7 @@ def filter_players(records, min_matches: int = MIN_MATCHES):
         if len(record.match_ids) == 0:
             report.not_visible += 1
             continue
-        if len(record.match_ids) < min_matches:
+        if len(record.match_ids) < MIN_MATCHES:
             report.inactive += 1
             continue
         kept.append((record, labels))

@@ -11,6 +11,10 @@ once (`centered_ranks`), then take each column's rho with 1-D sums and
 dots (`rank_correlations`), so a column's rho has the same bits whichever
 block it was ranked in.
 
+numpy is imported inside the functions that rank or tabulate, so the
+commands that need only the tail probabilities (`validate`,
+`reproduce-table8`, `sample-size`) never load it.
+
 The normal quantile is the standard library's (`statistics.NormalDist`).
 The chi-square and Student-t tail probabilities are implemented with the
 classic series / continued-fraction expansions so results are reproducible
@@ -22,9 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .errors import DegenerateInput, DomainError, LengthMismatch
 
@@ -174,6 +176,8 @@ def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
     neighbours in sorted order, and every member of the run from sorted
     position `start` to `end` gets the mean rank (start + end) / 2 + 1.
     """
+    import numpy as np
+
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         return np.empty(v.shape)
@@ -212,6 +216,8 @@ def centered_ranks(block) -> CenteredRanks:
     operations a lone vector gets, so a row's statistics do not depend on
     the block it sits in.
     """
+    import numpy as np
+
     block = np.asarray(block, dtype=float)
     n = block.shape[1]
     if n < 3:
@@ -260,8 +266,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     if len(x) != len(y):
         raise LengthMismatch(f"paired vectors differ in length: {len(x)} vs {len(y)}")
     n = len(x)
-    rx = centered_ranks(np.asarray(x, dtype=float).reshape(1, n))
-    ry = centered_ranks(np.asarray(y, dtype=float).reshape(1, n))
+    rx = centered_ranks([x])
+    ry = centered_ranks([y])
     rho = rank_correlations(rx, ry)[0]
     if rho is None:
         raise DegenerateInput("zero rank variance: correlation undefined")
@@ -270,6 +276,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
 
 def _contingency(x: Sequence, y: Sequence) -> np.ndarray:
     """Contingency table over the observed categories of x and y."""
+    import numpy as np
+
     xs = sorted(set(x), key=str)
     ys = sorted(set(y), key=str)
     xi = {c: i for i, c in enumerate(xs)}
@@ -297,7 +305,7 @@ def cramers_v(x: Sequence, y: Sequence) -> tuple[float, float]:
         raise DegenerateInput("need at least 2 observed categories per variable")
     row = table.sum(axis=1)
     col = table.sum(axis=0)
-    expected = np.outer(row, col) / n
+    expected = row[:, None] * col / n
     chi2 = float(((table - expected) ** 2 / expected).sum())
     p = chi2_sf(chi2, (r - 1) * (c - 1))
     v = math.sqrt(chi2 / (n * (min(r, c) - 1)))
@@ -325,18 +333,21 @@ class CorrelationResult:
         return self.metric == "spearman_rho" and abs(self.value) > STRONG_RHO
 
 
+# The alpha levels `significance_counts` counts at.
+SIGNIFICANCE_ALPHAS = (0.01, 0.05, 0.1)
+
+
 @dataclass
 class SignificanceTable:
     """Counts of significant features per (attribute, metric, alpha)."""
 
-    alphas: tuple[float, ...]
     counts: dict = field(default_factory=dict)  # (attribute, metric, alpha) -> int
 
     def count(self, attribute: str, metric: str, alpha: float) -> int:
         return self.counts.get((attribute, metric, alpha), 0)
 
 
-def correlation_scan(matrix, labels_by_owner, attributes=None) -> list[CorrelationResult]:
+def correlation_scan(matrix, labels_by_owner) -> list[CorrelationResult]:
     """Score every applicable (feature, attribute) pair.
 
     `matrix` is a FeatureMatrix; `labels_by_owner` maps owner id to
@@ -352,20 +363,18 @@ def correlation_scan(matrix, labels_by_owner, attributes=None) -> list[Correlati
     results: list[CorrelationResult] = []
     owners = matrix.row_owner
     n = len(owners)
-    attr_names = list(attributes) if attributes is not None else list(ATTRIBUTE_SCHEMA)
     positions, block = matrix.float_columns
     numeric = [j for j, pos in enumerate(positions)
                if matrix.columns[pos].kind == "numeric"]
     ranked = None  # ranked at the first ordinal attribute
-    for attr in attr_names:
-        schema_classes = ATTRIBUTE_SCHEMA[attr]
+    for attr, schema_classes in ATTRIBUTE_SCHEMA.items():
         raw = [getattr(labels_by_owner[o], attr) for o in owners]
         rhos: dict[int, float | None] = {}
         if len(schema_classes) >= 3 and numeric:
             if ranked is None:
                 ranked = centered_ranks(block[numeric])
             codes = [schema_classes.index(v) for v in raw]
-            label = centered_ranks(np.array([codes], dtype=float))
+            label = centered_ranks([codes])
             rhos = dict(zip((positions[j] for j in numeric),
                             rank_correlations(ranked, label)))
         for pos, col in enumerate(matrix.columns):
@@ -402,14 +411,12 @@ def correlation_report(scan: list[CorrelationResult], alpha: float = 0.01,
     return report
 
 
-def significance_counts(scan: list[CorrelationResult],
-                        alphas: Iterable[float] = (0.01, 0.05, 0.1)) -> SignificanceTable:
+def significance_counts(scan: list[CorrelationResult]) -> SignificanceTable:
     """Count the features of a `correlation_scan` reaching p < alpha per
-    (attribute, metric, alpha)."""
-    alphas = tuple(sorted(alphas))
-    table = SignificanceTable(alphas=alphas)
+    (attribute, metric, alpha), at each of SIGNIFICANCE_ALPHAS."""
+    table = SignificanceTable()
     for res in scan:
-        for alpha in alphas:
+        for alpha in SIGNIFICANCE_ALPHAS:
             if res.p_value < alpha:
                 key = (res.attribute_name, res.metric, alpha)
                 table.counts[key] = table.counts.get(key, 0) + 1

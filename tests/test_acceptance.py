@@ -10,7 +10,6 @@ headline numbers are not reproducible at desk scale by design).
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from aia.resampling import enn_undersample, smote_oversample
 from aia.synth import FIXTURE_CONFIG, NumericEffect, SynthConfig, generate_population
 from aia.validation import hypothesis_table
 
-warnings.filterwarnings("ignore", category=RuntimeWarning)
 
 FIXTURE_BUDGET_S = 600.0
 _fixture_clock = {"start": None}

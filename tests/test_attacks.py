@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from aia.features import FeatureContext, build_distilled, build_match_matrix, bu
 from aia.matrix import Column, FeatureMatrix
 from aia.synth import FIXTURE_CONFIG, generate_population
 
-warnings.filterwarnings("ignore", category=RuntimeWarning)
 
 FAST_GRIDS = {
     "logistic_regression": {"l2": [1.0]},
@@ -302,12 +300,20 @@ def test_sophisticated_accuracy_improves_with_more_matches(trained_runs):
         assert last["mean"] >= first["mean"] - last["std"]
 
 
-def test_sophisticated_headline_flag(trained_runs):
+def test_sophisticated_headline_flag(trained_runs, fixture_corpus):
+    # Gender is flagged as left out of the headline only when it is reported.
     pop, runs = trained_runs
     report = sophisticated_aia(runs, pop.labels, n_sweep=(1,), draws=2, seed=1,
-                               attributes=("occupation",),
-                               headline_excludes=("occupation",))
-    assert "headline_excludes:occupation" in report.flags
+                               attributes=("occupation",))
+    assert report.flags == []
+    variants = fixture_corpus[-1]
+    _, gender_runs = one_match_aia(variants[:1], pop.labels,
+                                   algorithms=("random_forest",), seed=5,
+                                   grids=FAST_GRIDS, keep_models="random_forest",
+                                   attributes=("gender",))
+    report = sophisticated_aia(gender_runs, pop.labels, n_sweep=(1,), draws=2,
+                               seed=1)
+    assert report.flags == ["headline_excludes:gender"]
 
 
 def test_sophisticated_draws_one_generator_per_run_and_attribute(

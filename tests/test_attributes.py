@@ -12,16 +12,14 @@ from aia.attributes import (
     LABEL_COLUMNS,
     SURVEY_COLUMNS,
     AttributeLabels,
-    BinningConfig,
     RawSurveyRow,
     bin_labels,
     bin_survey,
-    class_distribution,
     read_labels_csv,
     read_survey_csv,
     write_labels_csv,
 )
-from aia.errors import EmptyInput, OutOfRange, SchemaError
+from aia.errors import OutOfRange, SchemaError
 from conftest import sample_labels
 
 
@@ -59,11 +57,10 @@ def test_big5_extreme_maps_high():
 
 
 def test_big5_binning_is_monotone():
-    config = BinningConfig()
     order = {"low": 0, "medium": 1, "high": 2}
     previous = 0
     for score in range(0, 101):
-        labels = bin_labels(make_row(big5_scores=(score, 0, 0, 0, 100)), config)
+        labels = bin_labels(make_row(big5_scores=(score, 0, 0, 0, 100)))
         rank = order[labels.openness]
         assert rank >= previous
         previous = rank
@@ -95,16 +92,6 @@ def test_bin_labels_deterministic():
     assert bin_labels(row) == bin_labels(row)
 
 
-def test_custom_thresholds_respected():
-    config = BinningConfig(big5_low_max=10, big5_medium_max=90)
-    labels = bin_labels(make_row(big5_scores=(50, 5, 95, 10, 91)), config)
-    assert labels.openness == "medium"
-    assert labels.conscientiousness == "low"
-    assert labels.extraversion == "high"
-    assert labels.agreeableness == "low"
-    assert labels.neuroticism == "high"
-
-
 def test_invalid_class_rejected():
     with pytest.raises(SchemaError):
         AttributeLabels(gender="female", age_bin="19-24", occupation="maybe",
@@ -113,27 +100,11 @@ def test_invalid_class_rejected():
                         agreeableness="low", neuroticism="low")
 
 
-def test_class_distribution_single_player():
-    labels = bin_labels(make_row())
-    dist = class_distribution([labels])
-    for attr in ATTRIBUTE_SCHEMA:
-        value = getattr(labels, attr)
-        assert dist[attr][value] == 1.0
-        assert sum(dist[attr].values()) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_class_distribution_sums_to_one():
-    rows = [make_row(handle=i, raw_age=13 + (i % 26),
-                     big5_scores=tuple((i * j) % 101 for j in range(1, 6)))
-            for i in range(60)]
-    dist = class_distribution([bin_labels(r) for r in rows])
-    for attr in ATTRIBUTE_SCHEMA:
-        assert sum(dist[attr].values()) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_class_distribution_empty_rejected():
-    with pytest.raises(EmptyInput):
-        class_distribution([])
+def class_shares(labels: list[AttributeLabels]) -> dict[str, dict[str, float]]:
+    """Per-attribute class frequencies as fractions of the label sets."""
+    return {attr: {c: sum(getattr(lab, attr) == c for lab in labels) / len(labels)
+                   for c in classes}
+            for attr, classes in ATTRIBUTE_SCHEMA.items()}
 
 
 # Reference class counts at n=484: the published percentages rounded onto
@@ -172,7 +143,7 @@ def table1_reference_labels() -> list[AttributeLabels]:
 def test_reference_label_file_matches_published_distribution():
     labels = table1_reference_labels()
     assert len(labels) == 484
-    dist = class_distribution(labels)
+    dist = class_shares(labels)
     assert round(dist["gender"]["female"] * 100, 2) == 4.96
     assert round(dist["gender"]["male"] * 100, 2) == 95.04
     published = {
@@ -196,7 +167,7 @@ def test_synthetic_draws_recover_reference_distribution():
     from aia.synth import TABLE1_PRIORS
 
     labels = sample_labels(TABLE1_PRIORS, n=10_000, seed=7)
-    dist = class_distribution(labels)
+    dist = class_shares(labels)
     for attr, priors in TABLE1_PRIORS.items():
         total = sum(priors)
         for cls, prior in zip(ATTRIBUTE_SCHEMA[attr], priors):

@@ -5,7 +5,6 @@ import shutil
 import subprocess
 import sys
 import threading
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -14,8 +13,6 @@ import pytest
 from aia import cli, stats, workers
 from aia.cli import main
 from aia.synth import NumericEffect, RateEffect, SynthConfig
-
-warnings.filterwarnings("ignore", category=RuntimeWarning)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +102,7 @@ def test_featurize_outputs(pipeline_dirs):
     ("objectives", [5]),
     ("all_word_counts", {"gg": "x"}),
     ("profile", 3),
+    ("human_players", -1),
 ])
 def test_featurize_on_malformed_cached_match_exits_1(pipeline_dirs, tmp_path,
                                                     capsys, field, value):
@@ -200,41 +198,45 @@ def test_player_integer_past_the_float_range_exits_1(pipeline_dirs, tmp_path,
                     capsys, str(path), field)
 
 
-def test_labels_command_does_not_import_numpy(pipeline_dirs, tmp_path):
-    _, cache, _, _ = pipeline_dirs
+def _main_without_numpy(*argv: str) -> None:
+    """Run `aia.cli.main(argv)` in a fresh interpreter; it must exit 0 without
+    numpy in sys.modules."""
     script = ("import sys\n"
               "from aia.cli import main\n"
-              "code = main(['labels', '--in', sys.argv[1], '--out', sys.argv[2]])\n"
+              "code = main(sys.argv[1:])\n"
               "assert code == 0, code\n"
               "assert 'numpy' not in sys.modules, 'numpy imported'\n")
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(cache / "survey.csv"),
-         str(tmp_path / "labels.csv")],
-        env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, "-c", script, *argv],
+                            env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_labels_command_does_not_import_numpy(pipeline_dirs, tmp_path):
+    _, cache, _, _ = pipeline_dirs
+    _main_without_numpy("labels", "--in", str(cache / "survey.csv"),
+                        "--out", str(tmp_path / "labels.csv"))
     assert (tmp_path / "labels.csv").exists()
 
 
 def test_featurize_m_does_not_import_numpy(pipeline_dirs, tmp_path):
     # M holds only the naive columns: no expert value, no numpy.
     _, cache, labels_csv, features = pipeline_dirs
-    script = ("import sys\n"
-              "from aia.cli import main\n"
-              "code = main(['featurize', '--variant', 'M', '--cache', sys.argv[1],\n"
-              "             '--labels', sys.argv[2], '--out', sys.argv[3]])\n"
-              "assert code == 0, code\n"
-              "assert 'numpy' not in sys.modules, 'numpy imported'\n")
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(cache), str(labels_csv), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
+    _main_without_numpy("featurize", "--variant", "M", "--cache", str(cache),
+                        "--labels", str(labels_csv), "--out", str(tmp_path))
     assert (tmp_path / "M.csv").read_bytes() == (features / "M.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["reproduce-table8"],
+    ["sample-size", "--population", "1000"],
+], ids=["validate", "reproduce-table8", "sample-size"])
+def test_light_commands_do_not_import_numpy(argv):
+    # These need only the tail probabilities and the normal quantile.
+    _main_without_numpy(*argv)
 
 
 def test_correlate_emits_reports(pipeline_dirs):
@@ -347,6 +349,16 @@ def test_ingest_on_a_non_positive_handle_exits_1(tmp_path, capsys, handle):
     _exits_1_naming(["ingest", "--handles", str(handles), "--cache",
                      str(tmp_path / "cache"), "--offline"],
                     capsys, str(handles), "line 2", repr(handle))
+
+
+@pytest.mark.parametrize("rate", ["-2", "0", "nan", "inf"])
+def test_ingest_refuses_a_bad_rate_before_any_work(tmp_path, capsys, rate):
+    # The handles file does not exist: reading it first would name it.
+    assert main(["ingest", "--handles", str(tmp_path / "handles.txt"), "--cache",
+                 str(tmp_path / "cache"), "--rate", rate]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rate ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_on_a_non_numeric_config_field_exits_1(tmp_path, capsys):
@@ -627,7 +639,7 @@ def test_featurize_outputs_do_not_depend_on_the_worker_count(
         _, cache, labels_csv, _ = pipeline_dirs
     else:
         cache, labels_csv = capped_corpus
-    players, _ = cli._load_players(cache, labels_csv, 5)
+    players, _ = cli._load_players(cache, labels_csv)
     runs = {}
     for n_workers in (1, 2, 3):
         assert len(workers.shards(players, n_workers, cli._match_count)) == n_workers
@@ -650,7 +662,7 @@ def test_m_lines_are_prefixes_of_the_uncapped_mbar_lines(capped_corpus):
     from aia.features import FeatureContext, build_shard_lines
 
     cache, labels_csv = capped_corpus
-    players, _ = cli._load_players(cache, labels_csv, 5)
+    players, _ = cli._load_players(cache, labels_csv)
     matches = cli._load_matches(cache, players, 0)
     ctx = FeatureContext.default()
     m_owners, m_lines = build_shard_lines("M", players, matches, ctx)
@@ -658,14 +670,6 @@ def test_m_lines_are_prefixes_of_the_uncapped_mbar_lines(capped_corpus):
     assert m_owners == bar_owners and m_lines
     for m_line, bar_line in zip(m_lines, bar_lines):
         assert bar_line.startswith(m_line.rstrip("\r\n") + ",")
-
-
-def test_featurize_keeps_the_ingest_match_minimum_by_default():
-    from aia.ingest import MIN_MATCHES
-
-    args = cli.build_parser().parse_args(["featurize", "--variant", "P", "--cache",
-                                          "c", "--labels", "l", "--out", "o"])
-    assert args.min_matches == MIN_MATCHES
 
 
 def test_shards_are_contiguous_runs_balanced_by_match_count():
@@ -721,7 +725,7 @@ def test_featurize_worker_errors_read_as_the_serial_error(
     _, cache, labels_csv, _ = pipeline_dirs
     broken_cache = tmp_path / "cache"
     shutil.copytree(cache, broken_cache)
-    players, _ = cli._load_players(cache, labels_csv, 5)
+    players, _ = cli._load_players(cache, labels_csv)
     shards = workers.shards(players, 3, cli._match_count)
     targets = {"first": shards[0][0].handle, "second": shards[0][1].handle,
                "last": shards[-1][-1].handle}

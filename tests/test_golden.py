@@ -6,7 +6,6 @@ plumbing changed behavior.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,6 @@ from aia.cli import _write_json, correlation_doc, main
 from aia.features import FeatureContext, build_player_matrix
 from aia.synth import FIXTURE_CONFIG, generate_population
 
-warnings.filterwarnings("ignore", category=RuntimeWarning)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import build_match_doc
 from aia.attributes import AttributeLabels
-from aia.errors import NotFound, RateLimited, SchemaError
+from aia.errors import ConfigError, NotFound, RateLimited, SchemaError
 from aia.features import build_match_features
 from aia import ingest
 from aia.ingest import (
@@ -173,6 +173,8 @@ MALFORMED_MATCHES = {
                                 "$.radiant_win", "expected bool, got int"),
     "negative score": (build_match_doc(dire_score=-3),
                        "$.dire_score", "dire_score must be >= 0"),
+    "negative human players": (build_match_doc(human_players=-1),
+                               "$.human_players", "human_players must be >= 0"),
 }
 
 
@@ -406,6 +408,9 @@ def _ref_match_from_doc(doc):
     for key in ("radiant_score", "dire_score"):
         if int(doc.get(key, 0) or 0) < 0:
             raise SchemaError(f"{key} must be >= 0", path=f"$.{key}")
+    human_players = int(doc.get("human_players", len(players)) or len(players))
+    if human_players < 0:
+        raise SchemaError("human_players must be >= 0", path="$.human_players")
     chat = [_ref_parse_chat_entry(c, i) for i, c in enumerate(_ref_array(doc, "chat"))]
     cosmetics = []
     for i, item in enumerate(_ref_array(doc, "cosmetics")):
@@ -439,7 +444,7 @@ def _ref_match_from_doc(doc):
         barracks_status_radiant=int(doc.get("barracks_status_radiant", 0) or 0),
         barracks_status_dire=int(doc.get("barracks_status_dire", 0) or 0),
         first_blood_time=int(doc.get("first_blood_time", 0) or 0),
-        human_players=int(doc.get("human_players", len(players)) or len(players)),
+        human_players=human_players,
         throw=_ref_optional_num(doc, "throw"),
         comeback=_ref_optional_num(doc, "comeback"),
         loss=_ref_optional_num(doc, "loss"),
@@ -819,8 +824,8 @@ def test_rate_limited_retries_honor_retry_after(tmp_path):
 
 @pytest.mark.parametrize("header, expected_wait", [
     ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # an HTTP-date in the past
-    ("soon", 7.0),  # unparseable: the first exponential backoff step
-    ("inf", 7.0),  # not finite: the same fallback
+    ("soon", ingest.BACKOFF_BASE_S),  # unparseable: the first backoff step
+    ("inf", ingest.BACKOFF_BASE_S),  # not finite: the same fallback
 ])
 def test_retry_after_http_date_and_garbage(tmp_path, header, expected_wait):
     sleeps = []
@@ -831,17 +836,17 @@ def test_retry_after_http_date_and_garbage(tmp_path, header, expected_wait):
         ok(doc),
     ]})
     client = TelemetryClient(tmp_path, transport=transport, rate_per_s=1e6,
-                             backoff_base_s=7.0, sleep=sleeps.append)
+                             sleep=sleeps.append)
     assert client.fetch_match(5).match_id == 5
     assert expected_wait in sleeps
 
 
 def test_rate_limited_exhaustion_raises(tmp_path):
     transport = FakeTransport({"/matches/5": [TransportResponse(429, {}, b"")]})
-    client = TelemetryClient(tmp_path, transport=transport, max_retries=2,
-                             sleep=lambda s: None)
+    client = TelemetryClient(tmp_path, transport=transport, sleep=lambda s: None)
     with pytest.raises(RateLimited):
         client.fetch_match(5)
+    assert len(transport.calls) == ingest.MAX_RETRIES + 1
 
 
 def test_unparseable_payload_is_schema_error(tmp_path):
@@ -863,9 +868,17 @@ def test_token_bucket_spaces_requests():
     bucket.acquire()           # initial token, no wait
     bucket.acquire()           # must wait 0.5s at 2 rps
     assert sleeps == [0.5]
-    clock["t"] += 10.0         # long idle refills (capacity capped)
+    clock["t"] += 10.0         # long idle refills one token, no more
     bucket.acquire()
     assert sleeps == [0.5]
+    bucket.acquire()
+    assert sleeps == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("rate", [-2.0, 0.0, math.nan, math.inf])
+def test_token_bucket_refuses_a_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(ConfigError, match="rate must be finite and greater than 0"):
+        TokenBucket(rate_per_s=rate, sleep=lambda s: None)
 
 
 def test_atomic_cache_write_leaves_no_temp_files(tmp_path):

@@ -501,11 +501,10 @@ def test_strong_tag_above_point_three():
 
 def test_significance_counts_monotone_in_alpha():
     matrix, labels = report_matrix()
-    table = stats.significance_counts(stats.correlation_scan(matrix, labels),
-                                    alphas=(0.01, 0.05, 0.1))
+    table = stats.significance_counts(stats.correlation_scan(matrix, labels))
     for attr in ("purchase_habits",):
         for metric in ("spearman_rho", "cramers_v"):
-            counts = [table.count(attr, metric, a) for a in (0.01, 0.05, 0.1)]
+            counts = [table.count(attr, metric, a) for a in stats.SIGNIFICANCE_ALPHAS]
             assert counts == sorted(counts)
     assert table.count("purchase_habits", "spearman_rho", 0.01) >= 1
 
@@ -540,8 +539,7 @@ def test_all_noise_false_positive_rate():
         purchase_habits=purchase[i], openness="low", conscientiousness="low",
         extraversion="low", agreeableness="low", neuroticism="low")
         for i in range(n)}
-    table = stats.significance_counts(stats.correlation_scan(matrix, labels),
-                                    alphas=(0.1,))
+    table = stats.significance_counts(stats.correlation_scan(matrix, labels))
     count = table.count("purchase_habits", "spearman_rho", 0.1)
     expected = m_features * 0.1
     assert count <= expected + 3 * math.sqrt(expected)
